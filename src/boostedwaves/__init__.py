@@ -17,7 +17,6 @@ from .fields import (
     NegativeWeightWarning,
     energy_mass,
     eval_at,
-    inner,
     norm_hs,
     norm_l2,
     norm_lp,

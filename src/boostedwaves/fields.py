@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GnfFormatError, ZeroFieldError
+from .errors import GnfFormatError
 
 TAU = 2.0 * np.pi
 
@@ -244,12 +244,6 @@ def norm_hs(f: Field, s: float) -> float:
     return float(np.sqrt(val))
 
 
-def inner(f: Field, g: Field) -> complex:
-    """Quadrature L2 inner product <f, g> = sum conj(f) g dx^n."""
-    f._check_same_grid(g)
-    return complex(np.sum(np.conj(f.values) * g.values) * f.grid.cell_volume())
-
-
 def quad_form(f: Field, bsym, omega: float, weight=None, warn: bool = True) -> float:
     """Boosted quadratic form sum (p(xi) - v.xi + omega) |u_hat|^2 dxi^n.
 
@@ -296,15 +290,6 @@ def eval_at(f: Field, points) -> np.ndarray:
     phases = np.exp(1j * pts @ lattice.T)
     scale = f.grid.freq_cell_volume() / (TAU ** (f.grid.ndim / 2.0))
     return phases @ spec * scale
-
-
-def require_nonzero(f: Field, what: str = "field") -> None:
-    if f.has_values():
-        top = np.max(np.abs(f.values))
-    else:
-        top = np.max(np.abs(f.spectrum))
-    if top == 0.0:
-        raise ZeroFieldError(f"{what} is identically zero")
 
 
 # -- GNF1 field files ---------------------------------------------------------

@@ -120,12 +120,6 @@ def gaussian_init(grid: Grid, width: float = 1.0, phase=None) -> Field:
     return Field.from_values(grid, vals)
 
 
-def _norms(prob: Problem, spec: np.ndarray, weight: np.ndarray):
-    dxi = prob.grid.freq_cell_volume()
-    quad = float(np.sum(weight * np.abs(spec) ** 2)) * dxi
-    return quad
-
-
 def weinstein(prob: Problem, u: Field, weight: np.ndarray | None = None) -> float:
     """The minimized quotient; scale invariant and positive away from zero."""
     if weight is None:
@@ -134,7 +128,8 @@ def weinstein(prob: Problem, u: Field, weight: np.ndarray | None = None) -> floa
     denom = norm_lp(u, p) ** p
     if denom == 0.0:
         raise ZeroFieldError("the quotient is undefined at the zero field")
-    quad = _norms(prob, u.spectrum, weight)
+    dxi = prob.grid.freq_cell_volume()
+    quad = float(np.sum(weight * np.abs(u.spectrum) ** 2)) * dxi
     return float(quad ** (prob.sigma + 1) / denom)
 
 

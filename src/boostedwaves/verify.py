@@ -10,7 +10,6 @@ count as defects).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,16 +95,22 @@ class PhaseFit:
     residual: float
 
 
-def _wrap_angle(d: float) -> float:
+def _wrap_angle(d):
     return (d + np.pi) % (2.0 * np.pi) - np.pi
 
 
 def phase_affinity(f: Field, s: SupportSet | None = None, tau: float = 1e-8) -> PhaseFit:
     """Fit arg Q_hat ~ alpha + beta . xi over the connected support.
 
-    The phase is unwrapped breadth-first from the maximum-modulus bin (adding
-    2 pi multiples so neighbour jumps stay below pi), then fitted by weighted
-    least squares with weights |Q_hat|^2.  Raises
+    A slope guess beta0 is read from the neighbour increments: along each axis
+    j, over the pairs whose two bins are in the support, the |prod|-weighted
+    mean of arg prod with prod = Q_hat(xi + e_j) conj Q_hat(xi), divided by
+    the frequency step (the phase-difference frequency estimator of Kay, IEEE
+    Trans. ASSP 37, 1989).  The phase is then unwrapped by wrapping it around
+    the affine guess anchored at the maximum-modulus bin xi*:
+    y = beta0 . xi + p + wrap(arg Q_hat - beta0 . xi - p) with
+    p = arg Q_hat(xi*) - beta0 . xi*.  Finally y is fitted by weighted least
+    squares with weights |Q_hat|^2.  Raises
     :class:`DisconnectedSupportError` when the mask has several components.
     """
     if s is None:
@@ -116,37 +121,32 @@ def phase_affinity(f: Field, s: SupportSet | None = None, tau: float = 1e-8) -> 
     grid = f.grid
     spec_c = np.fft.fftshift(f.spectrum)
     mask_c = np.fft.fftshift(s.mask)
-    raw = np.angle(spec_c)
-    weight = np.abs(spec_c) ** 2
-
-    start = np.unravel_index(int(np.argmax(np.where(mask_c, np.abs(spec_c), -1.0))), mask_c.shape)
-    phi = np.full(mask_c.shape, np.nan)
-    phi[start] = raw[start]
-    seen = np.zeros(mask_c.shape, dtype=bool)
-    seen[start] = True
-    queue = deque([start])
     ndim = mask_c.ndim
-    while queue:
-        idx = queue.popleft()
-        for axis in range(ndim):
-            for step in (-1, 1):
-                nb = list(idx)
-                nb[axis] += step
-                if not 0 <= nb[axis] < mask_c.shape[axis]:
-                    continue
-                nb = tuple(nb)
-                if seen[nb] or not mask_c[nb]:
-                    continue
-                seen[nb] = True
-                phi[nb] = phi[idx] + _wrap_angle(raw[nb] - raw[idx])
-                queue.append(nb)
+
+    beta0 = np.zeros(ndim)
+    for axis in range(ndim):
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        both = mask_c[lo] & mask_c[hi]
+        prod = spec_c[hi][both] * np.conj(spec_c[lo][both])
+        size = np.abs(prod)
+        total = float(size.sum())
+        if total > 0.0:  # else the support is one bin thick along this axis
+            beta0[axis] = float(np.sum(size * np.angle(prod))) / (total * grid.freq_step(axis))
 
     pts = np.argwhere(mask_c)
     coords = np.empty((pts.shape[0], ndim))
     for axis in range(ndim):
         coords[:, axis] = (pts[:, axis] - grid.sizes[axis] // 2) * grid.freq_step(axis)
-    w = weight[tuple(pts.T)]
-    y = phi[tuple(pts.T)]
+    vals = spec_c[tuple(pts.T)]
+    raw = np.angle(vals)
+    mag = np.abs(vals)
+    w = mag**2
+    guess = coords @ beta0
+    start = int(np.argmax(mag))
+    guess += raw[start] - guess[start]
+    y = guess + _wrap_angle(raw - guess)
+
     design = np.hstack([np.ones((pts.shape[0], 1)), coords])
     sw = np.sqrt(w)
     sol, *_ = np.linalg.lstsq(design * sw[:, None], y * sw, rcond=None)
@@ -243,16 +243,16 @@ def symmetry_report(
     if norm_l2(f) == 0.0:
         raise ZeroFieldError("symmetry report of the zero field")
     s = support_set(f, tau)
-    connected = is_connected(s)
-    fit = None
-    if connected:
-        fit = phase_affinity(f, s)
+    try:
+        fit = phase_affinity(f, s)  # labels the support once, for both answers
+    except DisconnectedSupportError:
+        fit = None
     return SymmetryReport(
         s1_defect=_s1_defect(f, axis),
         s2_defect=_s2_defect(f, fit),
         modulus_rearranged_defect=_modulus_rearranged_defect(f, axis),
         phase=fit,
-        connected=connected,
+        connected=fit is not None,
         minkowski_defect=minkowski_defect(s, 2 * int(sigma) + 1),
         fold=2 * int(sigma) + 1,
         tau=tau,

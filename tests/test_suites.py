@@ -1,5 +1,5 @@
-"""Quick runs of the randomized suites; the acceptance module runs them at
-full scale with the pinned seeds and budgets."""
+"""Quick runs of the randomized suites at small trial counts; ``boostedwaves
+props`` runs them at the suites' default trial counts."""
 
 import boostedwaves.suites as suites
 

@@ -102,14 +102,15 @@ def test_phase_affinity_real_positive_spectrum():
     assert fit.residual <= 1e-12
 
 
-def test_phase_affinity_recovers_translation(classical_report):
-    q = classical_report.Q
-    a = 16 * q.grid.spacing(0)
-    shifted = bw.Field.from_values(q.grid, np.roll(q.values, 16))
-    fit = bw.phase_affinity(shifted)
-    # translation by a multiplies the spectrum by exp(-i a xi)
-    assert fit.beta[0] == pytest.approx(-a, abs=1e-10)
-    assert fit.residual <= 1e-9
+def test_phase_affinity_recovers_translation(classical_report, frac2d_report):
+    # the phase -a . xi wraps many times across the support, in 1D and along both 2D axes
+    for q, shift in ((classical_report.Q, (16,)), (frac2d_report.Q, (16, -11))):
+        shifted = bw.Field.from_values(q.grid, np.roll(q.values, shift, axis=tuple(range(len(shift)))))
+        fit = bw.phase_affinity(shifted)
+        # translation by a multiplies the spectrum by exp(-i a . xi)
+        for axis, k in enumerate(shift):
+            assert fit.beta[axis] == pytest.approx(-k * q.grid.spacing(axis), abs=1e-10)
+        assert fit.residual <= 1e-9
 
 
 def test_phase_affinity_recovers_global_phase(classical_report):
@@ -143,12 +144,14 @@ def test_symmetry_report_boosted_gauge_state(classical_report):
     assert rep.s2_defect <= 1e-6
 
 
-def test_symmetry_report_detects_broken_symmetry(classical_report):
-    q = classical_report.Q
-    x = q.grid.coords(0)
-    perturbed = q.values + 0.05 * x * np.exp(-(x**2) / 4.0)
-    rep = bw.symmetry_report(bw.Field.from_values(q.grid, perturbed), axis=0, sigma=1)
-    assert rep.s2_defect > 1e-2
+def test_symmetry_report_detects_broken_symmetry(classical_report, frac2d_report):
+    for q in (classical_report.Q, frac2d_report.Q):
+        mesh = q.grid.coord_mesh()
+        r2 = sum(m**2 for m in mesh)
+        perturbed = q.values + 0.05 * mesh[0] * np.exp(-r2 / 4.0)  # odd in x_0
+        rep = bw.symmetry_report(bw.Field.from_values(q.grid, perturbed), axis=0, sigma=1)
+        assert rep.phase is not None  # the fit ran; removing it leaves the defect
+        assert rep.s2_defect > 1e-2
 
 
 def test_symmetry_report_2d_ground_state(frac2d_report):
