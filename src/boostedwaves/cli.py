@@ -275,10 +275,11 @@ def make_problem(cfg: RunConfig) -> Problem:
 
 
 def _write_trace(path, report: SolveReport):
-    lines = ["iter,J,residual,Mk"]
+    lines = ["iter,J,residual,Mk,halvings,accel"]
     for row in report.trace:
         lines.append(
-            f"{row.iteration},{_fmt(row.quotient)},{_fmt(row.residual)},{_fmt(row.stabilizer)}"
+            f"{row.iteration},{_fmt(row.quotient)},{_fmt(row.residual)},{_fmt(row.stabilizer)},"
+            f"{row.halvings},{int(row.accelerated)}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -380,6 +381,7 @@ def cmd_rearrange(args) -> int:
 
 
 def _sweep_value(cfg: RunConfig, param: str, value: float):
+    """One sweep row: its CSV cells, and why it failed (None when it converged)."""
     if param == "v":
         velocity = (value,) + (0.0,) * (cfg.grid.ndim - 1)
         local = replace(cfg, velocity=velocity)
@@ -392,10 +394,14 @@ def _sweep_value(cfg: RunConfig, param: str, value: float):
         report = minimize(prob, opts=opts)
         rep = symmetry_report(report.Q, axis=local.axis, sigma=local.sigma, tau=local.tau)
         e, m = energy_mass(report.Q, local.symbol, local.sigma)
-        return (value, report.J_value, report.residual, rep.s2_defect,
-                rep.modulus_rearranged_defect, e, m, report.converged)
-    except (HypothesisViolatedError, ValueError) as exc:
-        return (value, math.nan, math.nan, math.nan, math.nan, math.nan, math.nan, False)
+    except ValueError as exc:  # HypothesisViolatedError, ZeroFieldError, ...
+        return (value,) + (math.nan,) * 6, f"{type(exc).__name__}: {exc}"
+    cells = (value, report.J_value, report.residual, rep.s2_defect,
+             rep.modulus_rearranged_defect, e, m)
+    if report.converged:
+        return cells, None
+    return cells, (f"not converged after {report.iterations} iterations "
+                   f"(residual {report.residual:.3e})")
 
 
 def cmd_sweep(args) -> int:
@@ -418,10 +424,12 @@ def cmd_sweep(args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["param,J,residual,s2_defect,modrearr_defect,E,M"]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row[:7]))
+    for cells, failure in rows:
+        lines.append(",".join(_fmt(x) for x in cells))
+        if failure:
+            print(f"sweep: row {args.param}={cells[0]!r} failed: {failure}", file=sys.stderr)
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
-    converged = sum(1 for row in rows if row[7])
+    converged = sum(1 for _, failure in rows if failure is None)
     print(f"sweep: {converged}/{len(rows)} rows converged -> {out / 'sweep.csv'}")
     return EXIT_OK if converged >= 1 else EXIT_NOT_CONVERGED
 

@@ -1,18 +1,31 @@
 """Ground-state computation by minimizing the boosted Weinstein quotient.
 
 The quotient  J(u) = <u, (P_v(D) + omega) u>^(sigma+1) / ||u||_{2 sigma + 2}^{2 sigma + 2}
-is minimized with a stabilized fixed-point iteration applied spectrally:
+is minimized with a stabilized fixed-point map applied spectrally:
 
-    u_{k+1} = M_k^gamma (P_v(D) + omega)^{-1} [ |u_k|^{2 sigma} u_k ],
+    G(u_k)  = M_k^gamma (P_v(D) + omega)^{-1} [ |u_k|^{2 sigma} u_k ],
     M_k     = <(P_v(D) + omega) u_k, u_k> / <|u_k|^{2 sigma} u_k, u_k>,
     gamma   = (2 sigma + 1) / (2 sigma),
 
 the standard convergent scheme for homogeneous nonlinearities of degree
-2 sigma + 1.  The inverse is exact in Fourier space; the hypothesis
-omega > -Sigma_v keeps the diagonal weight strictly positive.  Convergence is
+2 sigma + 1 (Pelinovsky & Stepanyants, SIAM J. Numer. Anal. 42, 2004).  The
+inverse is exact in Fourier space; the hypothesis omega > -Sigma_v keeps the
+diagonal weight strictly positive.
+
+The map converges only linearly, so each step is Anderson-accelerated (type
+II, Walker & Ni, SIAM J. Numer. Anal. 49, 2011).  With g_k = G(u_k) and the
+defect f_k = g_k - u_k, the differences of f and g over the last
+``ANDERSON_DEPTH`` steps form the columns of dF and dG; the candidate is
+
+    u_{k+1} = g_k - dG c,    c = argmin ||f_k - dF c||,
+
+with c from the small normal equations dF^H dF c = dF^H f_k (``lstsq``,
+rcond 1e-14).  A J safeguard keeps the quotient non-increasing: a candidate
+that raises J by more than 1e-12 (relative) is rejected, the history is
+cleared, and the plain step u_{k+1} = g_k is taken instead, halved against
+u_k (up to ``damp_limit`` times) while it still raises J.  Convergence is
 declared on the relative residual of the rescaled profile equation
-(P_v(D) + omega) Q = |Q|^{2 sigma} Q.  A step that increases J by more than
-1e-12 is halved against the previous iterate (up to 30 times).
+(P_v(D) + omega) Q = |Q|^{2 sigma} Q.
 
 Converged states are canonicalized: the modulus centroid is moved to the
 origin (integer roll plus exact fractional spectral shifts) and the global
@@ -30,6 +43,8 @@ import numpy as np
 from .errors import HypothesisViolatedError, ZeroFieldError
 from .fields import Field, Grid, norm_l2, norm_lp
 from .symbols import BoostedSymbol, FloorSearch, dispersion_floor
+
+ANDERSON_DEPTH = 5  # differences of past iterates mixed into each step
 
 
 def sigma_star(order: float, ndim: int) -> float:
@@ -89,10 +104,18 @@ class SolveOptions:
 
 @dataclass
 class TraceRow:
+    """State at iterate k and how the step to iterate k + 1 was taken.
+
+    ``accelerated`` is true when the Anderson candidate was accepted;
+    ``halvings`` counts the halvings of the plain step taken instead.
+    """
+
     iteration: int
     quotient: float
     residual: float
     stabilizer: float
+    halvings: int = 0
+    accelerated: bool = False
 
 
 @dataclass
@@ -213,7 +236,13 @@ def canonicalize(f: Field) -> Field:
 
 def minimize(prob: Problem, init: Field | None = None,
              opts: SolveOptions | None = None) -> SolveReport:
-    """Run the stabilized fixed-point iteration to a boosted ground state.
+    """Run the Anderson-accelerated fixed-point iteration to a boosted ground state.
+
+    Each iteration mixes the map's last ``ANDERSON_DEPTH`` images into one
+    candidate and accepts it only if J does not rise; otherwise the history
+    is cleared and the plain step, halved while J rises, is taken (see the
+    module docstring).  The trace records per iteration whether the Anderson
+    candidate was accepted and how many halvings the fallback needed.
 
     ``init`` defaults to a unit-width Gaussian carrying the phase
     exp(i v.x / 2), which keeps the iteration off the real-spectrum subspace
@@ -241,6 +270,10 @@ def minimize(prob: Problem, init: Field | None = None,
     j_cur = weinstein(prob, u, weight)
     trace: list[TraceRow] = []
     converged = False
+    f_prev = g_prev = None
+    d_f: list[np.ndarray] = []
+    d_g: list[np.ndarray] = []
+    gram = np.empty((0, 0), dtype=complex)  # d_f^H d_f
     iterations = 0
 
     for k in range(1, opts.max_iter + 1):
@@ -257,21 +290,49 @@ def minimize(prob: Problem, init: Field | None = None,
             trace.append(TraceRow(k, j_cur, res_unit, math.nan))
             break
         stabilizer = quad / pairing
-        trace.append(TraceRow(k, j_cur, res_unit, stabilizer))
+        row = TraceRow(k, j_cur, res_unit, stabilizer)
+        trace.append(row)
 
         if res_unit <= opts.tol:
             converged = True
             break
 
-        cand = stabilizer**gamma * nl_spec / weight
-        cand_field = Field.from_spectrum(grid, cand)
-        j_new = weinstein(prob, cand_field, weight)
-        halvings = 0
-        while j_new > j_cur + 1e-12 * max(1.0, abs(j_cur)) and halvings < opts.damp_limit:
-            cand = 0.5 * (cand + spec)
+        g = stabilizer**gamma * nl_spec / weight
+        f = g - spec
+        if f_prev is not None:
+            d_f.append(f - f_prev)
+            d_g.append(g - g_prev)
+            # Border the Gram matrix with the new column instead of redoing all
+            # m^2 inner products; the oldest column falls off past the depth.
+            col = np.array([np.vdot(a, d_f[-1]) for a in d_f])
+            grown = np.empty((len(d_f),) * 2, dtype=complex)
+            grown[:-1, :-1] = gram
+            grown[:, -1] = col
+            grown[-1] = col.conj()
+            gram = grown[-ANDERSON_DEPTH:, -ANDERSON_DEPTH:]
+            del d_f[:-ANDERSON_DEPTH], d_g[:-ANDERSON_DEPTH]
+        f_prev, g_prev = f, g
+        slack = 1e-12 * max(1.0, abs(j_cur))
+        if d_f:
+            rhs = np.array([np.vdot(a, f) for a in d_f])
+            coef = np.linalg.lstsq(gram, rhs, rcond=1e-14)[0]
+            cand = g - sum(c * dg for c, dg in zip(coef, d_g))
             cand_field = Field.from_spectrum(grid, cand)
             j_new = weinstein(prob, cand_field, weight)
-            halvings += 1
+            row.accelerated = j_new <= j_cur + slack
+            if not row.accelerated:
+                d_f.clear()
+                d_g.clear()
+                gram = gram[:0, :0]
+        if not row.accelerated:
+            cand = g
+            cand_field = Field.from_spectrum(grid, cand)
+            j_new = weinstein(prob, cand_field, weight)
+            while j_new > j_cur + slack and row.halvings < opts.damp_limit:
+                cand = 0.5 * (cand + spec)
+                cand_field = Field.from_spectrum(grid, cand)
+                j_new = weinstein(prob, cand_field, weight)
+                row.halvings += 1
 
         u = cand_field
         j_cur = j_new

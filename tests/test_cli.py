@@ -51,7 +51,7 @@ def test_solve_writes_outputs_and_hits_target(classical_cfg, tmp_path, capsys):
     j = float(j_line.split(":")[1])
     assert abs(j - 16.0 / 3.0) <= 1e-6
     header = (out / "trace.csv").read_text().splitlines()[0]
-    assert header == "iter,J,residual,Mk"
+    assert header == "iter,J,residual,Mk,halvings,accel"
 
 
 def test_solve_rejects_bad_omega(classical_cfg, tmp_path, capsys):
@@ -143,6 +143,29 @@ def test_sweep_empty_range_rejected(classical_cfg, tmp_path, capsys):
     code = run("sweep", "--config", classical_cfg, "--param", "v",
                "--range", "0:1:0", "--out", tmp_path / "x")
     assert code == 1
+
+
+def test_sweep_failed_rows_named_on_stderr(classical_cfg, tmp_path, capsys):
+    # Sigma_v = 0 here, so omega = -0.5 and omega = 0 violate omega > -Sigma_v
+    out = tmp_path / "sweep"
+    code = run("sweep", "--config", classical_cfg, "--param", "omega",
+               "--range=-0.5:1:4", "--out", out)
+    assert code == 0
+    rows = [list(map(float, line.split(",")))
+            for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [np.isnan(row[1]) for row in rows] == [True, True, False, False]
+    err = capsys.readouterr().err
+    assert "sweep: row omega=-0.5 failed: HypothesisViolatedError: " in err
+    assert "sweep: row omega=0.0 failed: HypothesisViolatedError: " in err
+    assert "omega=0.5" not in err and "omega=1.0" not in err
+
+    # a row that stops at max_iter keeps its numbers and is named too
+    short = tmp_path / "short.cfg"
+    short.write_text(CLASSICAL.replace("max_iter = 5000", "max_iter = 3"))
+    assert run("sweep", "--config", short, "--param", "v", "--range", "0:0:1",
+               "--out", tmp_path / "short") == 2
+    err = capsys.readouterr().err
+    assert "sweep: row v=0.0 failed: not converged after 3 iterations" in err
 
 
 def test_sweep_jobs_deterministic(classical_cfg, tmp_path):

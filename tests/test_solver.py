@@ -72,10 +72,14 @@ def test_minimize_zero_init_rejected(classical_problem, grid_1d):
         bw.minimize(classical_problem, init=zero)
 
 
-def test_trace_quotient_nonincreasing(classical_report):
-    js = [row.quotient for row in classical_report.trace]
-    for prev, nxt in zip(js, js[1:]):
-        assert nxt <= prev + 1e-11
+def test_trace_quotient_nonincreasing(classical_report, halfwave_report, frac2d_report):
+    # The J safeguard keeps accepted Anderson steps monotone too.  Ceilings are
+    # ~1.5x the accelerated counts (10, 18, 13); the plain map takes 31, 77, 42.
+    for rep, ceiling in ((classical_report, 15), (halfwave_report, 27), (frac2d_report, 20)):
+        assert rep.iterations <= ceiling
+        js = [row.quotient for row in rep.trace]
+        for prev, nxt in zip(js, js[1:]):
+            assert nxt <= prev + 1e-11
 
 
 def test_minimize_boosted_matches_gauged_rest(grid_1d, classical_report):
@@ -147,3 +151,8 @@ def test_halfwave_solve(halfwave_problem, halfwave_report):
     assert rep.converged
     assert rep.residual <= 1e-10
     assert bw.profile_residual(halfwave_problem, rep.Q) <= 1e-10
+    # Every step but the first has a history, so a plain step after it is a
+    # rejected Anderson candidate: the safeguard's fallback runs here.
+    steps = rep.trace[1:-1]
+    assert any(row.accelerated for row in steps)
+    assert any(not row.accelerated for row in steps)
