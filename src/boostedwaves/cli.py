@@ -487,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="parameter sweep writing sweep.csv")
     common(p)
     p.add_argument("--param", choices=("v", "omega"), required=True)
-    p.add_argument("--range", required=True, help="start:stop:count")
+    p.add_argument("--range", required=True,
+                   help="start:stop:count; the start may be negative (--range -0.5:1:4)")
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("props", help="run a randomized invariant suite")
@@ -503,9 +504,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_range(argv: list[str]) -> list[str]:
+    """``--range V`` -> ``--range=V``: argparse takes a V such as -0.5:1:4 for
+    an option and would reject the pair, but reads the glued form as a value."""
+    for i, tok in enumerate(argv[:-1]):
+        if tok == "--range":
+            return argv[:i] + [f"--range={argv[i + 1]}"] + argv[i + 2:]
+    return argv
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_range(list(sys.argv[1:] if argv is None else argv)))
     try:
         return args.handler(args)
     except ConfigError as exc:

@@ -9,9 +9,9 @@ excluded from the set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+import itertools
 import math
+from dataclasses import dataclass
 
 INF = math.inf
 
@@ -197,6 +197,23 @@ def classify_fixed_points(sampler, m: int, trials: int) -> FixedPointSummary:
         else:
             unexpected.append(x)
     return FixedPointSummary(trials, m, canonical_hits, unexpected)
+
+
+def lattice_unions(endpoints, max_intervals: int = 2) -> list[IntervalUnion]:
+    """Every distinct union of at most max_intervals open intervals whose
+    endpoints lie in ``endpoints``, in canonical form and sorted.
+
+    With infinite endpoints in the set this covers the line, both kinds of ray
+    and gapped unbounded unions such as (-inf,-1)|(1,inf).
+    """
+    ends = sorted({float(e) for e in endpoints})
+    pieces = list(itertools.combinations(ends, 2))  # every (a, b) with a < b
+    found = {
+        IntervalUnion.of(*combo)
+        for count in range(1, max_intervals + 1)
+        for combo in itertools.combinations(pieces, count)
+    }
+    return sorted(found, key=lambda x: x.intervals)
 
 
 def random_interval_union(rng, max_intervals: int = 5, span: float = 10.0,

@@ -172,32 +172,40 @@ def convolution_suite(seed: int = 2, trials: int = 200,
     return out
 
 
-def setops_suite(seed: int = 3, trials: int = 10_000, fold: int = 3) -> SuiteResult:
-    """Minkowski fixed-point scan plus algebraic identities on interval unions."""
+# Endpoint set of the exhaustive fixed-point scan: with the infinities it
+# yields the line, rays and gapped unbounded unions, not only bounded sets.
+SCAN_ENDPOINTS = (-setops.INF, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, setops.INF)
+
+
+def setops_suite(seed: int = 3, trials: int = 300, fold: int = 3) -> SuiteResult:
+    """Minkowski fixed-point scan plus algebraic identities on interval unions.
+
+    The scan is exhaustive over the unions of at most two open intervals with
+    endpoints in ``SCAN_ENDPOINTS``: the three canonical sets must be its only
+    fixed points, and each must be found.  ``trials`` is the number of random
+    draws for each identity check.
+    """
     rng = np.random.default_rng(seed)
     out = SuiteResult("setops", trials)
 
-    def sampler(_k):
-        return setops.random_interval_union(rng)
-
-    summary = setops.classify_fixed_points(sampler, fold, trials)
-    out.checks += trials
+    candidates = setops.lattice_unions(SCAN_ENDPOINTS)
+    summary = setops.classify_fixed_points(candidates.__getitem__, fold, len(candidates))
+    out.checks += len(candidates)
     for x in summary.unexpected:
-        out.violations.append(f"bounded fixed point found: {x}")
-
-    for canon in setops.CANONICAL_FIXED_POINTS:
-        out.record(setops.is_fixed_point(canon, fold),
-                   f"canonical set {canon} not recognized as a fixed point")
+        out.violations.append(f"non-canonical fixed point found: {x}")
+    out.record(summary.canonical_hits == len(setops.CANONICAL_FIXED_POINTS),
+               f"scan found {summary.canonical_hits} of the "
+               f"{len(setops.CANONICAL_FIXED_POINTS)} canonical fixed points")
 
     # one-sided sets with positive infimum can never be fixed (the infimum doubles)
-    for t in range(200):
+    for t in range(trials):
         lo = float(rng.uniform(0.1, 5.0))
         x = setops.IntervalUnion.of((lo, lo + float(rng.uniform(0.1, 3.0))))
         out.record(not setops.is_fixed_point(x, 2),
                    f"one-sided set {x} wrongly fixed under doubling")
 
     # ball-sum identity on dyadic endpoints: exact float arithmetic
-    for t in range(200):
+    for t in range(trials):
         c1, c2 = (int(rng.integers(-64, 64)) / 8.0 for _ in range(2))
         r1, r2 = (int(rng.integers(1, 32)) / 8.0 for _ in range(2))
         left = setops.minkowski_sum(
@@ -208,7 +216,7 @@ def setops_suite(seed: int = 3, trials: int = 10_000, fold: int = 3) -> SuiteRes
         out.record(left == want, f"ball sum identity failed for {left} vs {want}")
 
     # commutativity / associativity / monotonicity, exact on dyadic endpoints
-    for t in range(300):
+    for t in range(trials):
         a = setops.random_interval_union(rng, quantum=0.015625)
         b = setops.random_interval_union(rng, quantum=0.015625)
         c = setops.random_interval_union(rng, quantum=0.015625)

@@ -2,10 +2,11 @@
 
 All analyses run on the centered (fftshift) view of the frequency lattice so
 that adjacency and Minkowski sums approximate the continuum picture without
-periodic wrap-around.  Minkowski sums of masks are computed by padded linear
-convolutions (intermediate sums are never clipped; only the final result is
-intersected with the box, so lattice points whose sums exit the box never
-count as defects).
+periodic wrap-around.  Minkowski sums of masks are computed as cyclic
+convolutions on one lattice whose period is just large enough that no sum
+outside the box wraps onto it (see :func:`minkowski_defect`): intermediate
+sums are never clipped, and lattice points whose sums exit the box never
+count as defects.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, signal
+from scipy import fft, ndimage
 
 from .errors import DisconnectedSupportError, ZeroFieldError
 from .fields import Field, norm_l2
@@ -50,41 +51,35 @@ def is_connected(s: SupportSet) -> bool:
     return count == 1
 
 
-def _mask_minkowski_power(mask_centered: np.ndarray, m: int):
-    """Unclipped m-fold Minkowski sum of a centered mask.
-
-    Returns (bool array, origin index per axis).  Convolution counts are exact
-    small integers in float64, thresholded at 1/2.
-    """
-    base = mask_centered.astype(float)
-    origin = np.array([n // 2 for n in mask_centered.shape])
-    acc = base
-    acc_origin = origin.copy()
-    for _ in range(m - 1):
-        acc = signal.fftconvolve(acc, base, mode="full")
-        acc = (acc > 0.5).astype(float)
-        acc_origin += origin
-    return acc > 0.5, acc_origin
-
-
 def minkowski_defect(s: SupportSet, m: int) -> float:
     """Symmetric-difference fraction |S xor (m-fold sum of S)| / |S| in the box.
 
-    The m-fold sum is computed on the padded lattice and only intersected with
-    the box at the end; for supports filling the truncated lattice (the
-    discretization of R^n or a half-space) the defect vanishes.
+    The centered mask occupies indices [0, N) per axis, bin i standing for the
+    lattice point i - N//2, so the m-fold sum lives on [0, m(N-1)] and the box
+    on [(m-1)(N//2), (m-1)(N//2) + N).  The sums are cyclic convolutions of
+    period P = N + (m-1)(N//2) per axis, (m+1)N/2 for the even sizes of a
+    Grid, thresholded at 1/2 after every fold so the counts stay small exact
+    integers in float64.  Reduction mod P maps Minkowski sums to cyclic
+    Minkowski sums, so the result is the linear m-fold sum reduced mod P.  At
+    this period the box lies in [0, P) and no other point of [0, m(N-1)] is
+    congruent to a box point, so the box is read off exactly; a shorter
+    period would wrap corner sums onto it.  For supports filling the truncated
+    lattice (the discretization of R^n or a half-space) the defect vanishes.
     """
     if m < 2:
         raise ValueError("fold count must be >= 2")
     centered = np.fft.fftshift(s.mask)
     if not centered.any():
         raise ZeroFieldError("empty support mask")
-    summed, origin = _mask_minkowski_power(centered, m)
-    slices = tuple(
-        slice(o - n // 2, o - n // 2 + n) for o, n in zip(origin, centered.shape)
-    )
-    in_box = summed[slices]
-    diff = np.logical_xor(centered, in_box)
+    period = tuple(n + (m - 1) * (n // 2) for n in centered.shape)
+    base = fft.rfftn(centered, s=period)
+    acc = base
+    for fold in range(2, m + 1):
+        summed = fft.irfftn(acc * base, s=period) > 0.5
+        if fold < m:
+            acc = fft.rfftn(summed)
+    box = tuple(slice((m - 1) * (n // 2), (m - 1) * (n // 2) + n) for n in centered.shape)
+    diff = np.logical_xor(centered, summed[box])
     return float(diff.sum()) / float(centered.sum())
 
 

@@ -103,6 +103,19 @@ def test_classify_fixed_points_flags_canonical_only():
     assert summary.passed
 
 
+def test_lattice_scan_fixed_points_are_canonical():
+    ends = (-INF, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, INF)
+    candidates = so.lattice_unions(ends)
+    assert len(set(candidates)) == len(candidates)
+    # the scan reaches rays and gapped unbounded unions, not only bounded sets
+    for text in ("(-inf,-1.0)|(1.0,inf)", "(-inf,0.0)|(0.0,inf)", "(0.5,inf)", "(-1.0,inf)"):
+        assert so.IntervalUnion.parse(text) in candidates
+    for m in (2, 3):
+        fixed = [x for x in candidates if so.is_fixed_point(x, m)]
+        assert sorted(fixed, key=lambda x: x.intervals) == sorted(
+            so.CANONICAL_FIXED_POINTS, key=lambda x: x.intervals)
+
+
 def test_one_sided_positive_infimum_never_fixed():
     rng = np.random.default_rng(29)
     for _ in range(100):

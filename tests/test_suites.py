@@ -16,7 +16,7 @@ def test_convolution_suite_small():
 
 
 def test_setops_suite_small():
-    result = suites.setops_suite(seed=13, trials=1000)
+    result = suites.setops_suite(seed=13, trials=300)
     assert result.passed, result.violations[:3]
 
 

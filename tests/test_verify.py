@@ -92,6 +92,38 @@ def test_minkowski_defect_two_blobs_oracle():
     assert got > 0.5
 
 
+def _set_sum_defect(mask_c, m):
+    """Defect of minkowski_defect from Python sets of centered lattice points."""
+    half = [n // 2 for n in mask_c.shape]
+    pts = {tuple(int(i) - h for i, h in zip(p, half)) for p in np.argwhere(mask_c)}
+    sums = pts
+    for _ in range(m - 1):
+        sums = {tuple(a + b for a, b in zip(p, q)) for p in sums for q in pts}
+    in_box = {z for z in sums
+              if all(-h <= zi < n - h for zi, h, n in zip(z, half, mask_c.shape))}
+    return len(in_box ^ pts) / len(pts)
+
+
+@pytest.mark.parametrize("shape", [(8,), (16,), (8, 8)])
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_minkowski_defect_matches_set_sum_oracle(shape, m):
+    # corner bins give the extreme sums: with a period one short of
+    # (m + 1) N / 2 they alias onto the box
+    first = (0,) * len(shape)
+    last = tuple(n - 1 for n in shape)
+    centre = tuple(n // 2 for n in shape)
+    g = bw.Grid.make(shape, 4.0)
+    for bins in ((first, last), (first, centre), (last, centre), None):
+        if bins is None:
+            mask_c = np.ones(shape, dtype=bool)
+        else:
+            mask_c = np.zeros(shape, dtype=bool)
+            for b in bins:
+                mask_c[b] = True
+        s = bw.SupportSet(g, np.fft.ifftshift(mask_c), 0.5)
+        assert bw.minkowski_defect(s, m) == _set_sum_defect(mask_c, m), bins
+
+
 def test_phase_affinity_real_positive_spectrum():
     g = bw.Grid.make(256, 15.0)
     xi = g.freqs(0)
