@@ -263,6 +263,8 @@ def load_config(path, out_override=None, seed_override=None, tol_override=None,
         cfg.jobs = jobs_override
     if not 0 <= cfg.axis < n:
         raise ConfigError("axis out of range")
+    if not 0.0 < cfg.tau < 1.0:
+        raise ConfigError(f"tau must lie in (0, 1), got {cfg.tau!r}", line=pairs["tau"][1])
     return cfg
 
 

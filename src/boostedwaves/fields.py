@@ -9,6 +9,19 @@ transform pair is scaled so that it approximates the continuum convention
 
 which makes the discrete transform unitary between the quadrature norms:
 ``sum |u|^2 dx^n == sum |u_hat|^2 dxi^n`` to rounding.
+
+Every transform goes through one pair, ``_phys_to_spec`` and ``_spec_to_phys``
+(``scipy.fft``).  The centering shifts are folded into a modulation: for even
+N, ``fft(ifftshift(x))[k] == (-1)**k * fft(x)[k]`` and
+``fftshift(ifft(s)) == ifft((-1)**k * s)``, per axis.  Every grid size is a
+power of two >= 8, hence even, so each grid carries one read-only table
+``(-1)**(k_1 + ... + k_n) * scale`` per direction (the scale is the product of
+``dx_i / sqrt(2 pi)``) and the pair is one n-D FFT and one multiply.
+
+A :class:`Field` adopts the complex128 array it is given instead of copying
+it, and lazily computed representations are shared the same way.  A caller
+must not mutate an array after handing it to a Field, nor an array a Field
+returns; build a new array instead.
 """
 
 from __future__ import annotations
@@ -16,8 +29,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 from .errors import GnfFormatError
 
@@ -99,35 +114,64 @@ class Grid:
         return np.meshgrid(*axes, indexing="ij", sparse=True)
 
     def cell_volume(self) -> float:
-        return float(np.prod([self.spacing(i) for i in range(self.ndim)]))
+        return self._volumes[0]
 
     def freq_cell_volume(self) -> float:
-        return float(np.prod([self.freq_step(i) for i in range(self.ndim)]))
+        return self._volumes[1]
 
     def nyquist_mask(self) -> np.ndarray:
-        """Boolean FFT-order array, True on bins carrying a Nyquist index."""
+        """Boolean FFT-order array, True on bins carrying a Nyquist index.
+
+        Cached per grid and read-only: index with it, do not write into it.
+        """
+        return self._nyquist
+
+    # Per-grid tables, computed on first use.  Read-only because grids (and
+    # with them these arrays) are shared by the threads of a parallel sweep.
+
+    @cached_property
+    def _volumes(self) -> tuple[float, float]:
+        return (
+            math.prod(self.spacing(i) for i in range(self.ndim)),
+            math.prod(self.freq_step(i) for i in range(self.ndim)),
+        )
+
+    @cached_property
+    def _nyquist(self) -> np.ndarray:
         mask = np.zeros(self.sizes, dtype=bool)
         for axis, n in enumerate(self.sizes):
             sl = [slice(None)] * self.ndim
             sl[axis] = n // 2
             mask[tuple(sl)] = True
-        return mask
+        return _read_only(mask)
+
+    @cached_property
+    def _modulation(self) -> tuple[np.ndarray, np.ndarray]:
+        """(forward, inverse) tables (-1)**(k_1 + ... + k_n) * scale**(+-1)."""
+        parity = sum(np.indices(self.sizes, sparse=True)) % 2
+        sign = 1.0 - 2.0 * parity
+        scale = math.prod(self.spacing(i) / math.sqrt(TAU) for i in range(self.ndim))
+        return _read_only(sign * scale), _read_only(sign / scale)
 
 
-def _forward_scale(grid: Grid) -> float:
-    return float(np.prod([grid.spacing(i) / math.sqrt(TAU) for i in range(grid.ndim)]))
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _phys_to_spec(grid: Grid, values: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(np.fft.ifftshift(values)) * _forward_scale(grid)
+    return scipy.fft.fftn(values) * grid._modulation[0]
 
 
 def _spec_to_phys(grid: Grid, spectrum: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(np.fft.ifftn(spectrum)) / _forward_scale(grid)
+    return scipy.fft.ifftn(spectrum * grid._modulation[1], overwrite_x=True)
 
 
 class Field:
-    """Complex field on a :class:`Grid` with paired lazy representations."""
+    """Complex field on a :class:`Grid` with paired lazy representations.
+
+    The given arrays are adopted, not copied (see the module docstring).
+    """
 
     __slots__ = ("grid", "_values", "_spectrum")
 
@@ -141,12 +185,12 @@ class Field:
             values = np.asarray(values, dtype=np.complex128)
             if values.shape != grid.sizes:
                 raise ValueError(f"values shape {values.shape} != grid sizes {grid.sizes}")
-            self._values = values.copy()
+            self._values = values
         if spectrum is not None:
             spectrum = np.asarray(spectrum, dtype=np.complex128)
             if spectrum.shape != grid.sizes:
                 raise ValueError(f"spectrum shape {spectrum.shape} != grid sizes {grid.sizes}")
-            self._spectrum = spectrum.copy()
+            self._spectrum = spectrum
 
     @classmethod
     def from_values(cls, grid: Grid, values) -> "Field":

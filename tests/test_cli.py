@@ -81,6 +81,22 @@ def test_config_errors_carry_line_numbers(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tau", ["0", "1", "-1e-8", "nan"])
+def test_tau_outside_unit_interval_is_config_error(classical_cfg, tmp_path, capsys, tau):
+    cfg = tmp_path / "tau.cfg"
+    cfg.write_text(CLASSICAL.replace("seed = 1", f"seed = 1\ntau = {tau}"))
+    lineno = cfg.read_text().splitlines().index(f"tau = {tau}") + 1
+    field = tmp_path / "sech.gnf"
+    grid = bw.Grid.make(512, 75.39822368615503)
+    bw.write_gnf(field, bw.Field.from_values(grid, np.sqrt(2) / np.cosh(grid.coords(0))))
+    assert run("verify", "--config", cfg, "--field", field, "--out", tmp_path / "v") == 1
+    assert f"line {lineno}: tau must lie in (0, 1)" in capsys.readouterr().err
+    assert run("sweep", "--config", cfg, "--param", "v", "--range", "0:0.5:2",
+               "--out", tmp_path / "s") == 1
+    assert f"line {lineno}: tau must lie in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "sweep.csv").exists()
+
+
 def test_verify_pipeline_and_noise(classical_cfg, tmp_path, capsys):
     out = tmp_path / "run2"
     assert run("solve", "--config", classical_cfg, "--out", out) == 0

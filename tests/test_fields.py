@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 import boostedwaves as bw
+from boostedwaves import fields
 from boostedwaves.fields import NegativeWeightWarning
 
 
@@ -42,6 +43,73 @@ def test_transform_roundtrip_identity():
     back = bw.transform(bw.transform(f, "forward"), "inverse")
     rel = np.max(np.abs(back.values - f.values)) / np.max(np.abs(f.values))
     assert rel < 1e-12
+
+
+@pytest.mark.parametrize(
+    "sizes, half_lengths",
+    [((8,), (3.0,)), ((16, 32), (2.0, 5.0)), ((8, 16, 32), (1.5, 2.5, 4.0))],
+)
+def test_transform_pair_matches_shifted_reference(sizes, half_lengths):
+    # the (-1)^k modulation must reproduce the centering shifts it replaces
+    g = bw.Grid.make(sizes, half_lengths)
+    rng = np.random.default_rng(len(sizes))
+    x = rng.standard_normal(sizes) + 1j * rng.standard_normal(sizes)
+    x_before = x.copy()
+    scale = np.prod([g.spacing(i) / np.sqrt(2 * np.pi) for i in range(g.ndim)])
+    spec_ref = np.fft.fftn(np.fft.ifftshift(x)) * scale
+    phys_ref = np.fft.fftshift(np.fft.ifftn(x)) / scale
+    spec = fields._phys_to_spec(g, x)
+    phys = fields._spec_to_phys(g, x)
+    assert np.max(np.abs(spec - spec_ref)) <= 1e-13 * np.max(np.abs(spec_ref))
+    assert np.max(np.abs(phys - phys_ref)) <= 1e-13 * np.max(np.abs(phys_ref))
+    assert np.array_equal(x, x_before)  # neither direction writes its input
+
+    # the per-grid tables are computed once and shared read-only
+    cached = (*g._modulation, g.nyquist_mask())
+    assert all(a is b for a, b in zip(cached, (*g._modulation, g.nyquist_mask())))
+    for table in cached:
+        assert table.shape == g.sizes and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[(0,) * g.ndim] = 0
+
+
+def test_adopted_read_only_arrays_survive_every_operation(
+    classical_problem, classical_report, frac2d_report, tmp_path
+):
+    # Field adopts its arrays; read-only inputs make any in-place write raise
+    def frozen(a):
+        a = np.array(a, dtype=complex)
+        a.setflags(write=False)
+        return a
+
+    def frozen_field(f):
+        return bw.Field(f.grid, values=frozen(f.values), spectrum=frozen(f.spectrum))
+
+    grid = classical_problem.grid
+    init = bw.Field.from_spectrum(grid, frozen(bw.gaussian_init(grid).spectrum))
+    rep = bw.minimize(classical_problem, init=init)
+    assert np.array_equal(rep.Q.values, classical_report.Q.values)
+
+    q = frozen_field(classical_report.Q)
+    moved = frozen_field(q.shifted([7 * grid.spacing(0)]))
+    back = bw.canonicalize(moved)
+    assert np.max(np.abs(back.values - q.values)) < 1e-12 * np.max(np.abs(q.values))
+    q2d = frozen_field(frac2d_report.Q)
+    for f, axis in ((q, 0), (q2d, 1)):
+        assert bw.symmetry_report(f, axis=axis).s2_defect < 1e-10
+        assert not np.any(f.zero_nyquist().spectrum[f.grid.nyquist_mask()])
+        assert np.allclose(bw.norm_l2(f.shifted([0.5] * f.grid.ndim)), bw.norm_l2(f))
+        rearranged = bw.fourier_rearrange(f, "modulus")
+        assert np.array_equal(rearranged.spectrum, np.abs(f.spectrum))
+
+    # read_gnf hands Field a read-only frombuffer view of the file
+    path = tmp_path / "q.gnf"
+    bw.write_gnf(path, q2d)
+    read = bw.read_gnf(path)
+    assert not read.values.flags.writeable
+    assert np.array_equal(read.values, q2d.values)
+    assert bw.symmetry_report(bw.canonicalize(read), axis=1).s2_defect < 1e-10
+    bw.write_gnf(path, read.zero_nyquist())
 
 
 def test_plancherel_random_fields():

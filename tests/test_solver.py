@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 import boostedwaves as bw
+from boostedwaves import fields
 
 
 def test_sigma_star_threshold():
@@ -156,3 +157,19 @@ def test_halfwave_solve(halfwave_problem, halfwave_report):
     steps = rep.trace[1:-1]
     assert any(row.accelerated for row in steps)
     assert any(not row.accelerated for row in steps)
+
+
+def test_minimize_transforms_go_through_module_pair(classical_problem, classical_report,
+                                                    monkeypatch):
+    # Per-layer FFT tracing wraps fields._phys_to_spec / fields._spec_to_phys;
+    # every transform of a solve must be looked up through those bindings.
+    calls = {}
+    for name in ("_phys_to_spec", "_spec_to_phys"):
+        def counted(grid, arr, _name=name, _inner=getattr(fields, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _inner(grid, arr)
+        monkeypatch.setattr(fields, name, counted)
+    rep = bw.minimize(classical_problem)
+    assert rep.iterations == classical_report.iterations
+    assert calls.get("_phys_to_spec", 0) > 0 and calls.get("_spec_to_phys", 0) > 0
+    assert 1.5 * rep.iterations <= sum(calls.values()) <= 3 * rep.iterations
