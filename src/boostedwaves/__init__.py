@@ -16,23 +16,17 @@ from .fields import (
     Grid,
     NegativeWeightWarning,
     energy_mass,
-    eval_at,
-    norm_hs,
     norm_l2,
     norm_lp,
     quad_form,
     read_gnf,
-    transform,
     write_gnf,
 )
 from .rearrange import (
-    BochnerReport,
     RearrangementPlan,
-    bochner_check,
     fourier_rearrange,
     schwarz,
     steiner_array,
-    steiner_codim,
 )
 from .setops import (
     IntervalUnion,
@@ -58,15 +52,11 @@ from .solver import (
 from .symbols import (
     AssumptionReport,
     BoostedSymbol,
-    FloorSearch,
     Symbol,
-    ValidationSpec,
-    anisotropic_half_wave,
     biharmonic,
     check_assumptions,
     custom,
     dispersion_floor,
-    eval_symbol,
     fractional,
     galilean_gauge,
     half_wave,

@@ -1,9 +1,14 @@
 """Command-line front end: solve, verify, rearrange, sweep, props, sigma.
 
 Configuration is plain ``key = value`` text with optional ``[section]``
-headers; parsing failures carry the offending line number.  All CSV output
-uses a fixed column order and 17-significant-digit floats so identical config
-plus seed reproduces byte-identical files.
+headers; parsing failures carry the offending line number.  The ``symbol``
+value is ``<kind>; name = value; ...``.  This module names no kind: the kinds,
+their parameters and the parameters' defaults are read from the table
+``symbols.KINDS`` (a kind built from a Python callable cannot be configured),
+and the kind's factory builds the symbol.
+
+All CSV output uses a fixed column order and 17-significant-digit floats so
+identical config plus seed reproduces byte-identical files.
 
 Exit codes: 0 success, 1 configuration or I/O error, 2 solver did not
 converge, 3 disconnected spectral support, 4 property-suite failure.
@@ -25,16 +30,7 @@ from .fields import Field, Grid, energy_mass, read_gnf, write_gnf
 from .rearrange import REARRANGE_MODES, fourier_rearrange
 from .solver import Problem, SolveOptions, SolveReport, minimize
 from .suites import SUITES, run_suite
-from .symbols import (
-    BoostedSymbol,
-    Symbol,
-    anisotropic_half_wave,
-    biharmonic,
-    dispersion_floor,
-    fractional,
-    half_wave,
-    sqrt_klein_gordon,
-)
+from .symbols import KINDS, BoostedSymbol, Symbol, dispersion_floor
 from .verify import symmetry_report
 
 EXIT_OK = 0
@@ -152,52 +148,34 @@ def _parse_vector(text: str, n: int, key: str, lineno) -> tuple[float, ...]:
 
 
 def _parse_symbol(text: str, ndim: int, lineno) -> Symbol:
-    pieces = [p.strip() for p in text.split(";")]
-    kind = pieces[0]
-    params: dict[str, str] = {}
-    for piece in pieces[1:]:
-        if not piece:
-            continue
-        if "=" not in piece:
+    """``<kind>; name = value; ...`` -> the Symbol the kind's factory builds."""
+    name, *pieces = [p.strip() for p in text.split(";")]
+    kind = KINDS.get(name)
+    if kind is None or kind.params is None:
+        known = ", ".join(k for k, row in KINDS.items() if row.params is not None)
+        raise ConfigError(f"unknown symbol kind {name!r} (known: {known})", line=lineno)
+    given: dict[str, str] = {}
+    for piece in filter(None, pieces):
+        key, eq, value = piece.partition("=")
+        if not eq:
             raise ConfigError(f"bad symbol parameter {piece!r}", line=lineno)
-        k, _, v = piece.partition("=")
-        params[k.strip()] = v.strip()
-
-    def fnum(name, default=None):
-        if name in params:
-            try:
-                return float(params.pop(name))
-            except ValueError:
-                raise ConfigError(f"bad symbol parameter {name!r}", line=lineno)
-        if default is None:
-            raise ConfigError(f"symbol {kind!r} needs parameter {name!r}", line=lineno)
-        return default
-
+        given[key.strip()] = value.strip()
+    unused = sorted(set(given) - set(kind.params))
+    if unused:
+        raise ConfigError(f"unused symbol parameters {unused}", line=lineno)
+    values = {}
+    for key, default in kind.params.items():
+        raw = given.get(key)
+        if raw is None and default is None:
+            raise ConfigError(f"symbol {name!r} needs parameter {key!r}", line=lineno)
+        try:
+            values[key] = default if raw is None else float(raw)
+        except ValueError:
+            raise ConfigError(f"bad symbol parameter {key!r}: {raw!r}", line=lineno)
     try:
-        if kind == "fractional":
-            sym = fractional(fnum("s"), ndim)
-        elif kind == "biharmonic":
-            sym = biharmonic(fnum("mu", 0.0), ndim, lower_coef=fnum("A", 0.5))
-        elif kind == "sqrt_klein_gordon":
-            sym = sqrt_klein_gordon(fnum("m"), ndim)
-        elif kind == "half_wave":
-            sym = half_wave(ndim)
-        elif kind == "anisotropic_hws":
-            split = params.pop("split", "1|1")
-            try:
-                k, l = (int(tok) for tok in split.split("|"))
-            except ValueError:
-                raise ConfigError(f"bad split {split!r}", line=lineno)
-            if k + l != ndim:
-                raise ConfigError(f"split {split!r} does not sum to n={ndim}", line=lineno)
-            sym = anisotropic_half_wave(fnum("gamma"), (k, l))
-        else:
-            raise ConfigError(f"unknown symbol kind {kind!r}", line=lineno)
-    except ValueError as exc:
-        raise ConfigError(str(exc), line=lineno)
-    if params:
-        raise ConfigError(f"unused symbol parameters {sorted(params)}", line=lineno)
-    return sym
+        return kind.factory(ndim=ndim, **values)
+    except ValueError as exc:  # the factory's own range checks
+        raise ConfigError(str(exc), line=lineno) from exc
 
 
 def load_config(path, out_override=None, seed_override=None, tol_override=None,
@@ -262,7 +240,7 @@ def load_config(path, out_override=None, seed_override=None, tol_override=None,
     if jobs_override is not None:
         cfg.jobs = jobs_override
     if not 0 <= cfg.axis < n:
-        raise ConfigError("axis out of range")
+        raise ConfigError("axis out of range", line=pairs["axis"][1])
     if not 0.0 < cfg.tau < 1.0:
         raise ConfigError(f"tau must lie in (0, 1), got {cfg.tau!r}", line=pairs["tau"][1])
     return cfg
@@ -376,7 +354,11 @@ def cmd_verify(args) -> int:
 
 def cmd_rearrange(args) -> int:
     f = read_gnf(args.field)
-    g = fourier_rearrange(f, args.mode, axis=args.axis)
+    try:
+        g = fourier_rearrange(f, args.mode, axis=args.axis)
+    except ValueError as exc:  # an axis or mode the field's dimension cannot take
+        print(f"rearrange error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     write_gnf(args.output, g)
     print(f"rearrange: wrote {args.output}")
     return EXIT_OK

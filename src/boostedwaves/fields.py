@@ -38,7 +38,6 @@ from .errors import GnfFormatError
 
 TAU = 2.0 * np.pi
 
-GNF_MAGIC = b"GNF1"
 GNF_LAYOUT = "interleaved-complex-f64-le"
 
 
@@ -215,9 +214,6 @@ class Field:
     def has_values(self) -> bool:
         return self._values is not None
 
-    def has_spectrum(self) -> bool:
-        return self._spectrum is not None
-
     def zero_nyquist(self) -> "Field":
         """Copy with the (unpaired) Nyquist bins zeroed in the spectrum."""
         spec = self.spectrum.copy()
@@ -252,15 +248,6 @@ class Field:
             raise ValueError("fields live on different grids")
 
 
-def transform(f: Field, direction: str = "forward") -> Field:
-    """Materialize the unitary transform in the requested direction."""
-    if direction == "forward":
-        return Field.from_spectrum(f.grid, f.spectrum)
-    if direction == "inverse":
-        return Field.from_values(f.grid, f.values)
-    raise ValueError("direction must be 'forward' or 'inverse'")
-
-
 def norm_l2(f: Field) -> float:
     """Quadrature L2 norm, from whichever representation is current."""
     if f.has_values():
@@ -277,15 +264,6 @@ def norm_lp(f: Field, p) -> float:
         raise ValueError("p must be an even integer >= 2 or inf")
     val = np.sum(np.abs(f.values) ** p) * f.grid.cell_volume()
     return float(val ** (1.0 / p))
-
-
-def norm_hs(f: Field, s: float) -> float:
-    """Sobolev norm computed spectrally with the weight (1 + |xi|^2)^s."""
-    xi2 = np.zeros(f.grid.sizes)
-    for mesh in f.grid.freq_mesh():
-        xi2 = xi2 + mesh**2
-    val = np.sum((1.0 + xi2) ** s * np.abs(f.spectrum) ** 2) * f.grid.freq_cell_volume()
-    return float(np.sqrt(val))
 
 
 def quad_form(f: Field, bsym, omega: float, weight=None, warn: bool = True) -> float:
@@ -318,22 +296,6 @@ def energy_mass(f: Field, sym, sigma: int) -> tuple[float, float]:
     energy = 0.5 * kinetic - potential / (2.0 * sigma + 2.0)
     mass = norm_l2(f) ** 2
     return energy, mass
-
-
-def eval_at(f: Field, points) -> np.ndarray:
-    """Trigonometric (band-limited) interpolation of f at arbitrary points.
-
-    points: array of shape (m, n).  Exact for the grid's band-limited
-    representative; cost is m times the lattice size.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != f.grid.ndim:
-        raise ValueError("point dimension mismatch")
-    spec = f.spectrum.ravel()
-    lattice = np.stack([np.broadcast_to(m, f.grid.sizes).ravel() for m in f.grid.freq_mesh()], axis=1)
-    phases = np.exp(1j * pts @ lattice.T)
-    scale = f.grid.freq_cell_volume() / (TAU ** (f.grid.ndim / 2.0))
-    return phases @ spec * scale
 
 
 # -- GNF1 field files ---------------------------------------------------------

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Field, Grid, eval_at, norm_lp
+from .fields import Field, Grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,28 +96,11 @@ def steiner_array(values, coord_axes, axis: int = 0) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _plan(grid: Grid, axis, space: str) -> RearrangementPlan:
-    if space == "freq":
-        coords = [grid.freqs(i) for i in range(grid.ndim)]
-    else:
-        coords = [grid.coords(i) for i in range(grid.ndim)]
+def _plan(grid: Grid, axis) -> RearrangementPlan:
+    coords = [grid.freqs(i) for i in range(grid.ndim)]
     if axis is None:
         return RearrangementPlan.full(coords)
     return RearrangementPlan.transverse(coords, axis)
-
-
-def steiner_codim(f: Field, axis: int = 0) -> Field:
-    """Physical-space Steiner symmetrization transverse to a coordinate axis.
-
-    Complex input is reduced to its modulus (the operator acts on nonnegative
-    data).  Output is transversally radially non-increasing per slice, with
-    per-slice value multisets preserved exactly.
-    """
-    if f.grid.ndim < 2:
-        raise ValueError("Steiner symmetrization needs dimension >= 2")
-    vals = np.abs(f.values)
-    out = _plan(f.grid, axis, "phys").apply(vals)
-    return Field.from_values(f.grid, out)
 
 
 REARRANGE_MODES = ("full", "axial", "modulus")
@@ -135,37 +118,13 @@ def fourier_rearrange(f: Field, mode: str, axis: int = 0) -> Field:
         raise ValueError(f"mode must be one of {REARRANGE_MODES}")
     mag = np.abs(f.spectrum)
     if mode == "full":
-        out = _plan(f.grid, None, "freq").apply(mag)
+        out = _plan(f.grid, None).apply(mag)
     elif mode == "axial":
         if f.grid.ndim < 2:
             raise ValueError("axial rearrangement needs dimension >= 2")
-        out = _plan(f.grid, axis, "freq").apply(mag)
+        if not 0 <= axis < f.grid.ndim:
+            raise ValueError(f"axis {axis} is out of range for a {f.grid.ndim}D field")
+        out = _plan(f.grid, axis).apply(mag)
     else:
         out = mag
     return Field.from_spectrum(f.grid, out)
-
-
-@dataclass
-class BochnerReport:
-    min_eigenvalue: float
-    passed: bool
-
-
-def bochner_check(f: Field, points, tol_scale: float = 1e-8) -> BochnerReport:
-    """Positive-definiteness probe: spectrum of the sampled difference matrix.
-
-    Builds the matrix ``[f(x_k - x_l)]`` by band-limited interpolation and
-    returns the smallest eigenvalue of its Hermitian part; passes when it is
-    above ``-tol_scale * max|f|``.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m = pts.shape[0]
-    if m > 64:
-        raise ValueError("at most 64 sample points")
-    diffs = pts[:, None, :] - pts[None, :, :]
-    vals = eval_at(f, diffs.reshape(m * m, -1)).reshape(m, m)
-    herm = 0.5 * (vals + vals.conj().T)
-    eigs = np.linalg.eigvalsh(herm)
-    bound = -tol_scale * norm_lp(f, np.inf)
-    min_eig = float(eigs[0])
-    return BochnerReport(min_eig, min_eig >= bound)

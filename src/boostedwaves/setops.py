@@ -64,22 +64,6 @@ class IntervalUnion:
             return "R"
         return "|".join(f"({_fmt(a)},{_fmt(b)})" for a, b in self.intervals)
 
-    @staticmethod
-    def parse(text: str) -> "IntervalUnion":
-        text = text.strip()
-        if text in ("R", "r"):
-            return IntervalUnion.reals()
-        if text in ("{}", ""):
-            return IntervalUnion.empty()
-        pairs = []
-        for part in text.split("|"):
-            part = part.strip()
-            if not (part.startswith("(") and part.endswith(")")):
-                raise ValueError(f"bad interval literal {part!r}")
-            lo, _, hi = part[1:-1].partition(",")
-            pairs.append((_parse_endpoint(lo), _parse_endpoint(hi)))
-        return IntervalUnion.of(*pairs)
-
 
 def _fmt(x: float) -> str:
     if x == INF:
@@ -87,15 +71,6 @@ def _fmt(x: float) -> str:
     if x == -INF:
         return "-inf"
     return repr(x)
-
-
-def _parse_endpoint(tok: str) -> float:
-    tok = tok.strip().lower()
-    if tok in ("inf", "+inf"):
-        return INF
-    if tok == "-inf":
-        return -INF
-    return float(tok)
 
 
 def _canonical(pairs) -> tuple[tuple[float, float], ...]:

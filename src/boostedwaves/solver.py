@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import HypothesisViolatedError, ZeroFieldError
 from .fields import Field, Grid, norm_l2, norm_lp
-from .symbols import BoostedSymbol, FloorSearch, dispersion_floor
+from .symbols import BoostedSymbol, check_assumptions, dispersion_floor
 
 ANDERSON_DEPTH = 5  # differences of past iterates mixed into each step
 
@@ -65,8 +65,14 @@ class Problem:
     floor: float
 
     @classmethod
-    def make(cls, bsym: BoostedSymbol, omega: float, sigma: int, grid: Grid,
-             search: FloorSearch | None = None) -> "Problem":
+    def make(cls, bsym: BoostedSymbol, omega: float, sigma: int, grid: Grid) -> "Problem":
+        """Validate the hypotheses and compute the dispersion floor.
+
+        A symbol built from a user callable must pass the sampled
+        :func:`check_assumptions`; a failure raises
+        :class:`HypothesisViolatedError` naming the witness frequency.  The
+        shipped kinds have analytic bounds and are not sampled.
+        """
         base = bsym.base
         if grid.ndim != base.ndim:
             raise ValueError("grid and symbol dimensions differ")
@@ -78,7 +84,16 @@ class Problem:
             raise HypothesisViolatedError(
                 f"sigma = {sigma} is energy-critical or worse (sigma_* = {crit:g})"
             )
-        floor = dispersion_floor(bsym, search)  # also enforces s, |v| hypotheses
+        if base.func is not None:  # a user callable: its bounds are only declared
+            rep = check_assumptions(base)
+            if not rep.ok:
+                what, witness = (("growth bound", rep.ass1_witness) if not rep.ass1_ok
+                                 else ("transverse monotonicity", rep.ass2_witness))
+                xi = ", ".join(f"{x:.6g}" for x in witness)
+                raise HypothesisViolatedError(
+                    f"{base.kind} symbol violates its declared {what} at xi = ({xi})"
+                )
+        floor = dispersion_floor(bsym)  # also enforces s, |v| hypotheses
         if not omega > -floor:
             raise HypothesisViolatedError(
                 f"requires omega > -Sigma_v; got omega = {omega:g}, Sigma_v = {floor:g}"

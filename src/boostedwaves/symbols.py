@@ -1,31 +1,29 @@
 """Fourier multipliers p(xi), boosted symbols p(xi) - v.xi, and their checks.
 
-Each shipped symbol carries growth-bound metadata (order s, coefficients A and
-B, additive shifts) used by the sampled two-sided bound check, and a symmetry
-axis about which the multiplier is cylindrical.  The dispersion floor
-``inf_xi p(xi) - v.xi`` is computed by a bracketed line search along the axis;
-by cylindrical monotonicity the minimizer has no transverse component when the
-velocity is parallel to the axis.
+:data:`KINDS` is the one table of symbol kinds.  Each row names a kind's
+factory, its config parameters with their defaults, and its evaluator;
+:meth:`Symbol.evaluate` and the CLI's config parser both read it, and no other
+module names a kind.  The four shipped kinds (fractional, biharmonic,
+square-root Klein-Gordon, half-wave) get analytic growth bounds (order s,
+coefficients A and B, additive shifts) from their factories.  A ``custom``
+symbol carries bounds its user declares, so ``Problem.make`` runs the sampled
+:func:`check_assumptions` on it, and on nothing else.
+
+The dispersion floor ``inf_xi p(xi) - v.xi`` is computed by a bracketed line
+search along the symmetry axis; by cylindrical monotonicity the minimizer has
+no transverse component when the velocity is parallel to the axis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import HypothesisViolatedError, UnboundedBelowError
 from .fields import Field
-
-KINDS = (
-    "fractional",
-    "biharmonic",
-    "sqrt_klein_gordon",
-    "half_wave",
-    "anisotropic_hws",
-    "custom",
-)
 
 
 @dataclass(frozen=True)
@@ -75,25 +73,7 @@ class Symbol:
         xi = list(xi_components)
         if len(xi) != self.ndim:
             raise ValueError(f"expected {self.ndim} frequency components, got {len(xi)}")
-        if self.kind == "fractional":
-            r2 = _sum_sq(xi)
-            return r2 ** self.order
-        if self.kind == "biharmonic":
-            mu = self.param("mu")
-            r2 = _sum_sq(xi)
-            return r2**2 - mu * r2
-        if self.kind == "sqrt_klein_gordon":
-            m = self.param("m")
-            return np.sqrt(_sum_sq(xi) + m * m)
-        if self.kind == "half_wave":
-            return np.sqrt(_sum_sq(xi))
-        if self.kind == "anisotropic_hws":
-            gamma = self.param("gamma")
-            k = self.param("split")
-            quad = _sum_sq(xi[:k]) if k else 0.0
-            lin = np.sqrt(_sum_sq(xi[k:])) if k < self.ndim else 0.0
-            return quad + gamma * lin
-        return self.func(*xi)
+        return KINDS[self.kind].evaluate(self, xi)
 
 
 def _sum_sq(components):
@@ -108,7 +88,7 @@ def fractional(s: float, ndim: int = 1) -> Symbol:
     return Symbol("fractional", ndim, float(s), 1.0, 1.0, 0.0, params=(("s", float(s)),))
 
 
-def biharmonic(mu: float = 0.0, ndim: int = 1, lower_coef: float = 0.5) -> Symbol:
+def biharmonic(mu: float = 0.0, ndim: int = 1, A: float = 0.5) -> Symbol:
     """p(xi) = |xi|^4 - mu |xi|^2 with order s = 2.
 
     For mu > 0 the lower bound needs A < 1; the sharp shift for a given A is
@@ -119,7 +99,7 @@ def biharmonic(mu: float = 0.0, ndim: int = 1, lower_coef: float = 0.5) -> Symbo
     mu = float(mu)
     a, b_coef, c, b_shift = 1.0, 1.0, 0.0, 0.0
     if mu > 0:
-        a = float(lower_coef)
+        a = float(A)
         if not 0 < a < 1:
             raise ValueError("biharmonic with mu > 0 needs 0 < A < 1")
         c = -(mu * mu) / (4.0 * (1.0 - a))
@@ -146,35 +126,6 @@ def half_wave(ndim: int = 1) -> Symbol:
     return Symbol("half_wave", ndim, 0.5, 1.0, 1.0, 0.0)
 
 
-def anisotropic_half_wave(gamma: float, split: tuple[int, int] = (1, 1)) -> Symbol:
-    """p(xi, eta) = |xi|^2 + gamma |eta| on R^k x R^l with (k, l) = split.
-
-    No single global order fits both the quadratic and linear regimes; s = 1/2
-    captures the small-frequency behaviour, and the upper coefficient is valid
-    on the default validation box only (quadratic growth escapes any B |xi|
-    bound at infinity).  Cylindrical about the first axis only when k = 1.
-    """
-    gamma = float(gamma)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    k, l = int(split[0]), int(split[1])
-    if k < 1 or l < 1:
-        raise ValueError("split needs at least one coordinate on each side")
-    a = min(gamma, 1.0)
-    extent = ValidationSpec().extent
-    # on the box: |xi_x|^2 + gamma |xi_y| <= max(extent sqrt(k), gamma) (|xi_x| + |xi_y|)
-    b_box = math.sqrt(2.0) * max(extent * math.sqrt(k), gamma)
-    return Symbol(
-        "anisotropic_hws",
-        k + l,
-        0.5,
-        a,
-        b_box,
-        -a * a / 4.0,
-        params=(("gamma", gamma), ("split", k)),
-    )
-
-
 def custom(func, order: float, lower_coef: float, upper_coef: float, lower_shift: float,
            ndim: int = 1, upper_shift: float = 0.0, axis_index: int = 0) -> Symbol:
     """Wrap a callable p(xi_1, ..., xi_n) with user-supplied bound metadata."""
@@ -183,6 +134,41 @@ def custom(func, order: float, lower_coef: float, upper_coef: float, lower_shift
         float(lower_shift), upper_shift=float(upper_shift), axis_index=axis_index,
         func=func,
     )
+
+
+def _biharmonic_p(sym: Symbol, xi) -> np.ndarray:
+    mu = sym.param("mu")
+    r2 = _sum_sq(xi)
+    return r2**2 - mu * r2
+
+
+def _sqrt_klein_gordon_p(sym: Symbol, xi) -> np.ndarray:
+    m = sym.param("m")
+    return np.sqrt(_sum_sq(xi) + m * m)
+
+
+@dataclass(frozen=True)
+class SymbolKind:
+    """One row of :data:`KINDS`.
+
+    ``params`` maps each config parameter, which is also the factory's keyword
+    besides ``ndim``, to its default (None: required).  It is None for
+    ``custom``, whose callable no config file can name.  ``evaluate(sym, xi)``
+    computes p on the frequency components ``xi``.
+    """
+
+    factory: Callable[..., Symbol]
+    params: dict[str, float | None] | None
+    evaluate: Callable[[Symbol, list], np.ndarray]
+
+
+KINDS = {
+    "fractional": SymbolKind(fractional, {"s": None}, lambda sym, xi: _sum_sq(xi) ** sym.order),
+    "biharmonic": SymbolKind(biharmonic, {"mu": 0.0, "A": 0.5}, _biharmonic_p),
+    "sqrt_klein_gordon": SymbolKind(sqrt_klein_gordon, {"m": None}, _sqrt_klein_gordon_p),
+    "half_wave": SymbolKind(half_wave, {}, lambda sym, xi: np.sqrt(_sum_sq(xi))),
+    "custom": SymbolKind(custom, None, lambda sym, xi: sym.func(*xi)),
+}
 
 
 @dataclass(frozen=True)
@@ -204,10 +190,6 @@ class BoostedSymbol:
             velocity = (float(velocity),) + (0.0,) * (base.ndim - 1)
         return cls(base, tuple(float(v) for v in velocity))
 
-    @property
-    def speed(self) -> float:
-        return float(np.linalg.norm(self.velocity))
-
     def evaluate(self, xi_components):
         out = self.base.evaluate(xi_components)
         for v, xi in zip(self.velocity, xi_components):
@@ -216,29 +198,17 @@ class BoostedSymbol:
         return out
 
 
-def eval_symbol(sym: Symbol, xi) -> float:
-    """Evaluate p at a single point, rejecting non-finite input."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.shape != (sym.ndim,):
-        raise ValueError(f"expected a point in R^{sym.ndim}")
-    if not np.all(np.isfinite(xi)):
-        raise ValueError("symbol evaluation requires finite frequencies")
-    return float(sym.evaluate(list(xi)))
-
-
 # -- sampled assumption checks ------------------------------------------------
 
-
-@dataclass(frozen=True)
-class ValidationSpec:
-    """Sampling plan: tensor grid on [-extent, extent]^n plus random points."""
-
-    extent: float = 16.0
-    points_per_axis: int = 64
-    random_points: int = 512
-    parallel_samples: int = 33
-    radial_samples: int = 24
-    seed: int = 0
+# Sampling plan: a tensor grid on [-CHECK_EXTENT, CHECK_EXTENT]^n plus random
+# points for the growth bound, and radial profiles transverse to the axis at
+# evenly spaced axial positions for the monotonicity check.
+CHECK_EXTENT = 16.0
+CHECK_POINTS_PER_AXIS = 64
+CHECK_RANDOM_POINTS = 512
+CHECK_AXIAL_SAMPLES = 33
+CHECK_RADIAL_SAMPLES = 24
+CHECK_SEED = 0
 
 
 @dataclass
@@ -253,24 +223,24 @@ class AssumptionReport:
         return self.ass1_ok and self.ass2_ok
 
 
-def _validation_points(sym: Symbol, spec: ValidationSpec) -> np.ndarray:
-    axes = [np.linspace(-spec.extent, spec.extent, spec.points_per_axis)] * sym.ndim
+def _validation_points(sym: Symbol) -> np.ndarray:
+    axes = [np.linspace(-CHECK_EXTENT, CHECK_EXTENT, CHECK_POINTS_PER_AXIS)] * sym.ndim
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    rng = np.random.default_rng(spec.seed)
-    extra = rng.uniform(-spec.extent, spec.extent, size=(spec.random_points, sym.ndim))
+    rng = np.random.default_rng(CHECK_SEED)
+    extra = rng.uniform(-CHECK_EXTENT, CHECK_EXTENT, size=(CHECK_RANDOM_POINTS, sym.ndim))
     return np.vstack([pts, extra])
 
 
-def check_assumptions(sym: Symbol, spec: ValidationSpec | None = None) -> AssumptionReport:
+def check_assumptions(sym: Symbol) -> AssumptionReport:
     """Sampled check of the two-sided growth bound and transverse monotonicity.
 
     Never raises: returns a report; on a failed bound the corresponding witness
     is the violating frequency.  The check is a gate against obviously bad
-    custom symbols, not a proof.
+    custom symbols, not a proof; ``Problem.make`` runs it on every ``custom``
+    symbol, while the shipped kinds rest on their analytic bounds.
     """
-    spec = spec or ValidationSpec()
-    pts = _validation_points(sym, spec)
+    pts = _validation_points(sym)
     p = np.asarray(sym.evaluate(list(pts.T)), dtype=float)
     r2s = np.sum(pts**2, axis=1) ** sym.order
     slack = 1e-9 * (1.0 + np.abs(p))
@@ -280,7 +250,7 @@ def check_assumptions(sym: Symbol, spec: ValidationSpec | None = None) -> Assump
     ass1_ok = not bool(np.any(ass1_bad))
     ass1_witness = None if ass1_ok else tuple(pts[int(np.argmax(ass1_bad))])
 
-    ass2_ok, ass2_witness = _check_transverse_monotone(sym, spec)
+    ass2_ok, ass2_witness = _check_transverse_monotone(sym)
     return AssumptionReport(ass1_ok, ass2_ok, ass1_witness, ass2_witness)
 
 
@@ -295,20 +265,20 @@ def _transverse_basis(sym: Symbol) -> list[np.ndarray]:
     return dirs
 
 
-def _check_transverse_monotone(sym: Symbol, spec: ValidationSpec):
+def _check_transverse_monotone(sym: Symbol):
     if sym.ndim == 1:
         return True, None
     e = sym.axis
     basis = _transverse_basis(sym)
-    rng = np.random.default_rng(spec.seed + 1)
+    rng = np.random.default_rng(CHECK_SEED + 1)
     dirs = list(basis)
     if len(basis) > 1:
         mix = rng.normal(size=len(basis))
         mix /= np.linalg.norm(mix)
         dirs.append(sum(c * d for c, d in zip(mix, basis)))
 
-    ts = np.linspace(-spec.extent, spec.extent, spec.parallel_samples)
-    radii = np.linspace(0.0, spec.extent, spec.radial_samples + 1)
+    ts = np.linspace(-CHECK_EXTENT, CHECK_EXTENT, CHECK_AXIAL_SAMPLES)
+    radii = np.linspace(0.0, CHECK_EXTENT, CHECK_RADIAL_SAMPLES + 1)
     for t in ts:
         profiles = []
         for d in dirs:
@@ -331,16 +301,14 @@ def _check_transverse_monotone(sym: Symbol, spec: ValidationSpec):
 
 # -- dispersion floor Sigma_v --------------------------------------------------
 
-
-@dataclass(frozen=True)
-class FloorSearch:
-    """Bracketed-minimization settings for the dispersion floor."""
-
-    initial_extent: float = 4.0
-    max_extent: float = 1.0e9
-    samples: int = 257
-    xtol: float = 1e-12
-    floor: float = -1.0e12
+# Bracketed minimization: sample [-extent, extent] (doubling the extent from
+# FLOOR_INITIAL_EXTENT up to FLOOR_MAX_EXTENT until the minimum is interior),
+# then polish to FLOOR_XTOL; a value below FLOOR_MIN counts as unbounded.
+FLOOR_INITIAL_EXTENT = 4.0
+FLOOR_MAX_EXTENT = 1.0e9
+FLOOR_SAMPLES = 257
+FLOOR_XTOL = 1e-12
+FLOOR_MIN = -1.0e12
 
 
 def _golden_min(f, a: float, b: float, xtol: float) -> float:
@@ -361,15 +329,14 @@ def _golden_min(f, a: float, b: float, xtol: float) -> float:
     return 0.5 * (a + b)
 
 
-def dispersion_floor(bsym: BoostedSymbol, search: FloorSearch | None = None) -> float:
+def dispersion_floor(bsym: BoostedSymbol) -> float:
     """Global minimum of p(xi) - v.xi (the paper-level coercivity constant).
 
     Requires s > 1/2, or s = 1/2 with |v| < A; otherwise the infimum may be
     -inf and a :class:`HypothesisViolatedError` is raised up front.  Custom
-    symbols that keep decreasing past ``search.floor`` raise
+    symbols that keep decreasing past ``FLOOR_MIN`` raise
     :class:`UnboundedBelowError`.
     """
-    search = search or FloorSearch()
     base = bsym.base
     v = np.asarray(bsym.velocity, dtype=float)
     if base.order < 0.5:
@@ -383,7 +350,7 @@ def dispersion_floor(bsym: BoostedSymbol, search: FloorSearch | None = None) -> 
     v_par = float(v @ e)
     v_perp = v - v_par * e
     if np.linalg.norm(v_perp) > 1e-10 * (1.0 + np.linalg.norm(v)):
-        return _floor_off_axis(bsym, search)
+        return _floor_off_axis(bsym)
 
     def g_vec(ts):
         pts = [ts * e[i] for i in range(base.ndim)]
@@ -392,27 +359,27 @@ def dispersion_floor(bsym: BoostedSymbol, search: FloorSearch | None = None) -> 
     def g(t):
         return float(g_vec(np.asarray([t]))[0])
 
-    extent = search.initial_extent
+    extent = FLOOR_INITIAL_EXTENT
     while True:
-        ts = np.linspace(-extent, extent, search.samples)
+        ts = np.linspace(-extent, extent, FLOOR_SAMPLES)
         gs = g_vec(ts)
         i = int(np.argmin(gs))
-        if gs[i] < search.floor:
+        if gs[i] < FLOOR_MIN:
             raise UnboundedBelowError(
-                f"boosted symbol drops below the floor {search.floor:g}"
+                f"boosted symbol drops below the floor {FLOOR_MIN:g}"
             )
         if 0 < i < len(ts) - 1:
             break
-        if extent >= search.max_extent:
+        if extent >= FLOOR_MAX_EXTENT:
             raise UnboundedBelowError(
                 "no interior minimizer found before reaching the maximum search extent"
             )
         extent *= 2.0
-    t_star = _golden_min(g, ts[i - 1], ts[i + 1], search.xtol)
+    t_star = _golden_min(g, ts[i - 1], ts[i + 1], FLOOR_XTOL)
     return min(g(t_star), float(gs[i]))
 
 
-def _floor_off_axis(bsym: BoostedSymbol, search: FloorSearch) -> float:
+def _floor_off_axis(bsym: BoostedSymbol) -> float:
     # velocity not parallel to the symmetry axis: coarse lattice + simplex polish
     from scipy import optimize
 
@@ -421,7 +388,7 @@ def _floor_off_axis(bsym: BoostedSymbol, search: FloorSearch) -> float:
     def g(x):
         return float(np.asarray(bsym.evaluate(list(np.asarray(x)[:, None]))).ravel()[0])
 
-    extent = search.initial_extent
+    extent = FLOOR_INITIAL_EXTENT
     best = None
     while True:
         axes = [np.linspace(-extent, extent, 33)] * n
@@ -429,13 +396,13 @@ def _floor_off_axis(bsym: BoostedSymbol, search: FloorSearch) -> float:
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         vals = np.asarray(bsym.evaluate(list(pts.T)), dtype=float)
         i = int(np.argmin(vals))
-        if vals[i] < search.floor:
+        if vals[i] < FLOOR_MIN:
             raise UnboundedBelowError("boosted symbol drops below the floor")
         on_edge = np.any(np.abs(pts[i]) >= extent * (1 - 1e-12))
         if not on_edge:
             best = pts[i]
             break
-        if extent >= search.max_extent:
+        if extent >= FLOOR_MAX_EXTENT:
             raise UnboundedBelowError("no interior minimizer within the search extent")
         extent *= 2.0
     res = optimize.minimize(g, best, method="Nelder-Mead",

@@ -170,10 +170,6 @@ class SymmetryReport:
     fold: int
     tau: float
 
-    @property
-    def phase_ok(self) -> bool:
-        return self.phase is not None
-
 
 def _reflect_axis(arr: np.ndarray, axis: int) -> np.ndarray:
     # periodic point reflection about the centered origin: exact permutation

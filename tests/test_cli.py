@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import boostedwaves as bw
-from boostedwaves.cli import main
+from boostedwaves.cli import load_config, main
+from boostedwaves.symbols import KINDS
 
 CLASSICAL = """
 # classical 1D cubic NLS at rest; spectral box sized so the support
@@ -80,6 +81,45 @@ def test_config_errors_carry_line_numbers(tmp_path, capsys):
     assert code == 1
     assert "line 4" in capsys.readouterr().err
 
+    # an axis the dimension does not have names its line too
+    cfg.write_text(CLASSICAL.replace("seed = 1", "seed = 1\naxis = 3"))
+    lineno = cfg.read_text().splitlines().index("axis = 3") + 1
+    assert run("solve", "--config", cfg, "--out", tmp_path / "x") == 1
+    assert f"line {lineno}: axis out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("symbol, message", [
+    ("wavelet; s = 1", "unknown symbol kind 'wavelet'"),
+    ("custom", "unknown symbol kind 'custom'"),
+    ("fractional", "symbol 'fractional' needs parameter 's'"),
+    ("biharmonic; mu = x", "bad symbol parameter 'mu': 'x'"),
+    ("half_wave; s = 1", "unused symbol parameters ['s']"),
+    ("biharmonic; mu = 1; A = 2", "biharmonic with mu > 0 needs 0 < A < 1"),
+])
+def test_symbol_errors_carry_one_line_number(tmp_path, capsys, symbol, message):
+    cfg = tmp_path / "symbol.cfg"
+    cfg.write_text(f"n = 1\nsizes = 64\nL = 10.0\nsymbol = {symbol}\nomega = 1\nsigma = 1\n")
+    assert run("solve", "--config", cfg, "--out", tmp_path / "x") == 1
+    err = capsys.readouterr().err
+    assert err.count("line ") == 1
+    assert f"config error: line 4: {message}" in err
+
+
+# A sample value for every parameter a table kind takes.
+SYMBOL_PARAMS = {"s": 0.75, "mu": -1.0, "A": 0.25, "m": 1.0}
+
+
+@pytest.mark.parametrize("name", [k for k, row in KINDS.items() if row.params is not None])
+def test_every_table_kind_parses_and_solves(name, tmp_path, capsys):
+    kind = KINDS[name]
+    values = {key: SYMBOL_PARAMS[key] for key in kind.params}
+    text = "; ".join([name] + [f"{key} = {value!r}" for key, value in values.items()])
+    cfg = tmp_path / "kind.cfg"
+    cfg.write_text(f"symbol = {text}\nn = 1\nsizes = 128\nL = {8 * np.pi!r}\n"
+                   "omega = 1\nsigma = 1\n")
+    assert load_config(cfg).symbol == kind.factory(ndim=1, **values)
+    assert run("solve", "--config", cfg, "--out", tmp_path / "out") == 0
+
 
 @pytest.mark.parametrize("tau", ["0", "1", "-1e-8", "nan"])
 def test_tau_outside_unit_interval_is_config_error(classical_cfg, tmp_path, capsys, tau):
@@ -114,6 +154,21 @@ def test_verify_pipeline_and_noise(classical_cfg, tmp_path, capsys):
     bw.write_gnf(tmp_path / "noise.gnf", noise)
     assert run("verify", "--config", classical_cfg, "--field", tmp_path / "noise.gnf",
                "--out", tmp_path / "v2") != 0
+
+
+def test_rearrange_bad_axis_or_mode_is_one_line_error(tmp_path, capsys):
+    g2 = bw.Grid.make((16, 16), 4.0)
+    g1 = bw.Grid.make(16, 4.0)
+    bw.write_gnf(tmp_path / "f2.gnf", bw.Field.from_values(g2, np.ones((16, 16))))
+    bw.write_gnf(tmp_path / "f1.gnf", bw.Field.from_values(g1, np.ones(16)))
+    for field, extra, message in (
+        ("f2.gnf", ("--axis", "5"), "axis 5 is out of range for a 2D field"),
+        ("f1.gnf", ("--mode", "axial"), "axial rearrangement needs dimension >= 2"),
+    ):
+        dst = tmp_path / f"out-{field}"
+        assert run("rearrange", "--field", tmp_path / field, *extra, "--output", dst) == 1
+        assert capsys.readouterr().err == f"rearrange error: {message}\n"
+        assert not dst.exists()
 
 
 def test_verify_corrupted_header_reports_offset(classical_cfg, tmp_path, capsys):

@@ -6,29 +6,17 @@ import boostedwaves as bw
 
 
 def test_eval_fractional_345():
-    assert bw.eval_symbol(bw.fractional(1.0, 2), (3.0, 4.0)) == pytest.approx(25.0)
+    assert float(bw.fractional(1.0, 2).evaluate((3.0, 4.0))) == pytest.approx(25.0)
 
 
 def test_eval_half_wave_origin():
-    assert bw.eval_symbol(bw.sqrt_klein_gordon(0.0, 1), (0.0,)) == 0.0
-    assert bw.eval_symbol(bw.half_wave(1), (0.0,)) == 0.0
+    assert float(bw.sqrt_klein_gordon(0.0, 1).evaluate((0.0,))) == 0.0
+    assert float(bw.half_wave(1).evaluate((0.0,))) == 0.0
 
 
 def test_eval_biharmonic_direct():
     # oracle: |xi|^4 - mu |xi|^2 at |xi| = 2, mu = 1
-    assert bw.eval_symbol(bw.biharmonic(1.0, 1), (2.0,)) == pytest.approx(16.0 - 4.0)
-
-
-def test_eval_anisotropic():
-    sym = bw.anisotropic_half_wave(2.5, (1, 1))
-    assert bw.eval_symbol(sym, (3.0, -4.0)) == pytest.approx(9.0 + 2.5 * 4.0)
-
-
-def test_eval_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        bw.eval_symbol(bw.fractional(1.0, 1), (np.inf,))
-    with pytest.raises(ValueError):
-        bw.eval_symbol(bw.fractional(1.0, 1), (np.nan,))
+    assert float(bw.biharmonic(1.0, 1).evaluate((2.0,))) == pytest.approx(16.0 - 4.0)
 
 
 def test_assumptions_fractional_exact():
@@ -68,7 +56,6 @@ def test_assumptions_reject_negative_laplacian():
         bw.sqrt_klein_gordon(1.0, 2),
         bw.half_wave(2),
         bw.half_wave(1),
-        bw.anisotropic_half_wave(1.5, (1, 2)),
     ],
 )
 def test_all_shipped_kinds_pass_default_validation(sym):
