@@ -10,6 +10,17 @@ and the kind's factory builds the symbol.
 All CSV output uses a fixed column order and 17-significant-digit floats so
 identical config plus seed reproduces byte-identical files.
 
+``sweep`` walks its values in consecutive chains of ``SWEEP_CHAIN`` rows and
+continues each solve from its neighbours (natural-parameter continuation,
+Allgower & Georg, *Introduction to Numerical Continuation Methods*, ch. 2).
+A row whose two predecessors in the chain converged starts from the secant
+predictor 2 Q_{k-1} - Q_{k-2}, a row with one from Q_{k-1}.  A chain head, and
+a row after one that failed or did not converge, starts cold from the
+Gaussian set by ``init_width`` and ``init_phase``; in a sweep those keys set
+only these cold starts.  ``--jobs`` solves whole chains in parallel.  The
+split depends only on the row index, so ``sweep.csv`` does not depend on
+``--jobs``.
+
 Exit codes: 0 success, 1 configuration or I/O error, 2 solver did not
 converge, 3 disconnected spectral support, 4 property-suite failure.
 """
@@ -38,6 +49,8 @@ EXIT_CONFIG = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_DISCONNECTED = 3
 EXIT_PROPERTY = 4
+
+SWEEP_CHAIN = 6  # sweep rows per continuation chain
 
 _EXIT_DOC = (
     "exit codes: 0 ok; 1 config or I/O error; 2 solver did not converge; "
@@ -243,6 +256,9 @@ def load_config(path, out_override=None, seed_override=None, tol_override=None,
         raise ConfigError("axis out of range", line=pairs["axis"][1])
     if not 0.0 < cfg.tau < 1.0:
         raise ConfigError(f"tau must lie in (0, 1), got {cfg.tau!r}", line=pairs["tau"][1])
+    if cfg.jobs < 1:
+        line = pairs["jobs"][1] if jobs_override is None else None
+        raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}", line=line)
     return cfg
 
 
@@ -364,8 +380,19 @@ def cmd_rearrange(args) -> int:
     return EXIT_OK
 
 
-def _sweep_value(cfg: RunConfig, param: str, value: float):
-    """One sweep row: its CSV cells, and why it failed (None when it converged)."""
+@dataclass
+class _SweepRow:
+    cells: tuple[float, ...]
+    failure: str | None  # why the row failed; None when it converged
+    iterations: int = 0
+
+
+def _sweep_value(cfg: RunConfig, param: str, value: float,
+                 init: Field | None = None) -> tuple[_SweepRow, Field | None]:
+    """Solve one sweep row, from ``init`` or, when it is None, cold.
+
+    Returns the row and its converged state, None when the row failed.
+    """
     if param == "v":
         velocity = (value,) + (0.0,) * (cfg.grid.ndim - 1)
         local = replace(cfg, velocity=velocity)
@@ -375,17 +402,33 @@ def _sweep_value(cfg: RunConfig, param: str, value: float):
         prob = make_problem(local)
         opts = SolveOptions(tol=local.tol, max_iter=local.max_iter,
                             init_width=local.init_width, init_phase=local.init_phase)
-        report = minimize(prob, opts=opts)
+        report = minimize(prob, init=init, opts=opts)
         rep = symmetry_report(report.Q, axis=local.axis, sigma=local.sigma, tau=local.tau)
         e, m = energy_mass(report.Q, local.symbol, local.sigma)
     except ValueError as exc:  # HypothesisViolatedError, ZeroFieldError, ...
-        return (value,) + (math.nan,) * 6, f"{type(exc).__name__}: {exc}"
+        return _SweepRow((value,) + (math.nan,) * 6, f"{type(exc).__name__}: {exc}"), None
     cells = (value, report.J_value, report.residual, rep.s2_defect,
              rep.modulus_rearranged_defect, e, m)
     if report.converged:
-        return cells, None
-    return cells, (f"not converged after {report.iterations} iterations "
-                   f"(residual {report.residual:.3e})")
+        return _SweepRow(cells, None, report.iterations), report.Q
+    failure = (f"not converged after {report.iterations} iterations "
+               f"(residual {report.residual:.3e})")
+    return _SweepRow(cells, failure, report.iterations), None
+
+
+def _sweep_chain(cfg: RunConfig, param: str, values) -> list[_SweepRow]:
+    """One continuation chain: each row starts from its converged predecessors."""
+    rows: list[_SweepRow] = []
+    done: list[Field] = []  # the last one or two states, converged in a row
+    for value in values:
+        if len(done) == 2:  # secant predictor 2 Q_{k-1} - Q_{k-2}
+            init = Field.from_spectrum(cfg.grid, 2.0 * done[1].spectrum - done[0].spectrum)
+        else:
+            init = done[0] if done else None
+        row, q = _sweep_value(cfg, param, float(value), init)
+        done = (done + [q])[-2:] if q is not None else []
+        rows.append(row)
+    return rows
 
 
 def cmd_sweep(args) -> int:
@@ -398,23 +441,30 @@ def cmd_sweep(args) -> int:
     if count < 1:
         raise ConfigError("empty sweep range")
     values = np.linspace(start, stop, count)
+    chains = [values[i:i + SWEEP_CHAIN] for i in range(0, count, SWEEP_CHAIN)]
+
+    def solve_chain(chain):
+        return _sweep_chain(cfg, args.param, chain)
 
     if cfg.jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(lambda x: _sweep_value(cfg, args.param, float(x)), values))
+            rows = [row for chain in pool.map(solve_chain, chains) for row in chain]
     else:
-        rows = [_sweep_value(cfg, args.param, float(x)) for x in values]
+        rows = [row for chain in chains for row in solve_chain(chain)]
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["param,J,residual,s2_defect,modrearr_defect,E,M"]
-    for cells, failure in rows:
-        lines.append(",".join(_fmt(x) for x in cells))
-        if failure:
-            print(f"sweep: row {args.param}={cells[0]!r} failed: {failure}", file=sys.stderr)
+    for row in rows:
+        lines.append(",".join(_fmt(x) for x in row.cells))
+        if row.failure:
+            print(f"sweep: row {args.param}={row.cells[0]!r} failed: {row.failure}",
+                  file=sys.stderr)
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
-    converged = sum(1 for _, failure in rows if failure is None)
-    print(f"sweep: {converged}/{len(rows)} rows converged -> {out / 'sweep.csv'}")
+    converged = sum(1 for row in rows if row.failure is None)
+    iterations = sum(row.iterations for row in rows)
+    print(f"sweep: {converged}/{len(rows)} rows converged, {iterations} iterations "
+          f"-> {out / 'sweep.csv'}")
     return EXIT_OK if converged >= 1 else EXIT_NOT_CONVERGED
 
 
@@ -449,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--jobs", type=int, default=None, help="parallel solves for sweeps")
+        p.add_argument("--jobs", type=int, default=None, help="sweep chains solved in parallel (>= 1)")
         p.add_argument("--tol", type=float, default=None, help="solver tolerance override")
 
     p = sub.add_parser("solve", help="minimize the quotient and write Q.gnf/trace.csv/report.txt")
@@ -468,7 +518,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="output GNF1 path")
     p.set_defaults(handler=cmd_rearrange)
 
-    p = sub.add_parser("sweep", help="parameter sweep writing sweep.csv")
+    p = sub.add_parser(
+        "sweep", help="parameter sweep writing sweep.csv",
+        description="Solve one row per value of --range, in consecutive chains of "
+                    f"{SWEEP_CHAIN} rows. A row starts from the secant predictor "
+                    "2 Q_(k-1) - Q_(k-2) of its two converged predecessors in the chain, "
+                    "or from Q_(k-1) when only one converged; a chain head, and a row after "
+                    "a failed or unconverged one, starts cold from init_width/init_phase, "
+                    "which set only these cold starts. --jobs solves chains in parallel; "
+                    "sweep.csv does not depend on it.",
+    )
     common(p)
     p.add_argument("--param", choices=("v", "omega"), required=True)
     p.add_argument("--range", required=True,

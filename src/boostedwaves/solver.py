@@ -19,12 +19,13 @@ defect f_k = g_k - u_k, the differences of f and g over the last
 
     u_{k+1} = g_k - dG c,    c = argmin ||f_k - dF c||,
 
-with c from the small normal equations dF^H dF c = dF^H f_k (``lstsq``,
-rcond 1e-14).  A J safeguard keeps the quotient non-increasing: a candidate
-that raises J by more than 1e-12 (relative) is rejected, the history is
-cleared, and the plain step u_{k+1} = g_k is taken instead, halved against
-u_k (up to ``damp_limit`` times) while it still raises J.  Convergence is
-declared on the relative residual of the rescaled profile equation
+with c from the small normal equations dF^H dF c = dF^H f_k (``solve``;
+``lstsq`` with rcond 1e-14 only when that Gram matrix is singular).  A J
+safeguard keeps the quotient non-increasing: a candidate that raises J by
+more than 1e-12 (relative) is rejected, the history is cleared, and the
+plain step u_{k+1} = g_k is taken instead, halved against u_k (up to
+``damp_limit`` times) while it still raises J.  Convergence is declared on
+the relative residual of the rescaled profile equation
 (P_v(D) + omega) Q = |Q|^{2 sigma} Q.
 
 Converged states are canonicalized: the modulus centroid is moved to the
@@ -330,7 +331,10 @@ def minimize(prob: Problem, init: Field | None = None,
         slack = 1e-12 * max(1.0, abs(j_cur))
         if d_f:
             rhs = np.array([np.vdot(a, f) for a in d_f])
-            coef = np.linalg.lstsq(gram, rhs, rcond=1e-14)[0]
+            try:
+                coef = np.linalg.solve(gram, rhs)
+            except np.linalg.LinAlgError:  # exactly singular: a repeated difference
+                coef = np.linalg.lstsq(gram, rhs, rcond=1e-14)[0]
             cand = g - sum(c * dg for c, dg in zip(coef, d_g))
             cand_field = Field.from_spectrum(grid, cand)
             j_new = weinstein(prob, cand_field, weight)

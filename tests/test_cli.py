@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import boostedwaves as bw
+from boostedwaves import cli
 from boostedwaves.cli import load_config, main
+from boostedwaves.errors import ZeroFieldError
 from boostedwaves.symbols import KINDS
 
 CLASSICAL = """
@@ -249,13 +253,112 @@ def test_sweep_range_negative_start_as_separate_word(classical_cfg, tmp_path):
 
 
 def test_sweep_jobs_deterministic(classical_cfg, tmp_path):
-    out1 = tmp_path / "s1"
-    out2 = tmp_path / "s2"
-    assert run("sweep", "--config", classical_cfg, "--param", "omega",
-               "--range", "0.8:1.2:3", "--out", out1, "--jobs", "2") == 0
-    assert run("sweep", "--config", classical_cfg, "--param", "omega",
-               "--range", "0.8:1.2:3", "--out", out2) == 0
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+    # two full continuation chains and a short tail: the split must not
+    # depend on --jobs, and a rerun must repeat the bytes
+    rows = 2 * cli.SWEEP_CHAIN + 3
+    outs = [tmp_path / f"s{i}" for i in range(3)]
+    for out, jobs in zip(outs, ("2", "1", "1")):
+        assert run("sweep", "--config", classical_cfg, "--param", "omega",
+                   "--range", f"0.8:1.2:{rows}", "--out", out, "--jobs", jobs) == 0
+    first = (outs[0] / "sweep.csv").read_bytes()
+    assert len(first.splitlines()) == rows + 1
+    assert all((out / "sweep.csv").read_bytes() == first for out in outs[1:])
+
+
+@pytest.mark.parametrize("where, text", [("config", "jobs = 0"), ("flag", "--jobs -3")])
+def test_jobs_below_one_is_config_error(classical_cfg, tmp_path, capsys, where, text):
+    cfg, extra = classical_cfg, ()
+    if where == "config":
+        cfg = tmp_path / "jobs.cfg"
+        cfg.write_text(CLASSICAL.replace("seed = 1", f"seed = 1\n{text}"))
+    else:
+        extra = tuple(text.split())
+    assert run("sweep", "--config", cfg, "--param", "v", "--range", "0:0.5:2",
+               "--out", tmp_path / "s", *extra) == 1
+    err = capsys.readouterr().err
+    if where == "config":
+        lineno = cfg.read_text().splitlines().index(text) + 1
+        assert f"config error: line {lineno}: jobs must be >= 1, got 0" in err
+    else:
+        assert err == "config error: jobs must be >= 1, got -3\n"
+    assert not (tmp_path / "s" / "sweep.csv").exists()
+
+
+@pytest.fixture()
+def traced_minimize(monkeypatch):
+    """Record each sweep solve: the problem, whether it started cold, its report."""
+    calls = []
+    real = cli.minimize
+
+    def traced(prob, init=None, opts=None):
+        report = real(prob, init=init, opts=opts)
+        calls.append((prob, init is None, report))
+        return report
+
+    monkeypatch.setattr(cli, "minimize", traced)
+    return calls
+
+
+@pytest.mark.parametrize("param, span, cold_rows", [
+    # v-sweep: rows 0 and 6 head the two chains
+    ("v", "0:0.6:7", [0, 6]),
+    # Sigma_v = 0: omega = -0.5, -0.25, 0 fail in the first chain, and
+    # omega = 0.25 after them must start cold
+    ("omega", "-0.5:1:7", [3, 6]),
+])
+def test_sweep_continuation_matches_cold_solves(tmp_path, capsys, traced_minimize,
+                                                param, span, cold_rows):
+    # The half-wave ground state takes ~14 cold iterations here; the classical
+    # one converges in ~10 from the Gaussian, which leaves continuation no room.
+    path = tmp_path / "half_wave.cfg"
+    path.write_text(CLASSICAL.replace("fractional; s = 1.0", "half_wave")
+                    .replace("sizes = 512", "sizes = 256")
+                    .replace("L = 75.39822368615503", f"L = {20 * np.pi!r}"))
+    out = tmp_path / "sweep"
+    assert run("sweep", "--config", path, "--param", param, "--range", span,
+               "--out", out) == 0
+    rows = [list(map(float, line.split(",")))
+            for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+    solved = [i for i, row in enumerate(rows) if not np.isnan(row[1])]
+    assert len(rows) == 7 and len(solved) == len(traced_minimize)
+    cfg = load_config(path)
+    opts = bw.SolveOptions(tol=cfg.tol, max_iter=cfg.max_iter,
+                           init_width=cfg.init_width, init_phase=cfg.init_phase)
+    assert [i for i, (_, cold, _) in zip(solved, traced_minimize) if cold] == cold_rows
+    warm_total = cold_total = 0
+    for i, (prob, _, report) in zip(solved, traced_minimize):
+        cold = bw.minimize(prob, opts=opts)
+        assert rows[i][1] == pytest.approx(cold.J_value, rel=1e-12, abs=0.0)
+        assert report.converged and rows[i][2] <= cfg.tol
+        warm_total += report.iterations
+        cold_total += cold.iterations
+    if param == "v":  # four rows continue from a secant predictor
+        assert warm_total < cold_total
+    summary = f"{len(solved)}/7 rows converged, {warm_total} iterations -> "
+    assert summary in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("outcome", ["unconverged", "raises"])
+def test_sweep_restarts_cold_after_failed_row(classical_cfg, tmp_path, monkeypatch,
+                                              capsys, traced_minimize, outcome):
+    # the third solve fails after two converged ones; the fourth must start cold
+    traced = cli.minimize
+
+    def third_fails(prob, init=None, opts=None):
+        report = traced(prob, init=init, opts=opts)
+        if len(traced_minimize) == 3:
+            if outcome == "raises":
+                raise ZeroFieldError("injected")
+            report = replace(report, converged=False)
+        return report
+
+    monkeypatch.setattr(cli, "minimize", third_fails)
+    assert run("sweep", "--config", classical_cfg, "--param", "v", "--range", "0:0.5:5",
+               "--out", tmp_path / "sweep") == 0
+    assert [cold for _, cold, _ in traced_minimize] == [True, False, False, True, False]
+    captured = capsys.readouterr()
+    assert "sweep: 4/5 rows converged" in captured.out
+    assert "sweep: row v=0.25 failed: " in captured.err
 
 
 def test_solve_outputs_deterministic(classical_cfg, tmp_path):
