@@ -1,14 +1,18 @@
 """Command-line front end: solve, verify, rearrange, sweep, props, sigma.
 
 Configuration is plain ``key = value`` text with optional ``[section]``
-headers; parsing failures carry the offending line number.  The ``symbol``
-value is ``<kind>; name = value; ...``.  This module names no kind: the kinds,
-their parameters and the parameters' defaults are read from the table
+headers.  The table ``KEYS`` holds every key with its parser, its default (or
+``REQUIRED``) and its validity check; an unknown, malformed or out-of-range
+value is refused with the number of the line it came from.  The flags
+``--out``, ``--tol`` and ``--jobs`` replace their config keys and go through
+the same parser and check.  The ``symbol`` value is
+``<kind>; name = value; ...``.  This module names no kind: the kinds, their
+parameters and the parameters' defaults are read from the table
 ``symbols.KINDS`` (a kind built from a Python callable cannot be configured),
 and the kind's factory builds the symbol.
 
-All CSV output uses a fixed column order and 17-significant-digit floats so
-identical config plus seed reproduces byte-identical files.
+All CSV output uses a fixed column order and 17-significant-digit floats, so
+the same config reproduces byte-identical files.
 
 ``sweep`` walks its values in consecutive chains of ``SWEEP_CHAIN`` rows and
 continues each solve from its neighbours (natural-parameter continuation,
@@ -31,8 +35,10 @@ import argparse
 import concurrent.futures
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -65,33 +71,13 @@ def _fmt(x: float) -> str:
 # -- configuration ------------------------------------------------------------
 
 
-@dataclass
-class RunConfig:
-    symbol: Symbol
-    grid: Grid
-    velocity: tuple[float, ...]
-    omega: float
-    sigma: int
-    tol: float
-    max_iter: int
-    init_width: float
-    init_phase: tuple[float, ...] | None
-    axis: int
-    tau: float
-    s1_max: float
-    s2_max: float
-    modrearr_max: float
-    minkowski_max: float
-    out_dir: str
-    seed: int
-    jobs: int
+class RunConfig(SimpleNamespace):
+    """A loaded config: one attribute per key of ``KEYS``, except that ``n``,
+    ``sizes`` and ``L`` are held as the ``grid`` they describe."""
 
-
-_KNOWN_KEYS = {
-    "symbol", "n", "sizes", "L", "v", "omega", "sigma", "tol", "max_iter",
-    "init_width", "init_phase", "axis", "tau", "s1_max", "s2_max",
-    "modrearr_max", "minkowski_max", "out", "seed", "jobs",
-}
+    def solve_options(self) -> SolveOptions:
+        return SolveOptions(tol=self.tol, max_iter=self.max_iter,
+                            init_width=self.init_width, init_phase=self.init_phase)
 
 
 def _read_pairs(path) -> dict[str, tuple[str, int]]:
@@ -112,7 +98,7 @@ def _read_pairs(path) -> dict[str, tuple[str, int]]:
             raise ConfigError(f"expected 'key = value', got {raw!r}", line=lineno)
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"unknown key {key!r}", line=lineno)
         if key in pairs:
             raise ConfigError(f"duplicate key {key!r}", line=lineno)
@@ -120,150 +106,162 @@ def _read_pairs(path) -> dict[str, tuple[str, int]]:
     return pairs
 
 
-def _get(pairs, key, default=None, required=False):
-    if key in pairs:
-        return pairs[key]
-    if required:
-        raise ConfigError(f"missing required key {key!r}")
-    return (default, None)
-
-
-def _parse_float(pairs, key, default=None, required=False) -> float:
-    value, lineno = _get(pairs, key, default, required)
-    if isinstance(value, str):
+def _scalar(cast, what):
+    def parse(name, text, n):
         try:
-            return float(value)
+            return cast(text)
         except ValueError:
-            raise ConfigError(f"bad number for {key!r}: {value!r}", line=lineno)
-    return value
+            raise ValueError(f"bad {what} for {name!r}: {text!r}") from None
+    return parse
 
 
-def _parse_int(pairs, key, default=None, required=False) -> int:
-    value, lineno = _get(pairs, key, default, required)
-    if isinstance(value, str):
+def _vector(cast, pad=None):
+    """n comma-separated values.  One value fills every axis or, with ``pad``
+    given, only the first, the others taking ``pad``."""
+    def parse(name, text, n):
         try:
-            return int(value)
+            parts = tuple(cast(tok) for tok in text.split(","))
         except ValueError:
-            raise ConfigError(f"bad integer for {key!r}: {value!r}", line=lineno)
-    return value
+            raise ValueError(f"bad vector for {name!r}: {text!r}") from None
+        if len(parts) == 1:
+            return parts * n if pad is None else parts + (pad,) * (n - 1)
+        if len(parts) != n:
+            raise ValueError(f"{name!r} needs {n} components, got {len(parts)}")
+        return parts
+    return parse
 
 
-def _parse_vector(text: str, n: int, key: str, lineno) -> tuple[float, ...]:
-    try:
-        parts = tuple(float(tok) for tok in text.split(","))
-    except ValueError:
-        raise ConfigError(f"bad vector for {key!r}: {text!r}", line=lineno)
-    if len(parts) == 1:
-        return parts + (0.0,) * (n - 1) if key == "v" else parts * n
-    if len(parts) != n:
-        raise ConfigError(f"{key!r} needs {n} components, got {len(parts)}", line=lineno)
-    return parts
-
-
-def _parse_symbol(text: str, ndim: int, lineno) -> Symbol:
+def _symbol(_, text: str, ndim: int) -> Symbol:
     """``<kind>; name = value; ...`` -> the Symbol the kind's factory builds."""
     name, *pieces = [p.strip() for p in text.split(";")]
     kind = KINDS.get(name)
     if kind is None or kind.params is None:
         known = ", ".join(k for k, row in KINDS.items() if row.params is not None)
-        raise ConfigError(f"unknown symbol kind {name!r} (known: {known})", line=lineno)
+        raise ValueError(f"unknown symbol kind {name!r} (known: {known})")
     given: dict[str, str] = {}
     for piece in filter(None, pieces):
         key, eq, value = piece.partition("=")
         if not eq:
-            raise ConfigError(f"bad symbol parameter {piece!r}", line=lineno)
+            raise ValueError(f"bad symbol parameter {piece!r}")
         given[key.strip()] = value.strip()
     unused = sorted(set(given) - set(kind.params))
     if unused:
-        raise ConfigError(f"unused symbol parameters {unused}", line=lineno)
+        raise ValueError(f"unused symbol parameters {unused}")
     values = {}
     for key, default in kind.params.items():
         raw = given.get(key)
         if raw is None and default is None:
-            raise ConfigError(f"symbol {name!r} needs parameter {key!r}", line=lineno)
+            raise ValueError(f"symbol {name!r} needs parameter {key!r}")
         try:
             values[key] = default if raw is None else float(raw)
         except ValueError:
-            raise ConfigError(f"bad symbol parameter {key!r}: {raw!r}", line=lineno)
-    try:
-        return kind.factory(ndim=ndim, **values)
-    except ValueError as exc:  # the factory's own range checks
-        raise ConfigError(str(exc), line=lineno) from exc
+            raise ValueError(f"bad symbol parameter {key!r}: {raw!r}") from None
+    return kind.factory(ndim=ndim, **values)  # ValueError from its own range checks
 
 
-def load_config(path, out_override=None, seed_override=None, tol_override=None,
-                jobs_override=None) -> RunConfig:
+_int = _scalar(int, "integer")
+_float = _scalar(float, "number")
+
+# (valid, rule) pairs shared by several keys
+_FINITE = (lambda x, n: math.isfinite(x), "{name} must be finite, got {value}")
+_POSITIVE = (lambda x, n: 0.0 < x < math.inf, "{name} must be positive and finite, got {value}")
+_COUNT = (lambda k, n: k >= 1, "{name} must be >= 1, got {value}")
+
+REQUIRED = object()  # default of a key the config must give
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key.
+
+    ``parse(name, text, n)`` reads the key's text and raises ValueError with a
+    message when it is malformed.  ``default`` is the text used when the key is
+    absent: ``REQUIRED`` when it must be given, None when an absent key means
+    None.  ``valid(x, n)`` accepts the parsed value, or each component of a
+    vector; ``rule``, formatted with the key's name and value, says why a value
+    it refuses is wrong.
+    """
+
+    parse: Callable[[str, str, int], object]
+    default: object = REQUIRED
+    valid: Callable[[object, int], bool] = lambda value, n: True
+    rule: str = ""
+
+
+# Every config key, in the order it is read: ``n`` first, as the vectors and
+# the symbol need it.
+KEYS = {
+    "n": Key(_int, REQUIRED, lambda n, _: 1 <= n <= 3, "n must be 1, 2, or 3"),
+    "sizes": Key(_vector(int), REQUIRED,
+                 lambda k, _: k >= 8 and k & (k - 1) == 0,
+                 "grid sizes must be powers of two >= 8, got {value}"),
+    "L": Key(_vector(float), REQUIRED, *_POSITIVE),
+    "symbol": Key(_symbol),
+    "v": Key(_vector(float, pad=0.0), "0", *_FINITE),
+    "omega": Key(_float, REQUIRED, *_FINITE),
+    "sigma": Key(_int, REQUIRED, *_COUNT),
+    "tol": Key(_float, "1e-10", *_POSITIVE),
+    "max_iter": Key(_int, "5000", *_COUNT),
+    "init_width": Key(_float, "1", *_POSITIVE),
+    "init_phase": Key(_vector(float), None, *_FINITE),
+    "axis": Key(_int, "0", lambda axis, n: 0 <= axis < n, "axis out of range"),
+    "tau": Key(_float, "1e-8", lambda tau, _: 0.0 < tau < 1.0,
+               "tau must lie in (0, 1), got {value}"),
+    "s1_max": Key(_float, "1e-5", *_FINITE),
+    "s2_max": Key(_float, "1e-5", *_FINITE),
+    "modrearr_max": Key(_float, "1e-5", *_FINITE),
+    "minkowski_max": Key(_float, "0.05", *_FINITE),
+    "out": Key(lambda name, text, n: text, "out"),
+    "jobs": Key(_int, "1", *_COUNT),
+}
+
+
+def load_config(path, **flags) -> RunConfig:
+    """Read the config file at ``path``.
+
+    Each of ``flags`` is command-line text for a key and replaces the file's
+    value.  Every value, from the file, a flag or a default, goes through its
+    key's parser and check; an error names the file line the value came from.
+    """
+    unknown = sorted(flags.keys() - KEYS.keys())
+    if unknown:
+        raise TypeError(f"unknown config keys {unknown}")
     pairs = _read_pairs(path)
-    n = _parse_int(pairs, "n", required=True)
-    if not 1 <= n <= 3:
-        raise ConfigError("n must be 1, 2, or 3", line=pairs["n"][1])
+    values: dict[str, object] = {}
+    for name, key in KEYS.items():
+        n = values.get("n")
+        if name in flags:
+            text, line = flags[name], None
+        elif name in pairs:
+            text, line = pairs[name]
+        elif key.default is REQUIRED:
+            raise ConfigError(f"missing required key {name!r}")
+        elif key.default is None:
+            values[name] = None
+            continue
+        else:
+            text, line = key.default, None
+        try:
+            value = key.parse(name, text, n)
+        except ValueError as exc:
+            raise ConfigError(str(exc), line=line) from exc
+        parts = value if isinstance(value, tuple) else (value,)
+        if not all(key.valid(x, n) for x in parts):
+            raise ConfigError(key.rule.format(name=name, value=value), line=line)
+        values[name] = value
+    del values["n"]
+    grid = Grid(values.pop("sizes"), values.pop("L"))
+    return RunConfig(grid=grid, **values)
 
-    sizes_text, sizes_line = _get(pairs, "sizes", required=True)
-    try:
-        sizes = tuple(int(tok) for tok in sizes_text.split(","))
-    except ValueError:
-        raise ConfigError(f"bad sizes {sizes_text!r}", line=sizes_line)
-    if len(sizes) == 1:
-        sizes = sizes * n
 
-    l_text, l_line = _get(pairs, "L", required=True)
-    half_lengths = _parse_vector(l_text, n, "L", l_line)
-    try:
-        grid = Grid(sizes, half_lengths)
-    except ValueError as exc:
-        raise ConfigError(str(exc), line=sizes_line)
-
-    sym_text, sym_line = _get(pairs, "symbol", required=True)
-    symbol = _parse_symbol(sym_text, n, sym_line)
-
-    v_text, v_line = _get(pairs, "v", default="0", required=False)
-    velocity = _parse_vector(v_text, n, "v", v_line)
-
-    init_phase = None
-    if "init_phase" in pairs:
-        ip_text, ip_line = pairs["init_phase"]
-        init_phase = _parse_vector(ip_text, n, "init_phase", ip_line)
-
-    cfg = RunConfig(
-        symbol=symbol,
-        grid=grid,
-        velocity=velocity,
-        omega=_parse_float(pairs, "omega", required=True),
-        sigma=_parse_int(pairs, "sigma", required=True),
-        tol=_parse_float(pairs, "tol", default=1e-10),
-        max_iter=_parse_int(pairs, "max_iter", default=5000),
-        init_width=_parse_float(pairs, "init_width", default=1.0),
-        init_phase=init_phase,
-        axis=_parse_int(pairs, "axis", default=0),
-        tau=_parse_float(pairs, "tau", default=1e-8),
-        s1_max=_parse_float(pairs, "s1_max", default=1e-5),
-        s2_max=_parse_float(pairs, "s2_max", default=1e-5),
-        modrearr_max=_parse_float(pairs, "modrearr_max", default=1e-5),
-        minkowski_max=_parse_float(pairs, "minkowski_max", default=0.05),
-        out_dir=_get(pairs, "out", default="out")[0],
-        seed=_parse_int(pairs, "seed", default=1),
-        jobs=_parse_int(pairs, "jobs", default=1),
-    )
-    if out_override:
-        cfg.out_dir = out_override
-    if seed_override is not None:
-        cfg.seed = seed_override
-    if tol_override is not None:
-        cfg.tol = tol_override
-    if jobs_override is not None:
-        cfg.jobs = jobs_override
-    if not 0 <= cfg.axis < n:
-        raise ConfigError("axis out of range", line=pairs["axis"][1])
-    if not 0.0 < cfg.tau < 1.0:
-        raise ConfigError(f"tau must lie in (0, 1), got {cfg.tau!r}", line=pairs["tau"][1])
-    if cfg.jobs < 1:
-        line = pairs["jobs"][1] if jobs_override is None else None
-        raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}", line=line)
-    return cfg
+def _config(args) -> RunConfig:
+    """The ``--config`` file with the subcommand's key flags laid over it."""
+    return load_config(args.config, **{name: value for name, value in vars(args).items()
+                                       if name in KEYS and value is not None})
 
 
 def make_problem(cfg: RunConfig) -> Problem:
-    bsym = BoostedSymbol(cfg.symbol, cfg.velocity)
+    bsym = BoostedSymbol(cfg.symbol, cfg.v)
     return Problem.make(bsym, cfg.omega, cfg.sigma, cfg.grid)
 
 
@@ -285,7 +283,7 @@ def _write_report_txt(path, cfg: RunConfig, prob: Problem, report: SolveReport):
     text = (
         f"symbol        : {cfg.symbol.kind} {dict(cfg.symbol.params)}\n"
         f"grid          : sizes={cfg.grid.sizes} L={cfg.grid.half_lengths}\n"
-        f"velocity      : {cfg.velocity}\n"
+        f"velocity      : {cfg.v}\n"
         f"omega         : {_fmt(cfg.omega)}\n"
         f"sigma         : {cfg.sigma}\n"
         f"Sigma_v       : {_fmt(prob.floor)}\n"
@@ -327,12 +325,10 @@ def _symmetry_csv(path, case: str, rep, ndim: int):
 
 
 def cmd_solve(args) -> int:
-    cfg = load_config(args.config, args.out, args.seed, args.tol, args.jobs)
+    cfg = _config(args)
     prob = make_problem(cfg)
-    opts = SolveOptions(tol=cfg.tol, max_iter=cfg.max_iter,
-                        init_width=cfg.init_width, init_phase=cfg.init_phase)
-    report = minimize(prob, opts=opts)
-    out = Path(cfg.out_dir)
+    report = minimize(prob, opts=cfg.solve_options())
+    out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     write_gnf(out / "Q.gnf", report.Q)
     _write_trace(out / "trace.csv", report)
@@ -347,10 +343,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = load_config(args.config, args.out, args.seed, args.tol, args.jobs)
+    cfg = _config(args)
     f = read_gnf(args.field)
     rep = symmetry_report(f, axis=cfg.axis, sigma=cfg.sigma, tau=cfg.tau)
-    out = Path(cfg.out_dir)
+    out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     _symmetry_csv(out / "symmetry.csv", Path(args.field).name, rep, f.grid.ndim)
     if not rep.connected:
@@ -393,16 +389,11 @@ def _sweep_value(cfg: RunConfig, param: str, value: float,
 
     Returns the row and its converged state, None when the row failed.
     """
-    if param == "v":
-        velocity = (value,) + (0.0,) * (cfg.grid.ndim - 1)
-        local = replace(cfg, velocity=velocity)
-    else:
-        local = replace(cfg, omega=value)
+    setting = (value,) + (0.0,) * (cfg.grid.ndim - 1) if param == "v" else value
+    local = RunConfig(**{**vars(cfg), param: setting})
     try:
         prob = make_problem(local)
-        opts = SolveOptions(tol=local.tol, max_iter=local.max_iter,
-                            init_width=local.init_width, init_phase=local.init_phase)
-        report = minimize(prob, init=init, opts=opts)
+        report = minimize(prob, init=init, opts=local.solve_options())
         rep = symmetry_report(report.Q, axis=local.axis, sigma=local.sigma, tau=local.tau)
         e, m = energy_mass(report.Q, local.symbol, local.sigma)
     except ValueError as exc:  # HypothesisViolatedError, ZeroFieldError, ...
@@ -432,7 +423,7 @@ def _sweep_chain(cfg: RunConfig, param: str, values) -> list[_SweepRow]:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config, args.out, args.seed, args.tol, args.jobs)
+    cfg = _config(args)
     try:
         start_s, stop_s, count_s = args.range.split(":")
         start, stop, count = float(start_s), float(stop_s), int(count_s)
@@ -452,7 +443,7 @@ def cmd_sweep(args) -> int:
     else:
         rows = [row for chain in chains for row in solve_chain(chain)]
 
-    out = Path(cfg.out_dir)
+    out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["param,J,residual,s2_defect,modrearr_defect,E,M"]
     for row in rows:
@@ -479,8 +470,8 @@ def cmd_props(args) -> int:
 
 
 def cmd_sigma(args) -> int:
-    cfg = load_config(args.config, args.out, args.seed, args.tol, args.jobs)
-    bsym = BoostedSymbol(cfg.symbol, cfg.velocity)
+    cfg = _config(args)
+    bsym = BoostedSymbol(cfg.symbol, cfg.v)
     print(_fmt(dispersion_floor(bsym)))
     return EXIT_OK
 
@@ -494,20 +485,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="run configuration file")
-        p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--jobs", type=int, default=None, help="sweep chains solved in parallel (>= 1)")
-        p.add_argument("--tol", type=float, default=None, help="solver tolerance override")
+    flag_help = {
+        "out": "output directory",
+        "tol": "solver tolerance",
+        "jobs": "sweep chains solved in parallel (>= 1)",
+    }
 
-    p = sub.add_parser("solve", help="minimize the quotient and write Q.gnf/trace.csv/report.txt")
-    common(p)
+    def configured(name, flags=(), **kwargs):
+        """A subcommand that reads --config; each of ``flags`` replaces that config key."""
+        p = sub.add_parser(name, **kwargs)
+        p.add_argument("--config", required=True, help="run configuration file")
+        for flag in flags:
+            p.add_argument(f"--{flag}", help=f"{flag_help[flag]}; replaces the {flag} key")
+        return p
+
+    p = configured("solve", ("out", "tol"),
+                   help="minimize the quotient and write Q.gnf/trace.csv/report.txt")
     p.set_defaults(handler=cmd_solve)
 
-    p = sub.add_parser("verify", help="symmetry report for a GNF1 field")
-    common(p)
+    p = configured("verify", ("out",), help="symmetry report for a GNF1 field")
     p.add_argument("--field", required=True, help="input GNF1 field file")
     p.set_defaults(handler=cmd_verify)
 
@@ -518,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="output GNF1 path")
     p.set_defaults(handler=cmd_rearrange)
 
-    p = sub.add_parser(
-        "sweep", help="parameter sweep writing sweep.csv",
+    p = configured(
+        "sweep", ("out", "tol", "jobs"), help="parameter sweep writing sweep.csv",
         description="Solve one row per value of --range, in consecutive chains of "
                     f"{SWEEP_CHAIN} rows. A row starts from the secant predictor "
                     "2 Q_(k-1) - Q_(k-2) of its two converged predecessors in the chain, "
@@ -528,20 +524,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "which set only these cold starts. --jobs solves chains in parallel; "
                     "sweep.csv does not depend on it.",
     )
-    common(p)
-    p.add_argument("--param", choices=("v", "omega"), required=True)
+    p.add_argument("--param", choices=("v", "omega"), required=True,
+                   help="the config key each row sets (v: its first component, the others 0)")
     p.add_argument("--range", required=True,
                    help="start:stop:count; the start may be negative (--range -0.5:1:4)")
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("props", help="run a randomized invariant suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--seed", type=int, default=1, help="seed of the suite's random draws")
+    p.add_argument("--trials", type=int, default=None,
+                   help="random draws per check (default: the suite's own)")
     p.set_defaults(handler=cmd_props)
 
-    p = sub.add_parser("sigma", help="print the dispersion floor Sigma_v")
-    common(p)
+    p = configured("sigma", help="print the dispersion floor Sigma_v")
     p.set_defaults(handler=cmd_sigma)
 
     return parser
@@ -561,10 +557,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_glue_range(list(sys.argv[1:] if argv is None else argv)))
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except HypothesisViolatedError as exc:
+    except (ConfigError, HypothesisViolatedError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GnfFormatError as exc:

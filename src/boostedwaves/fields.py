@@ -230,22 +230,10 @@ class Field:
             phase = phase + mesh * offsets[axis]
         return Field.from_spectrum(self.grid, self.spectrum * np.exp(1j * phase))
 
-    def __add__(self, other):
-        self._check_same_grid(other)
-        return Field.from_values(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        self._check_same_grid(other)
-        return Field.from_values(self.grid, self.values - other.values)
-
     def __mul__(self, scalar):
         return Field.from_values(self.grid, self.values * scalar)
 
     __rmul__ = __mul__
-
-    def _check_same_grid(self, other):
-        if not isinstance(other, Field) or other.grid != self.grid:
-            raise ValueError("fields live on different grids")
 
 
 def norm_l2(f: Field) -> float:

@@ -143,8 +143,6 @@ CANONICAL_FIXED_POINTS = (
 
 @dataclass
 class FixedPointSummary:
-    trials: int
-    fold: int
     canonical_hits: int
     unexpected: list[IntervalUnion]
 
@@ -153,25 +151,22 @@ class FixedPointSummary:
         return not self.unexpected
 
 
-def classify_fixed_points(sampler, m: int, trials: int) -> FixedPointSummary:
-    """Scan sampled open sets for m-fold Minkowski fixed points.
+def classify_fixed_points(candidates, m: int) -> FixedPointSummary:
+    """Scan open sets for m-fold Minkowski fixed points.
 
     Only the full line and the two open half-lines can be fixed points; any
-    other sampled fixed point is reported as a would-be counterexample.
+    other candidate that is fixed is reported as a would-be counterexample.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
     canonical_hits = 0
     unexpected = []
-    for k in range(trials):
-        x = sampler(k)
+    for x in candidates:
         if not is_fixed_point(x, m):
             continue
         if x in CANONICAL_FIXED_POINTS:
             canonical_hits += 1
         else:
             unexpected.append(x)
-    return FixedPointSummary(trials, m, canonical_hits, unexpected)
+    return FixedPointSummary(canonical_hits, unexpected)
 
 
 def lattice_unions(endpoints, max_intervals: int = 2) -> list[IntervalUnion]:

@@ -302,7 +302,7 @@ def minimize(prob: Problem, init: Field | None = None,
 
         quad = float(np.sum(weight * np.abs(spec) ** 2)) * dxi
         pairing = float(np.real(np.vdot(spec, nl_spec))) * dxi
-        if pairing <= 0.0:
+        if not pairing > 0.0:  # also a NaN state
             trace.append(TraceRow(k, j_cur, res_unit, math.nan))
             break
         stabilizer = quad / pairing

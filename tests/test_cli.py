@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,9 +32,6 @@ sigma = 1
 [solver]
 tol = 1e-10
 max_iter = 5000
-
-[output]
-seed = 1
 """
 
 
@@ -86,7 +87,7 @@ def test_config_errors_carry_line_numbers(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
     # an axis the dimension does not have names its line too
-    cfg.write_text(CLASSICAL.replace("seed = 1", "seed = 1\naxis = 3"))
+    cfg.write_text(CLASSICAL + "axis = 3\n")
     lineno = cfg.read_text().splitlines().index("axis = 3") + 1
     assert run("solve", "--config", cfg, "--out", tmp_path / "x") == 1
     assert f"line {lineno}: axis out of range" in capsys.readouterr().err
@@ -128,7 +129,7 @@ def test_every_table_kind_parses_and_solves(name, tmp_path, capsys):
 @pytest.mark.parametrize("tau", ["0", "1", "-1e-8", "nan"])
 def test_tau_outside_unit_interval_is_config_error(classical_cfg, tmp_path, capsys, tau):
     cfg = tmp_path / "tau.cfg"
-    cfg.write_text(CLASSICAL.replace("seed = 1", f"seed = 1\ntau = {tau}"))
+    cfg.write_text(CLASSICAL + f"tau = {tau}\n")
     lineno = cfg.read_text().splitlines().index(f"tau = {tau}") + 1
     field = tmp_path / "sech.gnf"
     grid = bw.Grid.make(512, 75.39822368615503)
@@ -270,7 +271,7 @@ def test_jobs_below_one_is_config_error(classical_cfg, tmp_path, capsys, where, 
     cfg, extra = classical_cfg, ()
     if where == "config":
         cfg = tmp_path / "jobs.cfg"
-        cfg.write_text(CLASSICAL.replace("seed = 1", f"seed = 1\n{text}"))
+        cfg.write_text(CLASSICAL + f"{text}\n")
     else:
         extra = tuple(text.split())
     assert run("sweep", "--config", cfg, "--param", "v", "--range", "0:0.5:2",
@@ -282,6 +283,115 @@ def test_jobs_below_one_is_config_error(classical_cfg, tmp_path, capsys, where, 
     else:
         assert err == "config error: jobs must be >= 1, got -3\n"
     assert not (tmp_path / "s" / "sweep.csv").exists()
+
+
+def _with_key(key, value):
+    """CLASSICAL with ``key = value`` as its last line, and that line's number."""
+    lines = [line for line in CLASSICAL.splitlines() if line.partition("=")[0].strip() != key]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n", len(lines) + 1
+
+
+# (key, value, what the error says): a malformed value for every key but out,
+# which takes any text, and each key's out-of-range values
+BAD_VALUES = [
+    ("n", "x", "bad integer for 'n': 'x'"),
+    ("n", "4", "n must be 1, 2, or 3"),
+    ("sizes", "512.0", "bad vector for 'sizes': '512.0'"),
+    ("sizes", "100", "grid sizes must be powers of two >= 8, got (100,)"),
+    ("L", "x", "bad vector for 'L': 'x'"),
+    ("L", "1,2", "'L' needs 1 components, got 2"),
+    ("L", "0", "L must be positive and finite, got (0.0,)"),
+    ("L", "inf", "L must be positive and finite, got (inf,)"),
+    ("symbol", "wavelet", "unknown symbol kind 'wavelet'"),
+    ("v", "x", "bad vector for 'v': 'x'"),
+    ("v", "nan", "v must be finite, got (nan,)"),
+    ("v", "inf", "v must be finite, got (inf,)"),
+    ("omega", "x", "bad number for 'omega': 'x'"),
+    ("omega", "inf", "omega must be finite, got inf"),
+    ("sigma", "1.5", "bad integer for 'sigma': '1.5'"),
+    ("sigma", "0", "sigma must be >= 1, got 0"),
+    ("tol", "x", "bad number for 'tol': 'x'"),
+    ("tol", "0", "tol must be positive and finite, got 0.0"),
+    ("tol", "-1", "tol must be positive and finite, got -1.0"),
+    ("max_iter", "x", "bad integer for 'max_iter': 'x'"),
+    ("max_iter", "0", "max_iter must be >= 1, got 0"),
+    ("max_iter", "-3", "max_iter must be >= 1, got -3"),
+    ("init_width", "x", "bad number for 'init_width': 'x'"),
+    ("init_width", "0", "init_width must be positive and finite, got 0.0"),
+    ("init_width", "nan", "init_width must be positive and finite, got nan"),
+    ("init_phase", "x", "bad vector for 'init_phase': 'x'"),
+    ("init_phase", "nan", "init_phase must be finite, got (nan,)"),
+    ("axis", "x", "bad integer for 'axis': 'x'"),
+    ("axis", "1", "axis out of range"),
+    ("tau", "x", "bad number for 'tau': 'x'"),
+    ("tau", "2", "tau must lie in (0, 1), got 2.0"),
+    ("s1_max", "x", "bad number for 's1_max': 'x'"),
+    ("s1_max", "nan", "s1_max must be finite, got nan"),
+    ("s2_max", "x", "bad number for 's2_max': 'x'"),
+    ("s2_max", "inf", "s2_max must be finite, got inf"),
+    ("modrearr_max", "x", "bad number for 'modrearr_max': 'x'"),
+    ("modrearr_max", "nan", "modrearr_max must be finite, got nan"),
+    ("minkowski_max", "x", "bad number for 'minkowski_max': 'x'"),
+    ("minkowski_max", "-inf", "minkowski_max must be finite, got -inf"),
+    ("jobs", "x", "bad integer for 'jobs': 'x'"),
+    ("jobs", "0", "jobs must be >= 1, got 0"),
+]
+
+
+def test_bad_values_cover_every_key():
+    assert {key for key, _, _ in BAD_VALUES} == set(cli.KEYS) - {"out"}
+
+
+@pytest.mark.parametrize("key, value, message", BAD_VALUES)
+def test_bad_value_is_one_line_numbered_config_error(tmp_path, capsys, key, value, message):
+    text, lineno = _with_key(key, value)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert run("solve", "--config", cfg, "--out", tmp_path / "x") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {lineno}: {message}")
+    assert err.count("line ") == 1 and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("tol, message", [  # --jobs: test_jobs_below_one_is_config_error
+    ("-1", "tol must be positive and finite, got -1.0"),
+    ("x", "bad number for 'tol': 'x'"),
+])
+def test_flag_value_gets_its_key_check(classical_cfg, tmp_path, capsys, tol, message):
+    assert run("solve", "--config", classical_cfg, "--out", tmp_path / "x", "--tol", tol) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_seed_is_an_unknown_key(tmp_path, capsys):
+    text, lineno = _with_key("seed", "1")
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text(text)
+    assert run("solve", "--config", cfg, "--out", tmp_path / "x") == 1
+    assert capsys.readouterr().err == f"config error: line {lineno}: unknown key 'seed'\n"
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("solve", "--seed"), ("verify", "--seed"), ("sweep", "--seed"), ("sigma", "--seed"),
+    ("solve", "--jobs"), ("verify", "--jobs"), ("sigma", "--jobs"),
+    ("verify", "--tol"), ("sigma", "--tol"),
+    ("sigma", "--out"),
+])
+def test_removed_flags_are_rejected(classical_cfg, tmp_path, capsys, command, flag):
+    extra = {"verify": ("--field", tmp_path / "Q.gnf"),
+             "sweep": ("--param", "v", "--range", "0:0.5:2")}.get(command, ())
+    with pytest.raises(SystemExit) as info:
+        run(command, "--config", classical_cfg, *extra, flag, "1")
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, boostedwaves.cli; assert 'scipy.signal' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 @pytest.fixture()

@@ -85,13 +85,9 @@ def test_bounded_interval_not_fixed():
 
 def test_classify_fixed_points_flags_canonical_only():
     rng = np.random.default_rng(17)
-
-    def sampler(k):
-        if k == 0:
-            return so.IntervalUnion.positive_ray()
-        return so.random_interval_union(rng)
-
-    summary = so.classify_fixed_points(sampler, 3, 500)
+    candidates = [so.IntervalUnion.positive_ray()]
+    candidates += [so.random_interval_union(rng) for _ in range(499)]
+    summary = so.classify_fixed_points(candidates, 3)
     assert summary.canonical_hits == 1
     assert summary.passed
 

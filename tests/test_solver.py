@@ -87,6 +87,14 @@ def test_minimize_zero_init_rejected(classical_problem, grid_1d):
         bw.minimize(classical_problem, init=zero)
 
 
+def test_minimize_stops_on_a_nan_state(classical_problem, grid_1d):
+    values = np.exp(-grid_1d.coords(0) ** 2).astype(complex)
+    values[3] = np.nan
+    report = bw.minimize(classical_problem, init=bw.Field.from_values(grid_1d, values))
+    assert report.converged is False
+    assert len(report.trace) == 1
+
+
 def test_trace_quotient_nonincreasing(classical_report, halfwave_report, frac2d_report):
     # The J safeguard keeps accepted Anderson steps monotone too.  Ceilings are
     # ~1.5x the accelerated counts (10, 18, 13); the plain map takes 31, 77, 42.
