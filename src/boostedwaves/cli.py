@@ -342,9 +342,18 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _grid_text(grid: Grid) -> str:
+    return (f"n={grid.ndim} sizes={','.join(map(str, grid.sizes))} "
+            f"L={','.join(map(repr, grid.half_lengths))}")
+
+
 def cmd_verify(args) -> int:
     cfg = _config(args)
     f = read_gnf(args.field)
+    if f.grid != cfg.grid:
+        print(f"verify error: field grid {_grid_text(f.grid)} differs from the config grid "
+              f"{_grid_text(cfg.grid)}", file=sys.stderr)
+        return EXIT_CONFIG
     rep = symmetry_report(f, axis=cfg.axis, sigma=cfg.sigma, tau=cfg.tau)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -476,6 +485,15 @@ def cmd_sigma(args) -> int:
     return EXIT_OK
 
 
+def _trials(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boostedwaves",
@@ -503,7 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="minimize the quotient and write Q.gnf/trace.csv/report.txt")
     p.set_defaults(handler=cmd_solve)
 
-    p = configured("verify", ("out",), help="symmetry report for a GNF1 field")
+    p = configured("verify", ("out",),
+                   help="symmetry report for a GNF1 field on the config's grid")
     p.add_argument("--field", required=True, help="input GNF1 field file")
     p.set_defaults(handler=cmd_verify)
 
@@ -533,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("props", help="run a randomized invariant suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--seed", type=int, default=1, help="seed of the suite's random draws")
-    p.add_argument("--trials", type=int, default=None,
-                   help="random draws per check (default: the suite's own)")
+    p.add_argument("--trials", type=_trials, default=None,
+                   help="random draws per check, >= 1 (default: the suite's own)")
     p.set_defaults(handler=cmd_props)
 
     p = configured("sigma", help="print the dispersion floor Sigma_v")

@@ -28,6 +28,18 @@ plain step u_{k+1} = g_k is taken instead, halved against u_k (up to
 the relative residual of the rescaled profile equation
 (P_v(D) + omega) Q = |Q|^{2 sigma} Q.
 
+The loop evaluates each state once.  One |u|^2 pass over a candidate's values
+gives the L^{2 sigma + 2} mass of J and the factor |u|^{2 sigma} of the
+nonlinearity; the quadratic form <(P_v + omega) u, u> is taken once from its
+spectrum.  An accepted candidate carries its spectrum, values, |u|^{2 sigma}
+and quadratic form into the next iteration, which forms |u|^{2 sigma} u,
+transforms it and computes only the unit residual.  The differences dF and dG
+live in two fixed depth-by-N buffers used as rings; one matrix product over
+the history gives the new Gram entries with the right side, and one more the
+mix dG c.  An accepted step therefore makes 2 transforms: the nonlinearity
+forward and the candidate back; a rejected one adds one per plain step or
+halving.
+
 Converged states are canonicalized: the modulus centroid is moved to the
 origin (integer roll plus exact fractional spectral shifts) and the global
 phase is rotated so the DC spectral coefficient is real and nonnegative.
@@ -42,7 +54,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HypothesisViolatedError, ZeroFieldError
-from .fields import Field, Grid, norm_l2, norm_lp
+from . import fields
+from .fields import Field, Grid, norm_l2
 from .symbols import BoostedSymbol, check_assumptions, dispersion_floor
 
 ANDERSON_DEPTH = 5  # differences of past iterates mixed into each step
@@ -159,34 +172,49 @@ def gaussian_init(grid: Grid, width: float = 1.0, phase=None) -> Field:
     return Field.from_values(grid, vals)
 
 
+def _state(prob: Problem, spec: np.ndarray, vals: np.ndarray, weight: np.ndarray):
+    """(J, quadratic form, |u|^(2 sigma)) of the state with this spectrum and these values.
+
+    One |u|^2 pass gives both the L^(2 sigma + 2) mass under J and the factor
+    |u|^(2 sigma) of the nonlinearity.
+    """
+    mod2 = np.square(vals.real)
+    mod2 += np.square(vals.imag)
+    nl_mod = mod2 if prob.sigma == 1 else mod2**prob.sigma
+    denom = float(np.vdot(nl_mod, mod2)) * prob.grid.cell_volume()
+    if denom == 0.0:
+        raise ZeroFieldError("the quotient is undefined at the zero field")
+    quad = float(np.vdot(spec, weight * spec).real) * prob.grid.freq_cell_volume()
+    return quad ** (prob.sigma + 1) / denom, quad, nl_mod
+
+
 def weinstein(prob: Problem, u: Field, weight: np.ndarray | None = None) -> float:
     """The minimized quotient; scale invariant and positive away from zero."""
     if weight is None:
         weight = prob.weight()
-    p = 2 * prob.sigma + 2
-    denom = norm_lp(u, p) ** p
-    if denom == 0.0:
-        raise ZeroFieldError("the quotient is undefined at the zero field")
-    dxi = prob.grid.freq_cell_volume()
-    quad = float(np.sum(weight * np.abs(u.spectrum) ** 2)) * dxi
-    return float(quad ** (prob.sigma + 1) / denom)
+    return _state(prob, u.spectrum, u.values, weight)[0]
+
+
+def _nonlinear_spectrum(grid: Grid, nl_mod: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Spectrum of |u|^(2 sigma) u, given |u|^(2 sigma), with the Nyquist bins zeroed."""
+    spec = fields._phys_to_spec(grid, nl_mod * vals)
+    spec[grid.nyquist_mask()] = 0.0
+    return spec
 
 
 def _nonlinearity(prob: Problem, u: Field) -> Field:
     vals = u.values
-    out = np.abs(vals) ** (2 * prob.sigma) * vals
-    return Field.from_values(prob.grid, out).zero_nyquist()
+    nl_mod = np.abs(vals) ** (2 * prob.sigma)
+    return Field.from_spectrum(prob.grid, _nonlinear_spectrum(prob.grid, nl_mod, vals))
 
 
-def _residual_parts(prob: Problem, u: Field, weight: np.ndarray,
-                    nl_spec: np.ndarray | None = None):
+def _residual_parts(prob: Problem, u: Field, weight: np.ndarray):
     """Relative defects of (P_v + omega) Q = kappa |Q|^(2 sigma) Q.
 
     Returns (optimal-kappa residual, kappa, unit-kappa residual), all relative
     to ||(P_v + omega) Q||.
     """
-    if nl_spec is None:
-        nl_spec = _nonlinearity(prob, u).spectrum
+    nl_spec = _nonlinearity(prob, u).spectrum
     lhs = weight * u.spectrum
     lhs_norm = float(np.linalg.norm(lhs))
     if lhs_norm == 0.0:
@@ -250,6 +278,19 @@ def canonicalize(f: Field) -> Field:
     return Field.from_spectrum(f.grid, spec)
 
 
+def _combine(coef: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_i coef_i rows_i for complex coefficients and rows, by one real product.
+
+    With c = a + ib, the product [a; b] @ rows (each row read as float pairs)
+    gives sum a_i r_i and sum b_i r_i, whose complex combination is the sum.
+    Two output rows make it a matrix-matrix product (see ``minimize``).
+    """
+    parts = (np.array([coef.real, coef.imag]) @ rows.view(float)).view(complex)
+    parts[1] *= 1j
+    parts[0] += parts[1]
+    return parts[0]
+
+
 def minimize(prob: Problem, init: Field | None = None,
              opts: SolveOptions | None = None) -> SolveReport:
     """Run the Anderson-accelerated fixed-point iteration to a boosted ground state.
@@ -275,6 +316,7 @@ def minimize(prob: Problem, init: Field | None = None,
         init = gaussian_init(grid, opts.init_width, beta)
 
     weight = prob.weight()
+    inv_weight = 1.0 / weight
     gamma = (2.0 * prob.sigma + 1.0) / (2.0 * prob.sigma)
     dxi = grid.freq_cell_volume()
 
@@ -282,26 +324,36 @@ def minimize(prob: Problem, init: Field | None = None,
     if norm_l2(u) == 0.0:
         raise ZeroFieldError("zero initial field")
     u = (1.0 / norm_l2(u)) * u
+    spec, vals = u.spectrum, u.values
+    del u, init  # from here on the state is carried as arrays
+    j_cur, quad, nl_mod = _state(prob, spec, vals, weight)
 
-    j_cur = weinstein(prob, u, weight)
     trace: list[TraceRow] = []
     converged = False
     f_prev = g_prev = None
-    d_f: list[np.ndarray] = []
-    d_g: list[np.ndarray] = []
-    gram = np.empty((0, 0), dtype=complex)  # d_f^H d_f
+    # Ring buffers of the last ANDERSON_DEPTH differences, one per slot: d_f
+    # holds conj(f_i - f_{i-1}), so x @ d_f.T gives the inner products
+    # <df_i, x>.  Both products over the history take two rows at once: BLAS
+    # runs such a matrix-matrix product on one thread for a small grid, but
+    # threads a matrix-vector product over a 5 x 1024 history, which doubled
+    # the CPU time of a 1D solve for no gain in wall time (OpenBLAS, 2 CPUs).
+    d_f = np.empty((ANDERSON_DEPTH, spec.size), dtype=complex)
+    d_g = np.empty((ANDERSON_DEPTH, spec.size), dtype=complex)
+    gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH), dtype=complex)  # <df_i, df_j>
+    count = 0  # differences recorded since the history was last cleared
     iterations = 0
 
     for k in range(1, opts.max_iter + 1):
         iterations = k
-        nl = _nonlinearity(prob, u)
-        nl_spec = nl.spectrum
-        spec = u.spectrum
+        nl_spec = _nonlinear_spectrum(grid, nl_mod, vals)
 
-        _, _, res_unit = _residual_parts(prob, u, weight, nl_spec)
+        # The unit residual ||w u^ - N^|| / ||w u^||, formed in one buffer.
+        defect = weight * spec
+        lhs_norm2 = float(np.vdot(defect, defect).real)
+        defect -= nl_spec
+        res_unit = math.sqrt(float(np.vdot(defect, defect).real) / lhs_norm2)
 
-        quad = float(np.sum(weight * np.abs(spec) ** 2)) * dxi
-        pairing = float(np.real(np.vdot(spec, nl_spec))) * dxi
+        pairing = float(np.vdot(spec, nl_spec).real) * dxi
         if not pairing > 0.0:  # also a NaN state
             trace.append(TraceRow(k, j_cur, res_unit, math.nan))
             break
@@ -313,49 +365,51 @@ def minimize(prob: Problem, init: Field | None = None,
             converged = True
             break
 
-        g = stabilizer**gamma * nl_spec / weight
+        g = np.multiply(nl_spec, inv_weight, out=nl_spec)
+        g *= stabilizer**gamma
         f = g - spec
+        m = 0  # differences mixed into this step
         if f_prev is not None:
-            d_f.append(f - f_prev)
-            d_g.append(g - g_prev)
-            # Border the Gram matrix with the new column instead of redoing all
-            # m^2 inner products; the oldest column falls off past the depth.
-            col = np.array([np.vdot(a, d_f[-1]) for a in d_f])
-            grown = np.empty((len(d_f),) * 2, dtype=complex)
-            grown[:-1, :-1] = gram
-            grown[:, -1] = col
-            grown[-1] = col.conj()
-            gram = grown[-ANDERSON_DEPTH:, -ANDERSON_DEPTH:]
-            del d_f[:-ANDERSON_DEPTH], d_g[:-ANDERSON_DEPTH]
+            # Write the new differences over the oldest slot; one product
+            # gives the Gram border <df_i, df_new> and the right side <df_i, f>.
+            slot = count % ANDERSON_DEPTH
+            count += 1
+            m = min(count, ANDERSON_DEPTH)
+            pair = np.empty((2, spec.size), dtype=complex)  # rows: df_new, f
+            np.subtract(f, f_prev, out=pair[0].reshape(grid.sizes))
+            pair[1] = f.reshape(-1)
+            np.conjugate(pair[0], out=d_f[slot])
+            np.subtract(g, g_prev, out=d_g[slot].reshape(grid.sizes))
+            col, rhs = pair @ d_f[:m].T
+            del pair  # freed before the candidate is formed, where memory peaks
+            gram[:m, slot] = col
+            gram[slot, :m] = col.conj()
         f_prev, g_prev = f, g
         slack = 1e-12 * max(1.0, abs(j_cur))
-        if d_f:
-            rhs = np.array([np.vdot(a, f) for a in d_f])
+        if m:
             try:
-                coef = np.linalg.solve(gram, rhs)
+                coef = np.linalg.solve(gram[:m, :m], rhs)
             except np.linalg.LinAlgError:  # exactly singular: a repeated difference
-                coef = np.linalg.lstsq(gram, rhs, rcond=1e-14)[0]
-            cand = g - sum(c * dg for c, dg in zip(coef, d_g))
-            cand_field = Field.from_spectrum(grid, cand)
-            j_new = weinstein(prob, cand_field, weight)
+                coef = np.linalg.lstsq(gram[:m, :m], rhs, rcond=1e-14)[0]
+            cand = g - _combine(coef, d_g[:m]).reshape(grid.sizes)
+            cand_vals = fields._spec_to_phys(grid, cand)
+            j_new, quad_new, nl_new = _state(prob, cand, cand_vals, weight)
             row.accelerated = j_new <= j_cur + slack
             if not row.accelerated:
-                d_f.clear()
-                d_g.clear()
-                gram = gram[:0, :0]
+                count = 0
         if not row.accelerated:
             cand = g
-            cand_field = Field.from_spectrum(grid, cand)
-            j_new = weinstein(prob, cand_field, weight)
+            cand_vals = fields._spec_to_phys(grid, cand)
+            j_new, quad_new, nl_new = _state(prob, cand, cand_vals, weight)
             while j_new > j_cur + slack and row.halvings < opts.damp_limit:
                 cand = 0.5 * (cand + spec)
-                cand_field = Field.from_spectrum(grid, cand)
-                j_new = weinstein(prob, cand_field, weight)
+                cand_vals = fields._spec_to_phys(grid, cand)
+                j_new, quad_new, nl_new = _state(prob, cand, cand_vals, weight)
                 row.halvings += 1
 
-        u = cand_field
-        j_cur = j_new
+        spec, vals, nl_mod, quad, j_cur = cand, cand_vals, nl_new, quad_new, j_new
 
+    u = Field(grid, values=vals, spectrum=spec)
     q = canonicalize(u)
     _, _, res_final = _residual_parts(prob, q, weight)
     return SolveReport(

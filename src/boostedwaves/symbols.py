@@ -9,9 +9,14 @@ coefficients A and B, additive shifts) from their factories.  A ``custom``
 symbol carries bounds its user declares, so ``Problem.make`` runs the sampled
 :func:`check_assumptions` on it, and on nothing else.
 
-The dispersion floor ``inf_xi p(xi) - v.xi`` is computed by a bracketed line
-search along the symmetry axis; by cylindrical monotonicity the minimizer has
-no transverse component when the velocity is parallel to the axis.
+The dispersion floor ``Sigma_v = inf_xi p(xi) - v.xi`` of a radial kind with
+a closed form (the ``floor`` column of :data:`KINDS`) is min_r p(r) - |v| r,
+taken along v: for fractional s > 1/2 it is
+-(2s - 1) (|v| / 2s)^(2s / (2s - 1)), for s = 1/2 and the half-wave symbol 0,
+and for square-root Klein-Gordon m sqrt(1 - |v|^2).  ``biharmonic`` and
+``custom`` symbols go through a bracketed line search along the symmetry axis;
+by cylindrical monotonicity the minimizer has no transverse component when the
+velocity is parallel to the axis.
 """
 
 from __future__ import annotations
@@ -147,6 +152,17 @@ def _sqrt_klein_gordon_p(sym: Symbol, xi) -> np.ndarray:
     return np.sqrt(_sum_sq(xi) + m * m)
 
 
+def _fractional_floor(sym: Symbol, speed: float) -> float:
+    s = sym.order
+    if s == 0.5 or speed == 0.0:
+        return 0.0
+    return -(2.0 * s - 1.0) * (speed / (2.0 * s)) ** (2.0 * s / (2.0 * s - 1.0))
+
+
+def _sqrt_klein_gordon_floor(sym: Symbol, speed: float) -> float:
+    return sym.param("m") * math.sqrt(1.0 - speed * speed)
+
+
 @dataclass(frozen=True)
 class SymbolKind:
     """One row of :data:`KINDS`.
@@ -154,19 +170,26 @@ class SymbolKind:
     ``params`` maps each config parameter, which is also the factory's keyword
     besides ``ndim``, to its default (None: required).  It is None for
     ``custom``, whose callable no config file can name.  ``evaluate(sym, xi)``
-    computes p on the frequency components ``xi``.
+    computes p on the frequency components ``xi``.  ``floor(sym, speed)``, when
+    given, is the closed-form Sigma_v of the radial kind at |v| = ``speed``,
+    called only once the s and |v| hypotheses hold; without it the floor is
+    searched numerically.
     """
 
     factory: Callable[..., Symbol]
     params: dict[str, float | None] | None
     evaluate: Callable[[Symbol, list], np.ndarray]
+    floor: Callable[[Symbol, float], float] | None = None
 
 
 KINDS = {
-    "fractional": SymbolKind(fractional, {"s": None}, lambda sym, xi: _sum_sq(xi) ** sym.order),
+    "fractional": SymbolKind(fractional, {"s": None}, lambda sym, xi: _sum_sq(xi) ** sym.order,
+                             _fractional_floor),
     "biharmonic": SymbolKind(biharmonic, {"mu": 0.0, "A": 0.5}, _biharmonic_p),
-    "sqrt_klein_gordon": SymbolKind(sqrt_klein_gordon, {"m": None}, _sqrt_klein_gordon_p),
-    "half_wave": SymbolKind(half_wave, {}, lambda sym, xi: np.sqrt(_sum_sq(xi))),
+    "sqrt_klein_gordon": SymbolKind(sqrt_klein_gordon, {"m": None}, _sqrt_klein_gordon_p,
+                                    _sqrt_klein_gordon_floor),
+    "half_wave": SymbolKind(half_wave, {}, lambda sym, xi: np.sqrt(_sum_sq(xi)),
+                            lambda sym, speed: 0.0),
     "custom": SymbolKind(custom, None, lambda sym, xi: sym.func(*xi)),
 }
 
@@ -333,19 +356,29 @@ def dispersion_floor(bsym: BoostedSymbol) -> float:
     """Global minimum of p(xi) - v.xi (the paper-level coercivity constant).
 
     Requires s > 1/2, or s = 1/2 with |v| < A; otherwise the infimum may be
-    -inf and a :class:`HypothesisViolatedError` is raised up front.  Custom
-    symbols that keep decreasing past ``FLOOR_MIN`` raise
+    -inf and a :class:`HypothesisViolatedError` is raised up front.  A kind
+    with a closed form returns it; the others are searched numerically, and
+    custom symbols that keep decreasing past ``FLOOR_MIN`` raise
     :class:`UnboundedBelowError`.
     """
     base = bsym.base
-    v = np.asarray(bsym.velocity, dtype=float)
+    speed = float(np.linalg.norm(bsym.velocity))
     if base.order < 0.5:
         raise HypothesisViolatedError("dispersion floor needs order s >= 1/2")
-    if base.order == 0.5 and np.linalg.norm(v) >= base.lower_coef:
+    if base.order == 0.5 and speed >= base.lower_coef:
         raise HypothesisViolatedError(
             "s = 1/2 requires |v| < A for a finite dispersion floor"
         )
+    closed = KINDS[base.kind].floor
+    if closed is not None:
+        return closed(base, speed)
+    return _floor_search(bsym)
 
+
+def _floor_search(bsym: BoostedSymbol) -> float:
+    """Numerical Sigma_v: a line search along the axis, or a simplex off it."""
+    base = bsym.base
+    v = np.asarray(bsym.velocity, dtype=float)
     e = base.axis
     v_par = float(v @ e)
     v_perp = v - v_par * e

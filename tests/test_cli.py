@@ -176,6 +176,21 @@ def test_rearrange_bad_axis_or_mode_is_one_line_error(tmp_path, capsys):
         assert not dst.exists()
 
 
+def test_verify_refuses_a_field_from_another_grid(tmp_path, capsys):
+    # a 2D config whose axis 1 a 1D field does not have
+    cfg = tmp_path / "c2.cfg"
+    cfg.write_text("symbol = fractional; s = 1.0\nn = 2\nsizes = 32\nL = 8.0\n"
+                   "omega = 1.0\nsigma = 1\naxis = 1\n")
+    g1 = bw.Grid.make(16, 8.0)
+    bw.write_gnf(tmp_path / "f1.gnf", bw.Field.from_values(g1, np.exp(-g1.coords(0) ** 2)))
+    out = tmp_path / "v"
+    assert run("verify", "--config", cfg, "--field", tmp_path / "f1.gnf", "--out", out) == 1
+    assert capsys.readouterr().err == (
+        "verify error: field grid n=1 sizes=16 L=8.0 differs from the config grid "
+        "n=2 sizes=32,32 L=8.0,8.0\n")
+    assert not out.exists()
+
+
 def test_verify_corrupted_header_reports_offset(classical_cfg, tmp_path, capsys):
     bad = tmp_path / "bad.gnf"
     bad.write_bytes(b"GNXX\nn=1\n\n" + b"\x00" * 16)
@@ -478,6 +493,14 @@ def test_solve_outputs_deterministic(classical_cfg, tmp_path):
     assert run("solve", "--config", classical_cfg, "--out", out2) == 0
     assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
     assert (out1 / "Q.gnf").read_bytes() == (out2 / "Q.gnf").read_bytes()
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_props_trials_below_one_is_rejected(trials, capsys):
+    with pytest.raises(SystemExit) as info:
+        run("props", "--suite", "rearrange", "--trials", trials)
+    assert info.value.code == 2
+    assert f"argument --trials: expected an integer >= 1, got '{trials}'" in capsys.readouterr().err
 
 
 def test_props_suites_pass(capsys):

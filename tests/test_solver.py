@@ -181,6 +181,34 @@ def test_halfwave_solve(halfwave_problem, halfwave_report):
     assert any(not row.accelerated for row in steps)
 
 
+# Cold solves at the default options (omega = 1, sigma = 1): the iteration
+# count, the step taken from every trace row but the last ("A": the Anderson
+# candidate was accepted; a digit: the halvings of the plain step taken
+# instead) and J.  The loop's bookkeeping may be reorganised for speed, but
+# the accept/reject sequence and the iteration count must stay exactly these.
+PINNED_SOLVES = {
+    "fractional-1d": (bw.fractional(1.0, 1), 0.0, 10, "0AAAAAAAA", 5.333333333333332),
+    "half_wave-1d": (bw.half_wave(1), 0.5, 18, "0AAAA0AAAAAAAAAAA", 3.8296714004004637),
+    "biharmonic-1d": (bw.biharmonic(1.0, 1), 0.5, 14, "0AAA0AAAAAAAA", 1.7704527019706076),
+    "sqrt_klein_gordon-1d": (bw.sqrt_klein_gordon(1.0, 1), 0.3, 17, "0AAAA0AAAAAAAAAA",
+                             6.4607172959946775),
+    "fractional-s0.75-2d": (bw.fractional(0.75, 2), (0.3, 0.0), 17, "0AAAA0AAAAAAAAAA",
+                           16.11464475057146),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SOLVES))
+def test_cold_solve_steps_and_quotient_are_pinned(case, grid_1d):
+    sym, v, iterations, steps, j_value = PINNED_SOLVES[case]
+    grid = grid_1d if sym.ndim == 1 else bw.Grid.make((128, 128), 8 * np.pi)
+    rep = bw.minimize(bw.Problem.make(bw.BoostedSymbol.make(sym, v), 1.0, 1, grid))
+    assert rep.converged
+    assert rep.iterations == iterations
+    taken = "".join("A" if row.accelerated else str(row.halvings) for row in rep.trace[:-1])
+    assert taken == steps
+    assert rep.J_value == pytest.approx(j_value, rel=1e-13)
+
+
 def test_minimize_transforms_go_through_module_pair(classical_problem, classical_report,
                                                     monkeypatch):
     # Per-layer FFT tracing wraps fields._phys_to_spec / fields._spec_to_phys;

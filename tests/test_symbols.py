@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
 import boostedwaves as bw
+from boostedwaves import symbols
 
 
 def test_eval_fractional_345():
@@ -114,6 +117,53 @@ def test_floor_off_axis_velocity():
     # full search agrees with the separable closed form for -Laplacian
     bsym = bw.BoostedSymbol.make(bw.fractional(1.0, 2), (1.0, 1.0))
     assert bw.dispersion_floor(bsym) == pytest.approx(-0.5, abs=1e-7)
+
+
+@pytest.mark.parametrize(
+    "sym",
+    [
+        bw.fractional(0.5, 1),
+        bw.fractional(0.6, 1),
+        bw.fractional(0.75, 2),
+        bw.fractional(1.0, 2),
+        bw.fractional(2.0, 1),
+        bw.fractional(1.5, 3),
+        bw.half_wave(1),
+        bw.half_wave(2),
+        bw.sqrt_klein_gordon(0.0, 1),
+        bw.sqrt_klein_gordon(0.5, 1),
+        bw.sqrt_klein_gordon(2.0, 2),
+    ],
+    ids=lambda sym: f"{sym.kind}-{dict(sym.params)}-{sym.ndim}d",
+)
+def test_closed_form_floor_matches_numerical_search(sym):
+    # The closed form is taken along v; the search runs along the axis when v
+    # lies on it and off it (simplex) otherwise.
+    speeds = (0.0, 0.3, 0.95) + ((1.7,) if sym.order > 0.5 else ())
+    directions = [np.eye(sym.ndim)[0], -np.eye(sym.ndim)[0]]
+    if sym.ndim > 1:
+        directions.append(np.ones(sym.ndim) / np.sqrt(sym.ndim))
+    for speed in speeds:
+        for direction in directions:
+            bsym = bw.BoostedSymbol.make(sym, tuple(speed * direction))
+            closed = bw.dispersion_floor(bsym)
+            assert closed == pytest.approx(symbols._floor_search(bsym), rel=1e-12, abs=1e-12)
+            if speed == 0.0:
+                assert math.copysign(1.0, closed) == 1.0  # +0, not -0
+
+
+def test_floor_search_kept_where_no_closed_form(monkeypatch):
+    searched = []
+    real = symbols._floor_search
+    monkeypatch.setattr(symbols, "_floor_search", lambda bsym: searched.append(bsym) or real(bsym))
+    for sym in (bw.fractional(1.0, 1), bw.half_wave(1), bw.sqrt_klein_gordon(1.0, 1)):
+        bw.dispersion_floor(bw.BoostedSymbol.make(sym, 0.5))
+    assert searched == []
+    custom = bw.custom(lambda x: x**2, order=1.0, lower_coef=1.0, upper_coef=1.0,
+                       lower_shift=0.0)
+    for sym in (bw.biharmonic(1.0, 1), custom):
+        bw.dispersion_floor(bw.BoostedSymbol.make(sym, 0.5))
+    assert [b.base.kind for b in searched] == ["biharmonic", "custom"]
 
 
 def test_gauge_identity_at_zero_velocity(sech_field):
