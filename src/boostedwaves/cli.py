@@ -59,7 +59,7 @@ EXIT_PROPERTY = 4
 SWEEP_CHAIN = 6  # sweep rows per continuation chain
 
 _EXIT_DOC = (
-    "exit codes: 0 ok; 1 config or I/O error; 2 solver did not converge; "
+    "exit codes: 0 ok; 1 config, field or I/O error; 2 solver did not converge; "
     "3 disconnected spectral support; 4 property-suite failure"
 )
 
@@ -354,7 +354,11 @@ def cmd_verify(args) -> int:
         print(f"verify error: field grid {_grid_text(f.grid)} differs from the config grid "
               f"{_grid_text(cfg.grid)}", file=sys.stderr)
         return EXIT_CONFIG
-    rep = symmetry_report(f, axis=cfg.axis, sigma=cfg.sigma, tau=cfg.tau)
+    try:
+        rep = symmetry_report(f, axis=cfg.axis, sigma=cfg.sigma, tau=cfg.tau)
+    except ValueError as exc:  # the zero field, or non-finite values
+        print(f"verify error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     _symmetry_csv(out / "symmetry.csv", Path(args.field).name, rep, f.grid.ndim)

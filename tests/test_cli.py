@@ -191,6 +191,27 @@ def test_verify_refuses_a_field_from_another_grid(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spoil, reason", [
+    ("zero", "symmetry report of the zero field"),
+    ("nan", "symmetry report of a field with non-finite values"),
+])
+def test_verify_zero_or_non_finite_field_is_one_line_error(tmp_path, capsys, spoil, reason):
+    cfg = tmp_path / "c2.cfg"
+    cfg.write_text("symbol = fractional; s = 1.0\nn = 2\nsizes = 32\nL = 8.0\n"
+                   "omega = 1.0\nsigma = 1\n")
+    g = bw.Grid.make((32, 32), 8.0)
+    if spoil == "zero":
+        values = np.zeros((32, 32), dtype=complex)
+    else:
+        values = np.exp(-g.coords(0)[:, None] ** 2 - g.coords(1)[None, :] ** 2).astype(complex)
+        values[3, 5] = np.nan
+    bw.write_gnf(tmp_path / "f.gnf", bw.Field.from_values(g, values))
+    out = tmp_path / "v"
+    assert run("verify", "--config", cfg, "--field", tmp_path / "f.gnf", "--out", out) == 1
+    assert capsys.readouterr().err == f"verify error: {reason}\n"
+    assert not out.exists()
+
+
 def test_verify_corrupted_header_reports_offset(classical_cfg, tmp_path, capsys):
     bad = tmp_path / "bad.gnf"
     bad.write_bytes(b"GNXX\nn=1\n\n" + b"\x00" * 16)
