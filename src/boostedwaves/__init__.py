@@ -1,7 +1,7 @@
 """Pseudospectral toolkit for boosted ground states of dispersion-generalized
 NLS equations: spectral fields, Fourier multipliers, rearrangement operators,
-a stabilized fixed-point solver, symmetry verification, and interval-union
-Minkowski algebra."""
+a stabilized fixed-point solver, and symmetry verification, including the
+Minkowski support check of the nonlinearity."""
 
 from .errors import (
     ConfigError,
@@ -27,14 +27,6 @@ from .rearrange import (
     fourier_rearrange,
     schwarz,
     steiner_array,
-)
-from .setops import (
-    IntervalUnion,
-    classify_fixed_points,
-    is_fixed_point,
-    minkowski_power,
-    minkowski_sum,
-    random_interval_union,
 )
 from .solver import (
     Problem,

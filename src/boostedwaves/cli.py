@@ -48,7 +48,7 @@ from .rearrange import REARRANGE_MODES, fourier_rearrange
 from .solver import Problem, SolveOptions, SolveReport, minimize
 from .suites import SUITES, run_suite
 from .symbols import KINDS, BoostedSymbol, Symbol, dispersion_floor
-from .verify import symmetry_report
+from .verify import sweep_defects, symmetry_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -407,12 +407,11 @@ def _sweep_value(cfg: RunConfig, param: str, value: float,
     try:
         prob = make_problem(local)
         report = minimize(prob, init=init, opts=local.solve_options())
-        rep = symmetry_report(report.Q, axis=local.axis, sigma=local.sigma, tau=local.tau)
+        s2, modrearr = sweep_defects(report.Q, axis=local.axis, tau=local.tau)
         e, m = energy_mass(report.Q, local.symbol, local.sigma)
     except ValueError as exc:  # HypothesisViolatedError, ZeroFieldError, ...
         return _SweepRow((value,) + (math.nan,) * 6, f"{type(exc).__name__}: {exc}"), None
-    cells = (value, report.J_value, report.residual, rep.s2_defect,
-             rep.modulus_rearranged_defect, e, m)
+    cells = (value, report.J_value, report.residual, s2, modrearr, e, m)
     if report.converged:
         return _SweepRow(cells, None, report.iterations), report.Q
     failure = (f"not converged after {report.iterations} iterations "

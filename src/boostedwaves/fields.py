@@ -214,12 +214,6 @@ class Field:
     def has_values(self) -> bool:
         return self._values is not None
 
-    def zero_nyquist(self) -> "Field":
-        """Copy with the (unpaired) Nyquist bins zeroed in the spectrum."""
-        spec = self.spectrum.copy()
-        spec[self.grid.nyquist_mask()] = 0.0
-        return Field.from_spectrum(self.grid, spec)
-
     def shifted(self, offsets) -> "Field":
         """Exact spectral translation: returns x -> u(x + a)."""
         offsets = np.atleast_1d(np.asarray(offsets, dtype=float))

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
-from . import setops
 from .fields import Field, Grid, norm_l2, norm_lp, quad_form
 from .rearrange import fourier_rearrange, steiner_array
 from .symbols import BoostedSymbol, fractional, half_wave, sqrt_klein_gordon
@@ -177,73 +176,9 @@ def convolution_suite(seed: int = 2, trials: int = 200,
     return out
 
 
-# Endpoint set of the exhaustive fixed-point scan: with the infinities it
-# yields the line, rays and gapped unbounded unions, not only bounded sets.
-SCAN_ENDPOINTS = (-setops.INF, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, setops.INF)
-
-
-def setops_suite(seed: int = 3, trials: int = 300, fold: int = 3) -> SuiteResult:
-    """Minkowski fixed-point scan plus algebraic identities on interval unions.
-
-    The scan is exhaustive over the unions of at most two open intervals with
-    endpoints in ``SCAN_ENDPOINTS``: the three canonical sets must be its only
-    fixed points, and each must be found.  ``trials`` is the number of random
-    draws for each identity check.
-    """
-    rng = np.random.default_rng(seed)
-    out = SuiteResult("setops", trials)
-
-    candidates = setops.lattice_unions(SCAN_ENDPOINTS)
-    summary = setops.classify_fixed_points(candidates, fold)
-    out.checks += len(candidates)
-    for x in summary.unexpected:
-        out.violations.append(f"non-canonical fixed point found: {x}")
-    out.record(summary.canonical_hits == len(setops.CANONICAL_FIXED_POINTS),
-               f"scan found {summary.canonical_hits} of the "
-               f"{len(setops.CANONICAL_FIXED_POINTS)} canonical fixed points")
-
-    # one-sided sets with positive infimum can never be fixed (the infimum doubles)
-    for t in range(trials):
-        lo = float(rng.uniform(0.1, 5.0))
-        x = setops.IntervalUnion.of((lo, lo + float(rng.uniform(0.1, 3.0))))
-        out.record(not setops.is_fixed_point(x, 2),
-                   f"one-sided set {x} wrongly fixed under doubling")
-
-    # ball-sum identity on dyadic endpoints: exact float arithmetic
-    for t in range(trials):
-        c1, c2 = (int(rng.integers(-64, 64)) / 8.0 for _ in range(2))
-        r1, r2 = (int(rng.integers(1, 32)) / 8.0 for _ in range(2))
-        left = setops.minkowski_sum(
-            setops.IntervalUnion.of((c1 - r1, c1 + r1)),
-            setops.IntervalUnion.of((c2 - r2, c2 + r2)),
-        )
-        want = setops.IntervalUnion.of(((c1 - r1) + (c2 - r2), (c1 + r1) + (c2 + r2)))
-        out.record(left == want, f"ball sum identity failed for {left} vs {want}")
-
-    # commutativity / associativity / monotonicity, exact on dyadic endpoints
-    for t in range(trials):
-        a = setops.random_interval_union(rng, quantum=0.015625)
-        b = setops.random_interval_union(rng, quantum=0.015625)
-        c = setops.random_interval_union(rng, quantum=0.015625)
-        ab = setops.minkowski_sum(a, b)
-        out.record(ab == setops.minkowski_sum(b, a),
-                   f"commutativity failed for {a} + {b}")
-        out.record(
-            setops.minkowski_sum(ab, c) == setops.minkowski_sum(a, setops.minkowski_sum(b, c)),
-            f"associativity failed for {a}, {b}, {c}",
-        )
-        bigger = setops.union(a, c)
-        out.record(
-            ab.subset_of(setops.minkowski_sum(bigger, b)),
-            f"monotonicity failed for {a} subset {bigger}",
-        )
-    return out
-
-
 SUITES = {
     "rearrange": rearrange_suite,
     "convolution": convolution_suite,
-    "setops": setops_suite,
 }
 
 

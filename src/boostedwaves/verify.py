@@ -2,11 +2,12 @@
 
 All analyses run on the centered (fftshift) view of the frequency lattice so
 that adjacency and Minkowski sums approximate the continuum picture without
-periodic wrap-around.  Minkowski sums of masks are computed as cyclic
-convolutions on one lattice whose period is just large enough that no sum
-outside the box wraps onto it (see :func:`minkowski_defect`): intermediate
-sums are never clipped, and lattice points whose sums exit the box never
-count as defects.
+periodic wrap-around.  The Minkowski check uses the support map of the
+nonlinearity |u|^{2 sigma} u for integer sigma, S -> (sigma+1) S + sigma (-S).
+Its sums of masks are computed as cyclic convolutions on one lattice whose
+period is just large enough that no sum outside the box wraps onto it (see
+:func:`minkowski_defect`): intermediate sums are never clipped, and lattice
+points whose sums exit the box never count as defects.
 """
 
 from __future__ import annotations
@@ -77,20 +78,32 @@ def _inverse(spec: np.ndarray, period: tuple[int, ...], keep: tuple[slice, ...])
     return fft.irfft(out, n=period[-1], axis=-1)[..., keep[-1]]
 
 
-def minkowski_defect(s: SupportSet, m: int) -> float:
-    """Symmetric-difference fraction |S xor (m-fold sum of S)| / |S| in the box.
+def minkowski_defect(s: SupportSet, sigma: int) -> float:
+    """Symmetric-difference fraction |S xor ((sigma+1) S + sigma (-S))| / |S| in the box.
+
+    The map is the paper's: |u|^{2 sigma} u = u^{sigma+1} conj(u)^sigma and
+    F[conj u](xi) = conj F[u](-xi), so the spectrum of the nonlinearity is a
+    convolution of sigma + 1 copies of Q_hat and sigma copies of
+    conj Q_hat(-.), supported on (sigma+1) S + sigma (-S).
 
     The centered mask occupies indices [0, N) per axis, bin i standing for the
-    lattice point i - N//2, so the m-fold sum lives on [0, m(N-1)] and the box
-    on [(m-1)(N//2), (m-1)(N//2) + N).  The sums are cyclic convolutions of
-    period P = N + (m-1)(N//2) per axis, (m+1)N/2 for the even sizes of a
-    Grid, thresholded at 1/2 after every fold so the counts stay small exact
-    integers in float64.  Reduction mod P maps Minkowski sums to cyclic
-    Minkowski sums, so the result is the linear m-fold sum reduced mod P.  At
-    this period the box lies in [0, P) and no other point of [0, m(N-1)] is
-    congruent to a box point, so the box is read off exactly; a shorter
-    period would wrap corner sums onto it.  For supports filling the truncated
-    lattice (the discretization of R^n or a half-space) the defect vanishes.
+    lattice point i - N//2.  On a lattice of period P, reflecting a real mask
+    conjugates its transform, so -S is ``base.conj()`` of the mask's own
+    transform and lies at the indices -i mod P.  A sum of sigma + 1 indices
+    of S and sigma of -S then has index t = sum i - sum j, which stands for
+    the point t - N//2 again: the box is [0, N) and the sum lives on
+    [-sigma (N-1), (sigma+1)(N-1)], overhanging the box by sigma (N-1) on
+    each side.  The period is P = (sigma+1) N per axis: the upper overhang
+    stays below P, and the lower one reduces to [N + sigma, P), so no point
+    outside the box is congruent to a box point and the box is read off
+    exactly.  (The shortest such period, (sigma+1) N - sigma, makes worse
+    transform sizes than a power of two times sigma + 1.)  The sums are
+    cyclic convolutions of period P, thresholded at 1/2 after every fold so
+    the counts stay small exact integers in float64; reduction mod P maps
+    Minkowski sums to cyclic Minkowski sums.  S - S holds the origin, so S
+    lies in the sum.  For a support filling the truncated lattice (the
+    discretization of R^n, the only nonempty open fixed point of the map) the
+    defect vanishes; a half-lattice is not fixed, as H + H - H fills the box.
 
     The transforms go axis by axis and skip what the result does not need
     (FFT pruning, Markel, IEEE Trans. Audio Electroacoust. 19, 1971), which
@@ -100,21 +113,21 @@ def minkowski_defect(s: SupportSet, m: int) -> float:
     is transformed, as the bins outside the box are never read.  The folds in
     between are transformed in full, on float buffers.
     """
-    if m < 2:
-        raise ValueError("fold count must be >= 2")
+    if sigma < 1:
+        raise ValueError("sigma must be >= 1")
     centered = np.fft.fftshift(s.mask)
     if not centered.any():
         raise ZeroFieldError("empty support mask")
-    period = tuple(n + (m - 1) * (n // 2) for n in centered.shape)
-    box = tuple(slice((m - 1) * (n // 2), (m - 1) * (n // 2) + n) for n in centered.shape)
+    period = tuple((sigma + 1) * n for n in centered.shape)
+    box = tuple(slice(0, n) for n in centered.shape)
     whole = (slice(None),) * centered.ndim
     base = _forward(centered.astype(np.float64), period)
-    acc = base * base
-    for _ in range(2, m):
+    acc = base * base  # S + S
+    for fold in range(2, 2 * sigma + 1):
         acc = _inverse(acc, period, whole)
         np.greater(acc, 0.5, out=acc)  # the fold's indicator, in place as 0.0 / 1.0
         acc = _forward(acc, period)
-        acc *= base
+        acc *= base.conj() if fold % 2 == 0 else base  # then -S, +S, .., -S
     summed = _inverse(acc, period, box) > 0.5
     return float(np.count_nonzero(centered != summed)) / float(np.count_nonzero(centered))
 
@@ -251,7 +264,9 @@ class SymmetryReport:
     symmetries (0 in one dimension). ``s2_defect``: relative size of
     Q - conj(Q(-x)) after removing the fitted affine spectral phase.
     ``modulus_rearranged_defect``: distance of |Q_hat| from its transverse
-    rearrangement.  ``minkowski_defect`` uses fold count 2 sigma + 1.
+    rearrangement.  ``minkowski_defect``: share of the support S that differs
+    from the support (sigma+1) S + sigma (-S) of the nonlinearity's spectrum,
+    inside the box (:func:`minkowski_defect`).
     """
 
     s1_defect: float
@@ -260,7 +275,6 @@ class SymmetryReport:
     phase: PhaseFit | None
     connected: bool
     minkowski_defect: float
-    fold: int
     tau: float
 
 
@@ -316,6 +330,22 @@ def _modulus_rearranged_defect(f: Field, axis: int) -> float:
     return float(np.linalg.norm(mag - rearranged) / np.linalg.norm(mag))
 
 
+def _checked_support(f: Field, tau: float) -> SupportSet:
+    norm = norm_l2(f)
+    if not math.isfinite(norm):
+        raise ValueError("symmetry report of a field with non-finite values")
+    if norm == 0.0:
+        raise ZeroFieldError("symmetry report of the zero field")
+    return support_set(f, tau)
+
+
+def _phase_or_none(f: Field, s: SupportSet) -> PhaseFit | None:
+    try:
+        return phase_affinity(f, s)  # labels the support once, for both answers
+    except DisconnectedSupportError:
+        return None
+
+
 def symmetry_report(
     f: Field,
     axis: int = 0,
@@ -330,23 +360,24 @@ def symmetry_report(
     finite (NaN or infinite values) raises ``ValueError``, and the zero field
     :class:`ZeroFieldError`.
     """
-    norm = norm_l2(f)
-    if not math.isfinite(norm):
-        raise ValueError("symmetry report of a field with non-finite values")
-    if norm == 0.0:
-        raise ZeroFieldError("symmetry report of the zero field")
-    s = support_set(f, tau)
-    try:
-        fit = phase_affinity(f, s)  # labels the support once, for both answers
-    except DisconnectedSupportError:
-        fit = None
+    s = _checked_support(f, tau)
+    fit = _phase_or_none(f, s)
     return SymmetryReport(
         s1_defect=_s1_defect(f, axis),
         s2_defect=_s2_defect(f, fit),
         modulus_rearranged_defect=_modulus_rearranged_defect(f, axis),
         phase=fit,
         connected=fit is not None,
-        minkowski_defect=minkowski_defect(s, 2 * int(sigma) + 1),
-        fold=2 * int(sigma) + 1,
+        minkowski_defect=minkowski_defect(s, int(sigma)),
         tau=tau,
     )
+
+
+def sweep_defects(f: Field, axis: int = 0, tau: float = 1e-8) -> tuple[float, float]:
+    """``(s2_defect, modulus_rearranged_defect)``, the defects a sweep row writes.
+
+    The values and errors of :func:`symmetry_report`, without its s1 and
+    Minkowski work.
+    """
+    fit = _phase_or_none(f, _checked_support(f, tau))
+    return _s2_defect(f, fit), _modulus_rearranged_defect(f, axis)

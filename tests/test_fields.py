@@ -97,7 +97,6 @@ def test_adopted_read_only_arrays_survive_every_operation(
     q2d = frozen_field(frac2d_report.Q)
     for f, axis in ((q, 0), (q2d, 1)):
         assert bw.symmetry_report(f, axis=axis).s2_defect < 1e-10
-        assert not np.any(f.zero_nyquist().spectrum[f.grid.nyquist_mask()])
         assert np.allclose(bw.norm_l2(f.shifted([0.5] * f.grid.ndim)), bw.norm_l2(f))
         rearranged = bw.fourier_rearrange(f, "modulus")
         assert np.array_equal(rearranged.spectrum, np.abs(f.spectrum))
@@ -109,7 +108,6 @@ def test_adopted_read_only_arrays_survive_every_operation(
     assert not read.values.flags.writeable
     assert np.array_equal(read.values, q2d.values)
     assert bw.symmetry_report(bw.canonicalize(read), axis=1).s2_defect < 1e-10
-    bw.write_gnf(path, read.zero_nyquist())
 
 
 def test_plancherel_random_fields():

@@ -31,12 +31,9 @@ def test_full_convolution_matches_scipy_signal(shape_a, shape_b):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_setops_suite_small():
-    result = suites.setops_suite(seed=13, trials=300)
-    assert result.passed, result.violations[:3]
-
-
 def test_run_suite_dispatch():
-    result = suites.run_suite("setops", seed=5, trials=200)
-    assert result.name == "setops"
+    result = suites.run_suite("rearrange", seed=5, trials=5)
+    assert result.name == "rearrange"
     assert result.passed
+    with pytest.raises(ValueError, match="unknown suite 'setops'"):
+        suites.run_suite("setops", seed=5)

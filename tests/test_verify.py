@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import boostedwaves as bw
+from boostedwaves import verify
 
 
 def test_support_set_gaussian_radius():
@@ -62,17 +65,17 @@ def test_minkowski_defect_full_lattice():
 
 def test_minkowski_defect_half_lattice():
     g = bw.Grid.make(64, 5.0)
-    # the lattice proxy of the open positive ray keeps the boundary bin: with
-    # it, the half-lattice is exactly closed under clipped sums
+    # the support map is S -> (sigma+1) S + sigma (-S), and H + H - H fills
+    # the box: the half-lattice [0, 32) of 32 points becomes all 64 box points
     mask_c = np.zeros(64, dtype=bool)
     mask_c[32:] = True
     s = bw.SupportSet(g, np.fft.ifftshift(mask_c), 0.5)
-    assert bw.minkowski_defect(s, 3) == 0.0
-    # dropping the boundary bin shifts the reachable minimum from 1 to 3 cells
+    assert bw.minkowski_defect(s, 3) == 1.0
+    # without the boundary bin, [1, 32) still sums to an interval covering the box
     strict = np.zeros(64, dtype=bool)
     strict[33:] = True
     s2 = bw.SupportSet(g, np.fft.ifftshift(strict), 0.5)
-    assert bw.minkowski_defect(s2, 3) == pytest.approx(2.0 / strict.sum())
+    assert bw.minkowski_defect(s2, 3) == 33 / 31
 
 
 def test_minkowski_defect_two_blobs_oracle():
@@ -81,66 +84,105 @@ def test_minkowski_defect_two_blobs_oracle():
     mask_c[4:7] = True
     mask_c[26:29] = True
     s = bw.SupportSet(g, np.fft.ifftshift(mask_c), 0.5)
-    got = bw.minkowski_defect(s, 2)
-    # brute-force dilation oracle on the 32-point lattice
-    pts = np.where(mask_c)[0] - 16
-    sums = {a + b for a in pts for b in pts}
-    in_box = {z for z in sums if -16 <= z < 16}
-    orig = {int(p) for p in pts}
-    defect = len(in_box ^ orig) / len(orig)
-    assert got == pytest.approx(defect)
-    assert got > 0.5
+    pts = [int(p) for p in np.where(mask_c)[0] - 16]
+    for sigma in (1, 2):
+        got = bw.minkowski_defect(s, sigma)
+        # brute-force signed sums on the 32-point lattice: sigma + 1 points
+        # of S minus sigma points of S
+        sums = {sum(c[:sigma + 1]) - sum(c[sigma + 1:])
+                for c in itertools.product(pts, repeat=2 * sigma + 1)}
+        in_box = {z for z in sums if -16 <= z < 16}
+        defect = len(in_box ^ set(pts)) / len(pts)
+        assert got == pytest.approx(defect)
+        assert got > 0.5
 
 
-def _set_sum_defect(mask_c, m):
-    """Defect of minkowski_defect by repeated lattice dilation, with no FFT.
+def _set_sum_defect(mask_c, sigma):
+    """Defect of minkowski_defect by repeated signed lattice dilation, with no FFT.
 
     A set of centered lattice points is a boolean array plus the point that
-    its index 0 stands for; adding the mask ORs one shifted copy of the set
-    per mask point.
+    its index 0 stands for: -N//2 per axis for S, and N//2 - (N - 1) for -S,
+    the mask flipped on every axis.  Adding a set ORs one shifted copy of the
+    sum per point of that set.
     """
     half = np.array([n // 2 for n in mask_c.shape])
-    sums, origin = mask_c, -half
-    for _ in range(m - 1):
-        grown = np.zeros(tuple(np.add(sums.shape, mask_c.shape) - 1), dtype=bool)
-        for p in np.argwhere(mask_c):
+    plus = (mask_c, -half)
+    minus = (np.flip(mask_c), half - np.array(mask_c.shape) + 1)
+    sums, origin = plus
+    for term, term_origin in [plus] * sigma + [minus] * sigma:
+        grown = np.zeros(tuple(np.add(sums.shape, term.shape) - 1), dtype=bool)
+        for p in np.argwhere(term):
             grown[tuple(slice(i, i + n) for i, n in zip(p, sums.shape))] |= sums
-        sums, origin = grown, origin - half
+        sums, origin = grown, origin + term_origin
     corner = -half - origin  # where the box's first point, -N//2 per axis, sits in sums
     in_box = sums[tuple(slice(c, c + n) for c, n in zip(corner, mask_c.shape))]
     return np.count_nonzero(in_box ^ mask_c) / np.count_nonzero(mask_c)
 
 
 @pytest.mark.parametrize("shape", [(8,), (16,), (8, 8)])
-@pytest.mark.parametrize("m", [2, 3, 5])
-def test_minkowski_defect_matches_set_sum_oracle(shape, m):
-    _check_set_sum_oracle(shape, m)
+@pytest.mark.parametrize("sigma", [1, 2, 3, 5])
+def test_minkowski_defect_matches_set_sum_oracle(shape, sigma):
+    _check_set_sum_oracle(shape, sigma)
 
 
-@pytest.mark.parametrize("shape, m", [((8, 8, 8), 2), ((8, 8, 8), 3), ((8, 16), 3),
-                                      ((16, 8), 3), ((16,), 7)])
-def test_minkowski_defect_matches_set_sum_oracle_on_every_axis(shape, m):
+@pytest.mark.parametrize("shape, sigma", [((8, 8, 8), 2), ((8, 8, 8), 3), ((8, 16), 3),
+                                          ((16, 8), 3), ((16,), 7), ((8, 8, 8), 1),
+                                          ((8, 16), 1), ((8, 16), 2), ((16, 8), 1),
+                                          ((16, 8), 2)])
+def test_minkowski_defect_matches_set_sum_oracle_on_every_axis(shape, sigma):
     # the pruned forward transform and the box-only last inverse work axis by
     # axis: 3D, unequal sizes either way round, and a deep fold
-    _check_set_sum_oracle(shape, m)
+    _check_set_sum_oracle(shape, sigma)
 
 
-def _check_set_sum_oracle(shape, m):
-    # corner bins give the extreme sums: with a period one short of
-    # (m + 1) N / 2 they alias onto the box
+def _check_set_sum_oracle(shape, sigma):
+    # corner bins give the extreme sums, -sigma (N-1) and (sigma+1)(N-1) from
+    # the box's first index: with a period shorter than (sigma+1) N - sigma
+    # they alias onto the box
     first = (0,) * len(shape)
     last = tuple(n - 1 for n in shape)
     centre = tuple(n // 2 for n in shape)
     g = bw.Grid.make(shape, 4.0)
-    for bins in ((first, last), (first, centre), (last, centre), None):
-        if bins is None:
-            mask_c = np.ones(shape, dtype=bool)
-        else:
-            mask_c = np.zeros(shape, dtype=bool)
-            for b in bins:
-                mask_c[b] = True
+    rng = np.random.default_rng(sum(shape) + 100 * sigma)
+    masks = [np.ones(shape, dtype=bool)]
+    for bins in ((first, last), (first, centre), (last, centre)):
+        masks.append(np.zeros(shape, dtype=bool))
+        for b in bins:
+            masks[-1][b] = True
+    for density in (0.05, 0.3):
+        masks.append(rng.uniform(size=shape) < density)
+        masks[-1][centre] = True
+    for mask_c in masks:
         s = bw.SupportSet(g, np.fft.ifftshift(mask_c), 0.5)
-        assert bw.minkowski_defect(s, m) == _set_sum_defect(mask_c, m), bins
+        assert bw.minkowski_defect(s, sigma) == _set_sum_defect(mask_c, sigma), np.argwhere(mask_c)
+
+
+@pytest.mark.parametrize("sigma", [1, 2])
+def test_minkowski_fold_is_the_support_of_the_nonlinearity(sigma):
+    # A spectrum on the bins of [a, b] makes the spectrum of |u|^{2 sigma} u
+    # a convolution of sigma + 1 copies of it with sigma copies of its
+    # reflected conjugate: positive terms only, so its support is the bins of
+    # ((sigma+1) a - sigma b, (sigma+1) b - sigma a), not of (2 sigma + 1) S.
+    g = bw.Grid.make(512, 20.0 * np.pi)  # frequency step 0.05, no aliasing up to 12.8
+    step = g.freq_step(0)
+    a, b = 1.05, 2.95
+    xi = g.freqs(0)
+    on = (xi >= a - step / 2) & (xi <= b + step / 2)
+    spec = np.where(on, 1.0 + np.random.default_rng(sigma).uniform(size=512), 0.0)
+    u = bw.Field.from_spectrum(g, spec.astype(complex))
+    vals = u.values
+    nonlinear = bw.Field.from_values(g, np.abs(vals) ** (2 * sigma) * vals)
+    out = bw.support_set(nonlinear, tau=1e-9)
+    lo, hi = xi[out.mask].min(), xi[out.mask].max()
+    assert abs(lo - ((sigma + 1) * a - sigma * b)) <= step
+    assert abs(hi - ((sigma + 1) * b - sigma * a)) <= step
+    assert np.all(out.mask[(xi >= lo) & (xi <= hi)])  # one interval
+    # read through its sum: S lies in the fold, and the fold fits in the box,
+    # so |fold| = |S| (1 + defect) is the number of bins of the nonlinearity
+    s = bw.support_set(u, tau=1e-9)
+    assert np.array_equal(s.mask, on)
+    fold = s.mask.sum() * (1.0 + bw.minkowski_defect(s, sigma))
+    assert fold == pytest.approx(out.mask.sum(), abs=1e-9)
 
 
 def test_phase_affinity_real_positive_spectrum():
@@ -340,11 +382,28 @@ def test_convolution_support_identity_against_dilation():
         assert np.array_equal(support, dilation)
 
 
+def test_sweep_defects_are_the_reports(classical_report, halfwave_report, frac2d_report):
+    # the two defects a sweep row writes, bit for bit, also without a phase fit
+    g = bw.Grid.make(64, 5.0)
+    spec = np.zeros(64, dtype=complex)
+    spec[[3, 4, 20, 21]] = [1.0, 0.5j, 0.7, 0.2]
+    gapped = bw.Field.from_spectrum(g, spec)
+    for f, axis, tau in ((classical_report.Q, 0, 1e-8), (halfwave_report.Q, 0, 1e-8),
+                         (frac2d_report.Q, 1, 1e-8), (gapped, 0, 1e-3)):
+        rep = bw.symmetry_report(f, axis=axis, tau=tau)
+        got = verify.sweep_defects(f, axis=axis, tau=tau)
+        assert got == (rep.s2_defect, rep.modulus_rearranged_defect)
+    assert not bw.symmetry_report(gapped, tau=1e-3).connected
+    zero = bw.Field.from_values(g, np.zeros(64, dtype=complex))
+    with pytest.raises(bw.ZeroFieldError, match="zero field"):
+        verify.sweep_defects(zero)
+    with pytest.raises(ValueError, match="non-finite"):
+        verify.sweep_defects(bw.Field.from_values(g, np.full(64, np.nan, dtype=complex)))
+
+
 def test_symmetry_report_goes_through_module_stages(frac2d_report, monkeypatch):
     # Per-layer verify tracing wraps these module attributes; one report must
     # look each of them up through the module, exactly once.
-    from boostedwaves import verify
-
     names = ("support_set", "is_connected", "phase_affinity", "minkowski_defect",
              "fourier_rearrange")
     calls = {}
