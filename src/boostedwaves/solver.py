@@ -304,7 +304,9 @@ def minimize(prob: Problem, init: Field | None = None,
     ``init`` defaults to a unit-width Gaussian carrying the phase
     exp(i v.x / 2), which keeps the iteration off the real-spectrum subspace
     when the minimizer has nontrivial phase.  Returns a report whether or not
-    the iteration converged; non-convergence is flagged, not raised.
+    the iteration converged; non-convergence is flagged, not raised.  The
+    report counts as converged only when the returned, canonicalized state
+    also has its residual within ``tol``.
     """
     opts = opts or SolveOptions()
     grid = prob.grid
@@ -412,11 +414,12 @@ def minimize(prob: Problem, init: Field | None = None,
     u = Field(grid, values=vals, spectrum=spec)
     q = canonicalize(u)
     _, _, res_final = _residual_parts(prob, q, weight)
+    # converged judges q, as canonicalize resamples an off-centre state
     return SolveReport(
         Q=q,
         J_value=weinstein(prob, q, weight),
         residual=res_final,
         iterations=iterations,
         trace=trace,
-        converged=converged,
+        converged=converged and res_final <= opts.tol,
     )

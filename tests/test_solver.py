@@ -209,6 +209,23 @@ def test_cold_solve_steps_and_quotient_are_pinned(case, grid_1d):
     assert rep.J_value == pytest.approx(j_value, rel=1e-13)
 
 
+def test_converged_is_judged_on_the_returned_state(grid_1d):
+    # From three off-centre, tilted Gaussians the loop reaches tol, but the
+    # fractional shift of canonicalize resamples the off-centre state, and the
+    # returned state's residual is about 2e-7: not converged.
+    x = grid_1d.coords(0)
+    rng = np.random.default_rng(2)
+    start = np.zeros(x.size, dtype=complex)
+    for _ in range(3):
+        centre, width, tilt, phase = rng.uniform([-3, 0.7, -1, 0], [3, 1.5, 1, 2 * np.pi])
+        start += np.exp(-((x - centre) / width) ** 2 / 2 + 1j * (tilt * x + phase))
+    prob = bw.Problem.make(bw.BoostedSymbol.make(bw.fractional(1.0, 1), 0.0), 1.0, 2, grid_1d)
+    rep = bw.minimize(prob, bw.Field.from_values(grid_1d, start))
+    assert rep.trace[-1].residual <= 1e-10
+    assert rep.residual > 1e-8
+    assert not rep.converged
+
+
 def test_minimize_transforms_go_through_module_pair(classical_problem, classical_report,
                                                     monkeypatch):
     # Per-layer FFT tracing wraps fields._phys_to_spec / fields._spec_to_phys;

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import fft
 from scipy.integrate import quad
 
 import boostedwaves as bw
@@ -122,7 +123,7 @@ def _set_sum_defect(mask_c, sigma):
 @pytest.mark.parametrize("shape", [(8,), (16,), (8, 8)])
 @pytest.mark.parametrize("sigma", [1, 2, 3, 5])
 def test_minkowski_defect_matches_set_sum_oracle(shape, sigma):
-    _check_set_sum_oracle(shape, sigma)
+    _check_masks(shape, sigma, _set_sum_defect)
 
 
 @pytest.mark.parametrize("shape, sigma", [((8, 8, 8), 2), ((8, 8, 8), 3), ((8, 16), 3),
@@ -132,10 +133,10 @@ def test_minkowski_defect_matches_set_sum_oracle(shape, sigma):
 def test_minkowski_defect_matches_set_sum_oracle_on_every_axis(shape, sigma):
     # the pruned forward transform and the box-only last inverse work axis by
     # axis: 3D, unequal sizes either way round, and a deep fold
-    _check_set_sum_oracle(shape, sigma)
+    _check_masks(shape, sigma, _set_sum_defect)
 
 
-def _check_set_sum_oracle(shape, sigma):
+def _check_masks(shape, sigma, oracle):
     # corner bins give the extreme sums, -sigma (N-1) and (sigma+1)(N-1) from
     # the box's first index: with a period shorter than (sigma+1) N - sigma
     # they alias onto the box
@@ -154,7 +155,101 @@ def _check_set_sum_oracle(shape, sigma):
         masks[-1][centre] = True
     for mask_c in masks:
         s = bw.SupportSet(g, np.fft.ifftshift(mask_c), 0.5)
-        assert bw.minkowski_defect(s, sigma) == _set_sum_defect(mask_c, sigma), np.argwhere(mask_c)
+        assert bw.minkowski_defect(s, sigma) == oracle(mask_c, sigma), np.argwhere(mask_c)
+
+
+def _reference_minkowski(mask_c, sigma):
+    """The fold thresholded at 1/2 after every factor: S + S, then -S, S, .., -S.
+
+    Full ``rfftn`` / ``irfftn`` transforms on the period-(sigma+1) N lattice,
+    so every intermediate count is a small integer.
+    """
+    period = tuple((sigma + 1) * n for n in mask_c.shape)
+    base = fft.rfftn(mask_c.astype(np.float64), s=period)
+    acc = base * base
+    for fold in range(2, 2 * sigma + 1):
+        summed = fft.irfftn(acc, s=period) > 0.5
+        acc = fft.rfftn(summed.astype(np.float64), s=period)
+        acc *= base.conj() if fold % 2 == 0 else base
+    summed = fft.irfftn(acc, s=period)[tuple(slice(0, n) for n in mask_c.shape)] > 0.5
+    return np.count_nonzero(mask_c != summed) / np.count_nonzero(mask_c)
+
+
+@pytest.fixture(scope="module")
+def frac3d_report():
+    grid = bw.Grid.make((32, 32, 32), 6 * np.pi)
+    report = bw.minimize(bw.Problem.make(
+        bw.BoostedSymbol.make(bw.fractional(1.0, 3), (0.3, 0.0, 0.0)), 1.0, 1, grid))
+    assert report.converged
+    return report
+
+
+@pytest.mark.parametrize("state, sigmas", [("classical_report", (1, 2, 3)),
+                                           ("halfwave_report", (1, 2, 3)),
+                                           ("frac2d_report", (1, 2, 3)),
+                                           ("frac3d_report", (1, 2))],
+                         ids=["1d", "halfwave", "2d", "3d"])
+def test_minkowski_fold_matches_reference_on_ground_states(state, sigmas, request):
+    s = bw.support_set(request.getfixturevalue(state).Q)
+    for sigma in sigmas:
+        assert bw.minkowski_defect(s, sigma) == _reference_minkowski(s.centered, sigma)
+
+
+@pytest.mark.parametrize("shape", [(8,), (16,), (64,), (8, 8), (8, 16), (16, 8), (32, 32),
+                                   (8, 8, 8)])
+@pytest.mark.parametrize("sigma", [1, 2, 3])
+def test_minkowski_fold_matches_reference_on_masks(shape, sigma):
+    _check_masks(shape, sigma, _reference_minkowski)
+
+
+@pytest.mark.parametrize("shape, sigma", [((16,), 7), ((8, 8, 8), 3), ((32, 32), 3)])
+def test_minkowski_fold_matches_reference_where_runs_threshold(shape, sigma, monkeypatch):
+    # the rounding bound splits the fold of the full mask into several runs
+    counted = _CountedFFT()
+    monkeypatch.setattr(verify, "fft", counted)
+    g = bw.Grid.make(shape, 4.0)
+    bw.minkowski_defect(bw.SupportSet(g, np.ones(shape, dtype=bool), 0.5), sigma)
+    assert sum(name == "rfft" for name, _ in counted.calls) > 1
+    _check_masks(shape, sigma, _reference_minkowski)
+
+
+@pytest.mark.parametrize("shape, sigma", [((64,), 7), ((256,), 7), ((64, 64), 3)])
+def test_minkowski_fold_of_a_sublattice_stays_on_it(shape, sigma):
+    # Every third lattice point: the sums stay on multiples of 3, so the
+    # defect is 0.  The counts off the sublattice are 0 next to counts of up
+    # to |S|^(2 sigma), which one unthresholded run would round to far more
+    # than 1/2 (a defect near 2).
+    points = np.indices(shape).sum(axis=0) - sum(n // 2 for n in shape)
+    mask_c = points % 3 == 0
+    s = bw.SupportSet(bw.Grid.make(shape, 4.0), np.fft.ifftshift(mask_c), 0.5)
+    assert bw.minkowski_defect(s, sigma) == 0.0 == _reference_minkowski(mask_c, sigma)
+
+
+class _CountedFFT:
+    """Stand-in for ``scipy.fft`` that records each call's name and input shape."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        inner = getattr(fft, name)
+
+        def counted(x, *args, **kwargs):
+            self.calls.append((name, x.shape))
+            return inner(x, *args, **kwargs)
+        return counted
+
+
+def test_minkowski_fold_sigma_1_is_one_transform_pair(frac2d_report, monkeypatch):
+    # the whole fold is one run: one pruned forward transform of the N mask
+    # rows and one inverse that keeps the box rows before its last axis
+    counted = _CountedFFT()
+    monkeypatch.setattr(verify, "fft", counted)
+    s = bw.support_set(frac2d_report.Q)
+    got = bw.minkowski_defect(s, 1)
+    assert counted.calls == [("rfft", (128, 128)), ("fft", (128, 129)),
+                             ("ifft", (256, 129)), ("irfft", (128, 129))]
+    assert got == _reference_minkowski(s.centered, 1)
 
 
 @pytest.mark.parametrize("sigma", [1, 2])
