@@ -16,7 +16,9 @@ N, ``fft(ifftshift(x))[k] == (-1)**k * fft(x)[k]`` and
 ``fftshift(ifft(s)) == ifft((-1)**k * s)``, per axis.  Every grid size is a
 power of two >= 8, hence even, so each grid carries one read-only table
 ``(-1)**(k_1 + ... + k_n) * scale`` per direction (the scale is the product of
-``dx_i / sqrt(2 pi)``) and the pair is one n-D FFT and one multiply.
+``dx_i / sqrt(2 pi)``) and the pair is one n-D FFT and one multiply.  A third
+table, the forward one with the Nyquist bins zeroed, band-limits a spectrum
+in that same multiply.
 
 A :class:`Field` adopts the complex128 array it is given instead of copying
 it, and lazily computed representations are shared the same way.  A caller
@@ -152,14 +154,22 @@ class Grid:
         scale = math.prod(self.spacing(i) / math.sqrt(TAU) for i in range(self.ndim))
         return _read_only(sign * scale), _read_only(sign / scale)
 
+    @cached_property
+    def _band_limited_forward(self) -> np.ndarray:
+        """The forward table with the Nyquist bins zeroed."""
+        table = np.where(self._nyquist, 0.0, self._modulation[0])
+        return _read_only(table)
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
 
 
-def _phys_to_spec(grid: Grid, values: np.ndarray) -> np.ndarray:
-    return scipy.fft.fftn(values) * grid._modulation[0]
+def _phys_to_spec(grid: Grid, values: np.ndarray, band_limited: bool = False) -> np.ndarray:
+    """Spectrum of ``values``; ``band_limited`` zeroes the Nyquist bins in the same multiply."""
+    table = grid._band_limited_forward if band_limited else grid._modulation[0]
+    return scipy.fft.fftn(values) * table
 
 
 def _spec_to_phys(grid: Grid, spectrum: np.ndarray) -> np.ndarray:
@@ -224,10 +234,27 @@ class Field:
             phase = phase + mesh * offsets[axis]
         return Field.from_spectrum(self.grid, self.spectrum * np.exp(1j * phase))
 
-    def __mul__(self, scalar):
-        return Field.from_values(self.grid, self.values * scalar)
 
-    __rmul__ = __mul__
+def real_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re <a, b> of two equal-shape arrays, summed by ``einsum`` on one thread.
+
+    A complex array is read as its (re, im) float pairs, so this is the inner
+    product of R^(2N).  ``np.linalg.norm`` and ``np.vdot`` hand large arrays
+    to BLAS, which OpenBLAS threads: on 2 CPUs single 256^2 norm calls took
+    up to 36 ms and left a worker spinning.  ``einsum`` sums with numpy's own
+    loops.
+    """
+    if np.iscomplexobj(a):
+        a = np.ascontiguousarray(a).view(np.float64)
+    if np.iscomplexobj(b):
+        b = np.ascontiguousarray(b).view(np.float64)
+    axes = list(range(a.ndim))
+    return float(np.einsum(a, axes, b, axes, []))
+
+
+def flat_norm(a: np.ndarray) -> float:
+    """2-norm of a real or complex array, on one thread (see :func:`real_dot`)."""
+    return math.sqrt(real_dot(a, a))
 
 
 def norm_l2(f: Field) -> float:

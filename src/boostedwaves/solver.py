@@ -17,12 +17,23 @@ II, Walker & Ni, SIAM J. Numer. Anal. 49, 2011).  With g_k = G(u_k) and the
 defect f_k = g_k - u_k, the differences of f and g over the last
 ``ANDERSON_DEPTH`` steps form the columns of dF and dG; the candidate is
 
-    u_{k+1} = g_k - dG c,    c = argmin ||f_k - dF c||,
+    u_{k+1} = g_k - dG c,    c = argmin ||f_k - dF c||  over real c,
 
-with c from the small normal equations dF^H dF c = dF^H f_k (``solve``;
-``lstsq`` with rcond 1e-14 only when that Gram matrix is singular).  A J
-safeguard keeps the quotient non-increasing: a candidate that raises J by
-more than 1e-12 (relative) is rejected, the history is cleared, and the
+with c from the small normal equations dF^T dF c = dF^T f_k (``solve``;
+``lstsq`` with rcond 1e-14 only when that Gram matrix is singular), where
+C^N is read as R^(2N) under Re <a, b>.  The mixing is real because the map
+is only R-linear: |u|^(2 sigma) u = u^(sigma + 1) conj(u)^sigma is not
+complex-differentiable, so its Jacobian near Q acts on u and conj(u)
+separately, and complex c would fit a C-linear model that the map does not
+have.  (On the 1D half-wave problem, v = 0.5, three random starts take
+25 - 275 iterations with real c and 1,246 - 1,568 with complex c.)  Real c
+also keeps the conjugation symmetry Q(x) = conj(Q(-x)), a real spectrum,
+which G preserves: real combinations of real spectra stay real, while
+complex coefficients let the rounding-level imaginary parts grow to 4e-11
+in warm sweep rows.
+
+A J safeguard keeps the quotient non-increasing: a candidate that raises J
+by more than 1e-12 (relative) is rejected, the history is cleared, and the
 plain step u_{k+1} = g_k is taken instead, halved against u_k (up to
 ``damp_limit`` times) while it still raises J.  Convergence is declared on
 the relative residual of the rescaled profile equation
@@ -34,11 +45,11 @@ nonlinearity; the quadratic form <(P_v + omega) u, u> is taken once from its
 spectrum.  An accepted candidate carries its spectrum, values, |u|^{2 sigma}
 and quadratic form into the next iteration, which forms |u|^{2 sigma} u,
 transforms it and computes only the unit residual.  The differences dF and dG
-live in two fixed depth-by-N buffers used as rings; one matrix product over
-the history gives the new Gram entries with the right side, and one more the
-mix dG c.  An accepted step therefore makes 2 transforms: the nonlinearity
-forward and the candidate back; a rejected one adds one per plain step or
-halving.
+live in two fixed depth-by-2N float buffers used as rings; one real matrix
+product over the history gives the new Gram entries with the right side, and
+one more the mix dG c.  An accepted step therefore makes 2 transforms: the
+nonlinearity forward (its Nyquist bins zeroed by the same table multiply) and
+the candidate back; a rejected one adds one per plain step or halving.
 
 Converged states are canonicalized: the modulus centroid is moved to the
 origin (integer roll plus exact fractional spectral shifts) and the global
@@ -55,7 +66,7 @@ import numpy as np
 
 from .errors import HypothesisViolatedError, ZeroFieldError
 from . import fields
-from .fields import Field, Grid, norm_l2
+from .fields import Field, Grid, flat_norm, real_dot
 from .symbols import BoostedSymbol, check_assumptions, dispersion_floor
 
 ANDERSON_DEPTH = 5  # differences of past iterates mixed into each step
@@ -197,9 +208,7 @@ def weinstein(prob: Problem, u: Field, weight: np.ndarray | None = None) -> floa
 
 def _nonlinear_spectrum(grid: Grid, nl_mod: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Spectrum of |u|^(2 sigma) u, given |u|^(2 sigma), with the Nyquist bins zeroed."""
-    spec = fields._phys_to_spec(grid, nl_mod * vals)
-    spec[grid.nyquist_mask()] = 0.0
-    return spec
+    return fields._phys_to_spec(grid, nl_mod * vals, band_limited=True)
 
 
 def _nonlinearity(prob: Problem, u: Field) -> Field:
@@ -216,15 +225,15 @@ def _residual_parts(prob: Problem, u: Field, weight: np.ndarray):
     """
     nl_spec = _nonlinearity(prob, u).spectrum
     lhs = weight * u.spectrum
-    lhs_norm = float(np.linalg.norm(lhs))
+    lhs_norm = flat_norm(lhs)
     if lhs_norm == 0.0:
         raise ZeroFieldError("residual of the zero field")
-    nl_norm2 = float(np.sum(np.abs(nl_spec) ** 2))
+    nl_norm2 = real_dot(nl_spec, nl_spec)
     if nl_norm2 == 0.0:
         return 1.0, 0.0, 1.0
-    kappa = float(np.real(np.vdot(nl_spec, lhs)) / nl_norm2)
-    res_opt = float(np.linalg.norm(lhs - kappa * nl_spec)) / lhs_norm
-    res_unit = float(np.linalg.norm(lhs - nl_spec)) / lhs_norm
+    kappa = real_dot(nl_spec, lhs) / nl_norm2
+    res_opt = flat_norm(lhs - kappa * nl_spec) / lhs_norm
+    res_unit = flat_norm(lhs - nl_spec) / lhs_norm
     return res_opt, kappa, res_unit
 
 
@@ -278,19 +287,6 @@ def canonicalize(f: Field) -> Field:
     return Field.from_spectrum(f.grid, spec)
 
 
-def _combine(coef: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_i coef_i rows_i for complex coefficients and rows, by one real product.
-
-    With c = a + ib, the product [a; b] @ rows (each row read as float pairs)
-    gives sum a_i r_i and sum b_i r_i, whose complex combination is the sum.
-    Two output rows make it a matrix-matrix product (see ``minimize``).
-    """
-    parts = (np.array([coef.real, coef.imag]) @ rows.view(float)).view(complex)
-    parts[1] *= 1j
-    parts[0] += parts[1]
-    return parts[0]
-
-
 def minimize(prob: Problem, init: Field | None = None,
              opts: SolveOptions | None = None) -> SolveReport:
     """Run the Anderson-accelerated fixed-point iteration to a boosted ground state.
@@ -322,26 +318,28 @@ def minimize(prob: Problem, init: Field | None = None,
     gamma = (2.0 * prob.sigma + 1.0) / (2.0 * prob.sigma)
     dxi = grid.freq_cell_volume()
 
-    u = Field.from_spectrum(grid, init.spectrum)
-    if norm_l2(u) == 0.0:
+    l2 = flat_norm(init.spectrum) * math.sqrt(dxi)
+    if l2 == 0.0:
         raise ZeroFieldError("zero initial field")
-    u = (1.0 / norm_l2(u)) * u
-    spec, vals = u.spectrum, u.values
-    del u, init  # from here on the state is carried as arrays
+    spec = init.spectrum * (1.0 / l2)
+    vals = fields._spec_to_phys(grid, spec)
+    del init  # from here on the state is carried as arrays
     j_cur, quad, nl_mod = _state(prob, spec, vals, weight)
 
     trace: list[TraceRow] = []
     converged = False
     f_prev = g_prev = None
-    # Ring buffers of the last ANDERSON_DEPTH differences, one per slot: d_f
-    # holds conj(f_i - f_{i-1}), so x @ d_f.T gives the inner products
-    # <df_i, x>.  Both products over the history take two rows at once: BLAS
-    # runs such a matrix-matrix product on one thread for a small grid, but
-    # threads a matrix-vector product over a 5 x 1024 history, which doubled
-    # the CPU time of a 1D solve for no gain in wall time (OpenBLAS, 2 CPUs).
-    d_f = np.empty((ANDERSON_DEPTH, spec.size), dtype=complex)
-    d_g = np.empty((ANDERSON_DEPTH, spec.size), dtype=complex)
-    gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH), dtype=complex)  # <df_i, df_j>
+    # Ring buffers of the last ANDERSON_DEPTH differences, one per slot, each
+    # held as its 2N floats, so x @ d_f.T gives the real inner products
+    # Re <df_i, x>.  Both products over the history take two rows at once:
+    # BLAS runs such a matrix-matrix product on one thread for a small grid,
+    # but threads a matrix-vector product over a 5 x 1024 history, which
+    # doubled the CPU time of a 1D solve for no gain in wall time (OpenBLAS,
+    # 2 CPUs).  mix holds c in its first row and zeros in its second.
+    d_f = np.empty((ANDERSON_DEPTH, 2 * spec.size))
+    d_g = np.empty((ANDERSON_DEPTH, 2 * spec.size))
+    gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))  # Re <df_i, df_j>
+    mix = np.zeros((2, ANDERSON_DEPTH))
     count = 0  # differences recorded since the history was last cleared
     iterations = 0
 
@@ -377,15 +375,15 @@ def minimize(prob: Problem, init: Field | None = None,
             slot = count % ANDERSON_DEPTH
             count += 1
             m = min(count, ANDERSON_DEPTH)
-            pair = np.empty((2, spec.size), dtype=complex)  # rows: df_new, f
-            np.subtract(f, f_prev, out=pair[0].reshape(grid.sizes))
-            pair[1] = f.reshape(-1)
-            np.conjugate(pair[0], out=d_f[slot])
-            np.subtract(g, g_prev, out=d_g[slot].reshape(grid.sizes))
+            pair = np.empty((2, 2 * spec.size))  # rows: df_new, f
+            np.subtract(f, f_prev, out=pair[0].view(complex).reshape(grid.sizes))
+            pair[1] = f.view(float).reshape(-1)
+            d_f[slot] = pair[0]
+            np.subtract(g, g_prev, out=d_g[slot].view(complex).reshape(grid.sizes))
             col, rhs = pair @ d_f[:m].T
             del pair  # freed before the candidate is formed, where memory peaks
             gram[:m, slot] = col
-            gram[slot, :m] = col.conj()
+            gram[slot, :m] = col
         f_prev, g_prev = f, g
         slack = 1e-12 * max(1.0, abs(j_cur))
         if m:
@@ -393,7 +391,8 @@ def minimize(prob: Problem, init: Field | None = None,
                 coef = np.linalg.solve(gram[:m, :m], rhs)
             except np.linalg.LinAlgError:  # exactly singular: a repeated difference
                 coef = np.linalg.lstsq(gram[:m, :m], rhs, rcond=1e-14)[0]
-            cand = g - _combine(coef, d_g[:m]).reshape(grid.sizes)
+            mix[0, :m] = coef
+            cand = g - (mix[:, :m] @ d_g[:m])[0].view(complex).reshape(grid.sizes)
             cand_vals = fields._spec_to_phys(grid, cand)
             j_new, quad_new, nl_new = _state(prob, cand, cand_vals, weight)
             row.accelerated = j_new <= j_cur + slack

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import fft, ndimage
 
 from .errors import DisconnectedSupportError, ZeroFieldError
-from .fields import TAU, Field, norm_l2
+from .fields import TAU, Field, flat_norm, norm_l2
 from .rearrange import fourier_rearrange
 
 
@@ -364,30 +364,17 @@ def _reflect_axis(arr: np.ndarray, axis: int) -> np.ndarray:
     return np.roll(np.flip(arr, axis=axis), 1, axis=axis)
 
 
-def _norm(a: np.ndarray) -> float:
-    """2-norm of a real or complex array, summed by ``einsum`` on one thread.
-
-    ``np.linalg.norm`` hands large arrays to BLAS ``ddot``, which OpenBLAS
-    threads: on 2 CPUs single 256^2 calls took 17 - 36 ms and left a worker
-    spinning.  ``einsum`` sums with numpy's own loops.
-    """
-    if np.iscomplexobj(a):
-        a = np.ascontiguousarray(a).view(np.float64)  # (re, im) pairs
-    axes = list(range(a.ndim))
-    return math.sqrt(float(np.einsum(a, axes, a, axes, [])))
-
-
 def _s1_defect(f: Field, axis: int) -> float:
     grid = f.grid
     if grid.ndim == 1:
         return 0.0
     vals = f.values
-    denom = _norm(vals)
+    denom = flat_norm(vals)
     worst = 0.0
     transverse = [i for i in range(grid.ndim) if i != axis]
     for t in transverse:
         refl = _reflect_axis(vals, t)
-        worst = max(worst, _norm(vals - refl) / denom)
+        worst = max(worst, flat_norm(vals - refl) / denom)
     if len(transverse) == 2:
         t0, t1 = transverse
         same_geometry = (
@@ -396,7 +383,7 @@ def _s1_defect(f: Field, axis: int) -> float:
         )
         if same_geometry:
             swapped = np.swapaxes(vals, t0, t1)
-            worst = max(worst, _norm(vals - swapped) / denom)
+            worst = max(worst, flat_norm(vals - swapped) / denom)
     return worst
 
 
@@ -412,7 +399,7 @@ def _s2_defect(f: Field, fit: PhaseFit | None) -> float:
         for axis in range(1, ndim):
             spec *= _broadcast(factors[axis], axis, ndim)
     # conjugation symmetry Q(x) = conj(Q(-x)) is exactly realness of Q_hat
-    return 2.0 * _norm(spec.imag) / _norm(spec)
+    return 2.0 * flat_norm(spec.imag) / flat_norm(spec)
 
 
 def _modulus_rearranged_defect(f: Field, axis: int) -> float:
@@ -421,7 +408,7 @@ def _modulus_rearranged_defect(f: Field, axis: int) -> float:
         return 0.0
     mag = np.abs(f.spectrum)
     rearranged = np.abs(fourier_rearrange(f, "axial", axis=axis).spectrum)
-    return _norm(mag - rearranged) / _norm(mag)
+    return flat_norm(mag - rearranged) / flat_norm(mag)
 
 
 def _checked_support(f: Field, tau: float) -> SupportSet:

@@ -430,6 +430,15 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def _half_wave_cfg(tmp_path, size):
+    """The classical config with the half-wave symbol, ``size`` points on [-20 pi, 20 pi)."""
+    path = tmp_path / "half_wave.cfg"
+    path.write_text(CLASSICAL.replace("fractional; s = 1.0", "half_wave")
+                    .replace("sizes = 512", f"sizes = {size}")
+                    .replace("L = 75.39822368615503", f"L = {20 * np.pi!r}"))
+    return path
+
+
 @pytest.fixture()
 def traced_minimize(monkeypatch):
     """Record each sweep solve: the problem, whether it started cold, its report."""
@@ -456,10 +465,7 @@ def test_sweep_continuation_matches_cold_solves(tmp_path, capsys, traced_minimiz
                                                 param, span, cold_rows):
     # The half-wave ground state takes ~14 cold iterations here; the classical
     # one converges in ~10 from the Gaussian, which leaves continuation no room.
-    path = tmp_path / "half_wave.cfg"
-    path.write_text(CLASSICAL.replace("fractional; s = 1.0", "half_wave")
-                    .replace("sizes = 512", "sizes = 256")
-                    .replace("L = 75.39822368615503", f"L = {20 * np.pi!r}"))
+    path = _half_wave_cfg(tmp_path, 256)
     out = tmp_path / "sweep"
     assert run("sweep", "--config", path, "--param", param, "--range", span,
                "--out", out) == 0
@@ -482,6 +488,20 @@ def test_sweep_continuation_matches_cold_solves(tmp_path, capsys, traced_minimiz
         assert warm_total < cold_total
     summary = f"{len(solved)}/7 rows converged, {warm_total} iterations -> "
     assert summary in capsys.readouterr().out
+
+
+def test_sweep_rows_keep_the_conjugation_symmetry(tmp_path):
+    # The map preserves Q(x) = conj(Q(-x)), i.e. a real spectrum (s2 = 0), and
+    # so does real Anderson mixing.  Complex mixing let warm rows drift to
+    # s2 = 4e-11 here.
+    path = _half_wave_cfg(tmp_path, 1024)
+    out = tmp_path / "sweep"
+    assert run("sweep", "--config", path, "--param", "v", "--range", "0:0.25:6",
+               "--out", out) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    column = lines[0].split(",").index("s2_defect")
+    s2 = [float(line.split(",")[column]) for line in lines[1:]]
+    assert len(s2) == 6 and max(s2) <= 1e-14
 
 
 @pytest.mark.parametrize("outcome", ["unconverged", "raises"])

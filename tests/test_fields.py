@@ -64,9 +64,16 @@ def test_transform_pair_matches_shifted_reference(sizes, half_lengths):
     assert np.max(np.abs(phys - phys_ref)) <= 1e-13 * np.max(np.abs(phys_ref))
     assert np.array_equal(x, x_before)  # neither direction writes its input
 
+    # the band-limited forward transform is the spectrum with the Nyquist bins zeroed
+    band = fields._phys_to_spec(g, x, band_limited=True)
+    nyquist = g.nyquist_mask()
+    assert np.all(band[nyquist] == 0)
+    assert np.array_equal(band[~nyquist], spec[~nyquist])
+
     # the per-grid tables are computed once and shared read-only
-    cached = (*g._modulation, g.nyquist_mask())
-    assert all(a is b for a, b in zip(cached, (*g._modulation, g.nyquist_mask())))
+    cached = (*g._modulation, g._band_limited_forward, g.nyquist_mask())
+    again = (*g._modulation, g._band_limited_forward, g.nyquist_mask())
+    assert all(a is b for a, b in zip(cached, again))
     for table in cached:
         assert table.shape == g.sizes and not table.flags.writeable
         with pytest.raises(ValueError):
