@@ -11,14 +11,21 @@ which makes the discrete transform unitary between the quadrature norms:
 ``sum |u|^2 dx^n == sum |u_hat|^2 dxi^n`` to rounding.
 
 Every transform goes through one pair, ``_phys_to_spec`` and ``_spec_to_phys``
-(``scipy.fft``).  The centering shifts are folded into a modulation: for even
+(``numpy.fft``).  The centering shifts are folded into a modulation: for even
 N, ``fft(ifftshift(x))[k] == (-1)**k * fft(x)[k]`` and
 ``fftshift(ifft(s)) == ifft((-1)**k * s)``, per axis.  Every grid size is a
 power of two >= 8, hence even, so each grid carries one read-only table
 ``(-1)**(k_1 + ... + k_n) * scale`` per direction (the scale is the product of
-``dx_i / sqrt(2 pi)``) and the pair is one n-D FFT and one multiply.  A third
-table, the forward one with the Nyquist bins zeroed, band-limits a spectrum
-in that same multiply.
+``dx_i / sqrt(2 pi)``) and the pair is one n-D FFT and one multiply.  Equal
+grids share these tables, so a grid read again from a file does not rebuild
+them.  A third table, the forward one with the Nyquist bins zeroed,
+band-limits a spectrum in that same multiply.
+
+Each direction makes one new array and works in it: the forward transform
+writes into it with ``out=`` and is then multiplied by its table in place, and
+the inverse transforms ``spectrum * table`` in place.  Without ``out=``,
+``numpy.fft.fftn`` allocates a new array per axis, which made a 256^2
+transform about twice as slow.
 
 A :class:`Field` adopts the complex128 array it is given instead of copying
 it, and lazily computed representations are shared the same way.  A caller
@@ -31,10 +38,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.fft
 
 from .errors import GnfFormatError
 
@@ -146,13 +152,10 @@ class Grid:
             mask[tuple(sl)] = True
         return _read_only(mask)
 
-    @cached_property
+    @property
     def _modulation(self) -> tuple[np.ndarray, np.ndarray]:
         """(forward, inverse) tables (-1)**(k_1 + ... + k_n) * scale**(+-1)."""
-        parity = sum(np.indices(self.sizes, sparse=True)) % 2
-        sign = 1.0 - 2.0 * parity
-        scale = math.prod(self.spacing(i) / math.sqrt(TAU) for i in range(self.ndim))
-        return _read_only(sign * scale), _read_only(sign / scale)
+        return _modulation_tables(self)
 
     @cached_property
     def _band_limited_forward(self) -> np.ndarray:
@@ -166,14 +169,30 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@lru_cache(maxsize=4)
+def _modulation_tables(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The modulation tables of ``grid``, built once per distinct grid.
+
+    Grids compare by sizes and half-lengths, so every equal grid gets the same
+    two read-only arrays.
+    """
+    parity = sum(np.indices(grid.sizes, sparse=True)) % 2
+    sign = 1.0 - 2.0 * parity
+    scale = math.prod(grid.spacing(i) / math.sqrt(TAU) for i in range(grid.ndim))
+    return _read_only(sign * scale), _read_only(sign / scale)
+
+
 def _phys_to_spec(grid: Grid, values: np.ndarray, band_limited: bool = False) -> np.ndarray:
     """Spectrum of ``values``; ``band_limited`` zeroes the Nyquist bins in the same multiply."""
     table = grid._band_limited_forward if band_limited else grid._modulation[0]
-    return scipy.fft.fftn(values) * table
+    spec = np.fft.fftn(values, out=np.empty(grid.sizes, dtype=np.complex128))
+    spec *= table
+    return spec
 
 
 def _spec_to_phys(grid: Grid, spectrum: np.ndarray) -> np.ndarray:
-    return scipy.fft.ifftn(spectrum * grid._modulation[1], overwrite_x=True)
+    vals = spectrum * grid._modulation[1]
+    return np.fft.ifftn(vals, out=vals)
 
 
 class Field:

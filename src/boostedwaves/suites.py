@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .fields import Field, Grid, norm_l2, norm_lp, quad_form
 from .rearrange import fourier_rearrange, steiner_array
@@ -123,7 +122,9 @@ def _compact_nonneg(rng, shape, radius) -> np.ndarray:
 def _convolve_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of two real arrays, by zero-padded real FFTs."""
     shape = tuple(np.add(a.shape, b.shape) - 1)
-    return scipy.fft.irfftn(scipy.fft.rfftn(a, shape) * scipy.fft.rfftn(b, shape), shape)
+    axes = tuple(range(a.ndim))
+    spec = np.fft.rfftn(a, shape, axes) * np.fft.rfftn(b, shape, axes)
+    return np.fft.irfftn(spec, shape, axes)
 
 
 def _linear_conv_at_zero(factors) -> float:

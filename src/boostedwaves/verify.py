@@ -11,8 +11,10 @@ points whose sums exit the box never count as defects.  The convolutions
 count the ways to reach each point, exact integers up to rounding; they are
 thresholded at 1/2 only where an a-priori bound on that rounding (Higham,
 Thm 24.2) could reach 1/4.  On the 1D and 2D ground states at sigma = 1 the
-fold is one pruned forward and one box-only inverse transform.  The centered
-mask is shifted once per :class:`SupportSet`.
+fold is one pruned forward and one box-only inverse transform, by
+``numpy.fft`` in one zero-padded buffer.  Connectivity is counted on the runs
+of the mask along its last axis (:func:`is_connected`).  The centered mask is
+shifted once per :class:`SupportSet`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import fft, ndimage
+from numpy import fft
 
 from .errors import DisconnectedSupportError, ZeroFieldError
 from .fields import TAU, Field, flat_norm, norm_l2
@@ -53,39 +55,119 @@ def support_set(f: Field, tau: float = 1e-8) -> SupportSet:
     return SupportSet(f.grid, mag > tau * top, tau)
 
 
-def _face_structure(ndim: int) -> np.ndarray:
-    return ndimage.generate_binary_structure(ndim, 1)
+def _line_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat keys of the starts and ends of the runs of True along the last axis.
+
+    The mask is read as lines along its last axis, of M points each; a point
+    at position p of line l has key l (M + 1) + p, so a run [s, e) on line l
+    has the start key l (M + 1) + s and the end key l (M + 1) + e.  Both key
+    arrays are ascending, and a run never crosses a line since position M,
+    past every line's end, is never True.
+    """
+    m = mask.shape[-1]
+    padded = np.zeros((mask.size // m, m + 1), dtype=np.int8)
+    padded[:, :m] = mask.reshape(-1, m)
+    step = np.diff(padded.ravel(), prepend=np.int8(0))
+    return np.flatnonzero(step == 1), np.flatnonzero(step == -1)
+
+
+def _run_contacts(shape: tuple[int, ...], starts: np.ndarray,
+                  ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j) of runs that share a face: adjacent lines, overlapping spans.
+
+    Along an axis a other than the last, line l' = l + stride_a is the
+    neighbour of line l one step up.  The runs of l' that overlap the run
+    [s, e) of l are those ending after s and starting before e.  The runs of
+    a line are disjoint and sorted, so these are the runs from the first end
+    key above l' (M + 1) + s to the last start key below l' (M + 1) + e,
+    found by ``searchsorted``; no key of another line lies between the two.
+    """
+    width = shape[-1] + 1
+    line, first = np.divmod(starts, width)
+    last = ends - line * width
+    lead = shape[:-1]
+    pairs_i, pairs_j = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for axis, n in enumerate(lead):
+        stride = math.prod(lead[axis + 1:])
+        runs = np.flatnonzero(line // stride % n < n - 1)  # their line has a neighbour
+        base = (line[runs] + stride) * width
+        lo = np.searchsorted(ends, base + first[runs], side="right")
+        hi = np.searchsorted(starts, base + last[runs], side="left")
+        count = np.maximum(hi - lo, 0)
+        pairs_i.append(np.repeat(runs, count))
+        # lo, lo + 1, .., hi - 1 for each run, concatenated
+        pairs_j.append(np.repeat(lo + count - np.cumsum(count), count) + np.arange(count.sum()))
+    return np.concatenate(pairs_i), np.concatenate(pairs_j)
+
+
+def _component_count(nodes: int, i: np.ndarray, j: np.ndarray) -> int:
+    """Connected components of the graph on ``nodes`` nodes with edges (i, j).
+
+    Hooking and pointer jumping (Shiloach & Vishkin, J. Algorithms 3, 1982):
+    ``parent`` points from each node to a node of no larger index in its
+    component.  Each round first jumps every pointer to its root, then hooks
+    the larger root of each edge whose ends have different roots under the
+    smaller one, so the number of roots falls in every round until each
+    component has one.
+    """
+    parent = np.arange(nodes)
+    while True:
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        root_i, root_j = parent[i], parent[j]
+        split = root_i != root_j
+        if not split.any():
+            return int(np.count_nonzero(parent == np.arange(nodes)))
+        np.minimum.at(parent, np.maximum(root_i, root_j)[split],
+                      np.minimum(root_i, root_j)[split])
 
 
 def is_connected(s: SupportSet) -> bool:
-    """Flood fill over face-adjacent lattice cells; True iff one component."""
-    centered = s.centered
-    _, count = ndimage.label(centered, structure=_face_structure(centered.ndim))
-    return count == 1
+    """True iff the face-adjacent lattice cells of the mask form one component.
+
+    The nodes are the runs of True along the last axis of the centered mask.
+    Two runs are joined when their lines are neighbours along another axis
+    and their spans overlap (:func:`_run_contacts`); without periodic wrap,
+    as the centered lattice approximates the continuum.  An empty mask has no
+    component.
+    """
+    starts, ends = _line_runs(s.centered)
+    i, j = _run_contacts(s.centered.shape, starts, ends)
+    return _component_count(starts.size, i, j) == 1
 
 
 def _forward(x: np.ndarray, period: tuple[int, ...]) -> np.ndarray:
-    """``rfftn(x, s=period)`` one axis at a time.
+    """``rfftn(x, s=period)`` one axis at a time, in one zero-padded buffer.
 
     ``rfft`` along the last axis runs on the rows of ``x`` only, since the
-    rows that zero padding to ``period`` adds transform to zero; each other
-    axis is then zero-padded to its period by ``fft``.
+    rows that zero padding to ``period`` adds transform to zero, and writes
+    into the corner of the buffer that those rows occupy.  Each other axis is
+    then transformed in place, over its whole period but only on the rows of
+    the axes after it that are not zero yet.
     """
-    out = fft.rfft(x, n=period[-1], axis=-1)
+    out = np.zeros(period[:-1] + (period[-1] // 2 + 1,), dtype=np.complex128)
+    rows = tuple(slice(0, n) for n in x.shape[:-1])
+    fft.rfft(x, n=period[-1], axis=-1, out=out[rows])
     for axis in range(x.ndim - 1):
-        out = fft.fft(out, n=period[axis], axis=axis, overwrite_x=True)
+        part = out[(slice(None),) * (axis + 1) + rows[axis + 1:]]
+        fft.fft(part, axis=axis, out=part)
     return out
 
 
 def _inverse(spec: np.ndarray, period: tuple[int, ...], keep: tuple[slice, ...]) -> np.ndarray:
-    """``irfftn(spec, s=period)[keep]`` one axis at a time.
+    """``irfftn(spec, s=period)[keep]`` one axis at a time; overwrites ``spec``.
 
-    After the inverse along an axis its outputs are independent, so only the
-    slice ``keep`` of that axis goes on to the transforms of the next axes.
+    Each axis is inverted in place.  Its outputs are then independent, so
+    only the slice ``keep`` of that axis goes on to the transforms of the
+    next axes.
     """
     out = spec
     for axis in range(spec.ndim - 1):
-        out = fft.ifft(out, axis=axis, overwrite_x=True)[(slice(None),) * axis + (keep[axis],)]
+        fft.ifft(out, axis=axis, out=out)
+        out = out[(slice(None),) * axis + (keep[axis],)]
     return fft.irfft(out, n=period[-1], axis=-1)[..., keep[-1]]
 
 
@@ -100,12 +182,13 @@ def _run_rounding_bound(factors: int, start: float, size: int, lattice: int) -> 
     eps = log2(M) eta to first order, eta = mu + gamma_4 (sqrt 2 + mu), with
     mu the error of the computed twiddle factors; the same stage-by-stage
     count bounds each output of F[S] by eps |S|, as the sub-transforms of one
-    stage partition S.  pocketfft takes each twiddle as a product of two
-    table entries from cos and sin after octant reduction, assumed within
-    mu = 4u of exact (u = 2^-53), so eta <= 9.7u.  We take c = 10 per factor
-    of 2 of M: an axis-by-axis transform sums log2 over its axes, and the
-    radix-3, 5 and 7 and real-input passes of pocketfft are assumed to stay
-    within a radix-2 pass per factor of 2.  The k forward errors, each times
+    stage partition S.  pocketfft (the C++ library behind ``numpy.fft``)
+    takes each twiddle as a product of two table entries from cos and sin
+    after octant reduction, assumed within mu = 4u of exact (u = 2^-53), so
+    eta <= 9.7u.  We take c = 10 per factor of 2 of M: an axis-by-axis
+    transform sums log2 over its axes, and the radix-3, 5 and 7 and
+    real-input passes of pocketfft are assumed to stay within a radix-2 pass
+    per factor of 2.  The k forward errors, each times
     the other factors (|F[S]| <= |S| pointwise, ||F[start]||_2 = sqrt(M
     start)), and the inverse error, on counts of 2-norm at most sqrt(start)
     |S|^(k-1), add up to (k + 1) c log2(M) u sqrt(start) |S|^(k-1).  The

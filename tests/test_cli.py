@@ -1,4 +1,5 @@
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import replace
@@ -423,11 +424,52 @@ def test_removed_flags_are_rejected(classical_cfg, tmp_path, capsys, command, fl
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
+def _run_python(code: str, *args) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this package's source."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, boostedwaves.cli; assert 'scipy.signal' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env, check=True,
+                          capture_output=True, text=True)
+
+
+def test_cli_and_1d_runs_leave_scipy_unloaded(classical_cfg, tmp_path):
+    # numpy.fft and the run-length connectivity serve every transform and
+    # label of a 1D solve and sweep; scipy is imported only where used
+    code = (
+        "import sys\n"
+        "from boostedwaves import cli\n"
+        "cfg, out = sys.argv[1:]\n"
+        "assert cli.main(['solve', '--config', cfg, '--out', out]) == 0\n"
+        "assert cli.main(['sweep', '--config', cfg, '--out', out, '--param', 'v',\n"
+        "                 '--range', '0:0.4:3']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = _run_python(code, classical_cfg, tmp_path / "run")
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap thresholds are glibc's")
+def test_repeated_verify_maps_no_fresh_pages(tmp_path):
+    # With the heap thresholds fixed, a second report of a 256^2 ground state
+    # reuses the pages of the first one's temporaries.  A fresh process that
+    # only verifies maps about 2,200 fresh pages per report without them.
+    cfg = tmp_path / "frac2d.cfg"
+    cfg.write_text("symbol = fractional; s = 1\nn = 2\nsizes = 256\nL = 25.132741228718345\n"
+                   "v = 0.3\nomega = 1\nsigma = 1\n")
+    out = tmp_path / "run"
+    assert run("solve", "--config", cfg, "--out", out) == 0
+    code = (
+        "import resource, sys\n"
+        "from boostedwaves import cli\n"
+        "cfg, out = sys.argv[1:]\n"
+        "verify = ['verify', '--config', cfg, '--out', out, '--field', out + '/Q.gnf']\n"
+        "cli.main(verify)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "cli.main(verify)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    proc = _run_python(code, cfg, out)
+    assert int(proc.stdout.splitlines()[-1]) <= 50
 
 
 def _half_wave_cfg(tmp_path, size):

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy import fft
+from scipy import fft, ndimage
 from scipy.integrate import quad
 
 import boostedwaves as bw
@@ -56,6 +56,86 @@ def test_is_connected_joined_tubes():
     mask_c[16:, 12:20] = True   # right tube, overlapping rows at the seam
     mask = np.fft.ifftshift(mask_c)
     assert bw.is_connected(bw.SupportSet(g, mask, 0.5))
+
+
+def _spiral(n: int) -> np.ndarray:
+    """A one-cell-wide square spiral on an n x n lattice, arms two cells apart."""
+    mask = np.zeros((n, n), dtype=bool)
+    r = c = 0
+    mask[r, c] = True
+    arms = [n - 1] * 3 + [k for k in range(n - 3, 0, -2) for _ in range(2)]
+    for turn, length in enumerate(arms):
+        dr, dc = ((0, 1), (1, 0), (0, -1), (-1, 0))[turn % 4]
+        for _ in range(length):
+            r, c = r + dr, c + dc
+            mask[r, c] = True
+    return mask
+
+
+def _hilbert(order: int) -> np.ndarray:
+    """The Hilbert curve of the given order, drawn one cell wide with one-cell gaps."""
+    n = 1 << order
+    points = []
+    for d in range(n * n):
+        x = y = 0
+        step = 1
+        while step < n:
+            rx = 1 & (d // 2)
+            ry = 1 & (d ^ rx)
+            if ry == 0:
+                if rx == 1:
+                    x, y = step - 1 - x, step - 1 - y
+                x, y = y, x
+            x, y = x + step * rx, y + step * ry
+            d //= 4
+            step *= 2
+        points.append((x, y))
+    mask = np.zeros((2 * n - 1, 2 * n - 1), dtype=bool)
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        mask[2 * x0, 2 * y0] = mask[x0 + x1, y0 + y1] = mask[2 * x1, 2 * y1] = True
+    return mask
+
+
+def _connectivity_masks():
+    """Centered masks for the connectivity check, named by what they exercise."""
+    rng = np.random.default_rng(2024)
+    for k in range(300):
+        ndim = 1 + k % 3
+        shape = tuple(int(n) for n in rng.integers(1, (40, 16, 9)[ndim - 1], size=ndim))
+        yield f"random{k}", rng.uniform(size=shape) < rng.uniform(0.2, 0.9)
+    for shape in ((1, 9), (9, 1), (3, 1, 5), (1, 1, 1), (1,), (7,)):
+        yield f"thin{shape}", rng.uniform(size=shape) < 0.7
+        yield f"empty{shape}", np.zeros(shape, dtype=bool)
+        yield f"full{shape}", np.ones(shape, dtype=bool)
+    for shape in ((6, 6), (7, 5), (4, 4, 4)):
+        # cells touch only along diagonals: one component per cell
+        yield f"checkerboard{shape}", np.indices(shape).sum(axis=0) % 2 == 0
+    # long paths whose run numbering makes the roots hook over several
+    # rounds: two for the spirals, two to five for the Hilbert curves
+    for n in (7, 15, 31):
+        spiral = _spiral(n)
+        yield f"spiral{n}", spiral
+        yield f"spiral{n}.T", spiral.T.copy()
+        cut = spiral.copy()
+        cut[n // 2, -1] = False
+        yield f"spiral{n}-cut", cut
+    for order in (2, 3, 4):
+        curve = _hilbert(order)
+        yield f"hilbert{order}", curve
+        yield f"hilbert{order}.T", curve.T.copy()
+        yield f"hilbert{order}x3", np.stack([curve, ~curve, curve])
+
+
+def test_is_connected_matches_ndimage_label():
+    # components of the face-adjacency graph, counted by scipy's flood fill
+    for name, mask_c in _connectivity_masks():
+        faces = ndimage.generate_binary_structure(mask_c.ndim, 1)
+        want = ndimage.label(mask_c, structure=faces)[1]
+        starts, ends = verify._line_runs(mask_c)
+        pairs = verify._run_contacts(mask_c.shape, starts, ends)
+        assert verify._component_count(starts.size, *pairs) == want, name
+        s = bw.SupportSet(None, np.fft.ifftshift(mask_c), 0.5)
+        assert bw.is_connected(s) == (want == 1), name
 
 
 def test_minkowski_defect_full_lattice():
@@ -226,13 +306,13 @@ def test_minkowski_fold_of_a_sublattice_stays_on_it(shape, sigma):
 
 
 class _CountedFFT:
-    """Stand-in for ``scipy.fft`` that records each call's name and input shape."""
+    """Stand-in for ``numpy.fft`` that records each call's name and input shape."""
 
     def __init__(self):
         self.calls = []
 
     def __getattr__(self, name):
-        inner = getattr(fft, name)
+        inner = getattr(np.fft, name)
 
         def counted(x, *args, **kwargs):
             self.calls.append((name, x.shape))
@@ -242,12 +322,13 @@ class _CountedFFT:
 
 def test_minkowski_fold_sigma_1_is_one_transform_pair(frac2d_report, monkeypatch):
     # the whole fold is one run: one pruned forward transform of the N mask
-    # rows and one inverse that keeps the box rows before its last axis
+    # rows, whose axis-0 pass runs in place on the zero-padded buffer, and
+    # one inverse that keeps the box rows before its last axis
     counted = _CountedFFT()
     monkeypatch.setattr(verify, "fft", counted)
     s = bw.support_set(frac2d_report.Q)
     got = bw.minkowski_defect(s, 1)
-    assert counted.calls == [("rfft", (128, 128)), ("fft", (128, 129)),
+    assert counted.calls == [("rfft", (128, 128)), ("fft", (256, 129)),
                              ("ifft", (256, 129)), ("irfft", (128, 129))]
     assert got == _reference_minkowski(s.centered, 1)
 
