@@ -449,6 +449,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"bad sweep range {args.range!r}; expected start:stop:count")
     if count < 1:
         raise ConfigError("empty sweep range")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"sweep range bounds must be finite, got {args.range!r}")
     values = np.linspace(start, stop, count)
     chains = [values[i:i + SWEEP_CHAIN] for i in range(0, count, SWEEP_CHAIN)]
 

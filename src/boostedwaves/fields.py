@@ -16,16 +16,24 @@ N, ``fft(ifftshift(x))[k] == (-1)**k * fft(x)[k]`` and
 ``fftshift(ifft(s)) == ifft((-1)**k * s)``, per axis.  Every grid size is a
 power of two >= 8, hence even, so each grid carries one read-only table
 ``(-1)**(k_1 + ... + k_n) * scale`` per direction (the scale is the product of
-``dx_i / sqrt(2 pi)``) and the pair is one n-D FFT and one multiply.  Equal
-grids share these tables, so a grid read again from a file does not rebuild
-them.  A third table, the forward one with the Nyquist bins zeroed,
-band-limits a spectrum in that same multiply.
+``dx_i / sqrt(2 pi)``) and the pair is one n-D FFT and one multiply.  A third
+table, the forward one with the Nyquist bins zeroed, band-limits a spectrum in
+that same multiply.
 
-Each direction makes one new array and works in it: the forward transform
-writes into it with ``out=`` and is then multiplied by its table in place, and
-the inverse transforms ``spectrum * table`` in place.  Without ``out=``,
-``numpy.fft.fftn`` allocates a new array per axis, which made a 256^2
+The n-D FFT is one ``numpy.fft.fft`` (or ``ifft``) call per axis, last axis
+first, which is the order and the arithmetic of ``fftn``/``ifftn``, so the
+result is bit-identical to theirs.  ``fftn``'s own argument handling costs
+about 4 us of a 20 us transform of 1,024 points, where a sweep row spends its
+time.  Each direction makes one new array and works in it: the forward
+transform writes every axis into it with ``out=`` and is then multiplied by
+its table in place, and the inverse transforms ``spectrum * table`` in place.
+Without ``out=``, numpy allocates a new array per axis, which made a 256^2
 transform about twice as slow.
+
+Equal grids share one set of read-only tables (:func:`_grid_tables`): the
+modulation tables and the axes that :meth:`Grid.coords`, :meth:`Grid.freqs`,
+:meth:`Grid.coord_mesh` and :meth:`Grid.freq_mesh` return.  A grid read again
+from a file, or rebuilt for every row of a sweep, builds none of them again.
 
 A :class:`Field` adopts the complex128 array it is given instead of copying
 it, and lazily computed representations are shared the same way.  A caller
@@ -39,6 +47,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,21 +113,24 @@ class Grid:
     def freq_step(self, axis: int) -> float:
         return np.pi / self.half_lengths[axis]
 
+    # The axes and meshes below are shared read-only arrays (see _grid_tables):
+    # compute with them, do not write into them.
+
     def coords(self, axis: int) -> np.ndarray:
-        n = self.sizes[axis]
-        return (np.arange(n) - n // 2) * self.spacing(axis)
+        """Centered coordinates (k - N//2) dx of one axis."""
+        return self._tables.coords[axis]
 
     def freqs(self, axis: int) -> np.ndarray:
-        # fftfreq(N, d=dx) * 2*pi == pi*k/L in FFT storage order
-        return TAU * np.fft.fftfreq(self.sizes[axis], d=self.spacing(axis))
+        """Frequencies pi k / L of one axis, in FFT order."""
+        return self._tables.freqs[axis]
 
-    def coord_mesh(self):
-        axes = [self.coords(i) for i in range(self.ndim)]
-        return np.meshgrid(*axes, indexing="ij", sparse=True)
+    def coord_mesh(self) -> tuple[np.ndarray, ...]:
+        """The coordinates as a sparse ``ij`` mesh, one broadcastable array per axis."""
+        return self._tables.coord_mesh
 
-    def freq_mesh(self):
-        axes = [self.freqs(i) for i in range(self.ndim)]
-        return np.meshgrid(*axes, indexing="ij", sparse=True)
+    def freq_mesh(self) -> tuple[np.ndarray, ...]:
+        """The frequencies as a sparse ``ij`` mesh, one broadcastable array per axis."""
+        return self._tables.freq_mesh
 
     def cell_volume(self) -> float:
         return self._volumes[0]
@@ -152,10 +164,14 @@ class Grid:
             mask[tuple(sl)] = True
         return _read_only(mask)
 
+    @cached_property
+    def _tables(self) -> "_GridTables":
+        return _grid_tables(self)
+
     @property
     def _modulation(self) -> tuple[np.ndarray, np.ndarray]:
         """(forward, inverse) tables (-1)**(k_1 + ... + k_n) * scale**(+-1)."""
-        return _modulation_tables(self)
+        return self._tables.forward, self._tables.inverse
 
     @cached_property
     def _band_limited_forward(self) -> np.ndarray:
@@ -169,30 +185,58 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _GridTables(NamedTuple):
+    forward: np.ndarray  # (-1)**(k_1 + ... + k_n) * scale
+    inverse: np.ndarray  # (-1)**(k_1 + ... + k_n) / scale
+    coords: tuple[np.ndarray, ...]  # per axis
+    freqs: tuple[np.ndarray, ...]  # per axis, FFT order
+    coord_mesh: tuple[np.ndarray, ...]  # the coords, shaped to broadcast
+    freq_mesh: tuple[np.ndarray, ...]
+    fft_axes: tuple[int, ...]  # -1, -2, ..: the axes in the order fftn transforms them
+
+
+def _mesh(axes: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """``np.meshgrid(*axes, indexing="ij", sparse=True)`` as read-only views."""
+    ndim = len(axes)
+    return tuple(a.reshape((1,) * i + (-1,) + (1,) * (ndim - i - 1)) for i, a in enumerate(axes))
+
+
 @lru_cache(maxsize=4)
-def _modulation_tables(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """The modulation tables of ``grid``, built once per distinct grid.
+def _grid_tables(grid: Grid) -> _GridTables:
+    """The read-only tables of ``grid``, built once per distinct grid.
 
     Grids compare by sizes and half-lengths, so every equal grid gets the same
-    two read-only arrays.
+    arrays.
     """
     parity = sum(np.indices(grid.sizes, sparse=True)) % 2
     sign = 1.0 - 2.0 * parity
     scale = math.prod(grid.spacing(i) / math.sqrt(TAU) for i in range(grid.ndim))
-    return _read_only(sign * scale), _read_only(sign / scale)
+    coords = [_read_only((np.arange(n) - n // 2) * grid.spacing(i))
+              for i, n in enumerate(grid.sizes)]
+    # fftfreq(N, d=dx) * 2*pi == pi*k/L in FFT storage order
+    freqs = [_read_only(TAU * np.fft.fftfreq(n, d=grid.spacing(i)))
+             for i, n in enumerate(grid.sizes)]
+    return _GridTables(_read_only(sign * scale), _read_only(sign / scale),
+                       tuple(coords), tuple(freqs), _mesh(coords), _mesh(freqs),
+                       tuple(range(-1, -grid.ndim - 1, -1)))
 
 
 def _phys_to_spec(grid: Grid, values: np.ndarray, band_limited: bool = False) -> np.ndarray:
     """Spectrum of ``values``; ``band_limited`` zeroes the Nyquist bins in the same multiply."""
-    table = grid._band_limited_forward if band_limited else grid._modulation[0]
-    spec = np.fft.fftn(values, out=np.empty(grid.sizes, dtype=np.complex128))
-    spec *= table
+    tables = grid._tables
+    spec = np.empty(grid.sizes, dtype=np.complex128)
+    for axis in tables.fft_axes:
+        values = np.fft.fft(values, axis=axis, out=spec)
+    spec *= grid._band_limited_forward if band_limited else tables.forward
     return spec
 
 
 def _spec_to_phys(grid: Grid, spectrum: np.ndarray) -> np.ndarray:
-    vals = spectrum * grid._modulation[1]
-    return np.fft.ifftn(vals, out=vals)
+    tables = grid._tables
+    vals = spectrum * tables.inverse
+    for axis in tables.fft_axes:
+        np.fft.ifft(vals, axis=axis, out=vals)
+    return vals
 
 
 class Field:
@@ -254,21 +298,29 @@ class Field:
         return Field.from_spectrum(self.grid, self.spectrum * np.exp(1j * phase))
 
 
+def _as_floats(a: np.ndarray) -> np.ndarray:
+    """A complex array as its (re, im) float pairs, in C order; others as they are."""
+    if a.dtype.kind != "c":
+        return a
+    if not a.flags.c_contiguous:
+        a = np.ascontiguousarray(a)
+    return a.view(np.float64)
+
+
 def real_dot(a: np.ndarray, b: np.ndarray) -> float:
     """Re <a, b> of two equal-shape arrays, summed by ``einsum`` on one thread.
 
     A complex array is read as its (re, im) float pairs, so this is the inner
-    product of R^(2N).  ``np.linalg.norm`` and ``np.vdot`` hand large arrays
-    to BLAS, which OpenBLAS threads: on 2 CPUs single 256^2 norm calls took
-    up to 36 ms and left a worker spinning.  ``einsum`` sums with numpy's own
-    loops.
+    product of R^(2N); a real array is summed as it is laid out, strided or
+    not.  ``np.linalg.norm`` and ``np.vdot`` hand large arrays to BLAS, which
+    OpenBLAS threads: on 2 CPUs single 256^2 norm calls took up to 36 ms and
+    left a worker spinning.  ``einsum`` sums with numpy's own loops.  The
+    subscripts are given as text, which ``einsum`` parses faster than the
+    equivalent index lists.
     """
-    if np.iscomplexobj(a):
-        a = np.ascontiguousarray(a).view(np.float64)
-    if np.iscomplexobj(b):
-        b = np.ascontiguousarray(b).view(np.float64)
-    axes = list(range(a.ndim))
-    return float(np.einsum(a, axes, b, axes, []))
+    a = _as_floats(a)
+    axes = "abcdefghijklmnopqrstuvwxyz"[:a.ndim]
+    return float(np.einsum(f"{axes},{axes}", a, _as_floats(b)))
 
 
 def flat_norm(a: np.ndarray) -> float:
@@ -276,11 +328,17 @@ def flat_norm(a: np.ndarray) -> float:
     return math.sqrt(real_dot(a, a))
 
 
+def _abs_squared(a: np.ndarray) -> np.ndarray:
+    """|a|^2 elementwise, in one new array: the values of ``np.abs(a) ** 2``."""
+    out = np.abs(a)
+    return np.square(out, out=out)
+
+
 def norm_l2(f: Field) -> float:
     """Quadrature L2 norm, from whichever representation is current."""
     if f.has_values():
-        return float(np.sqrt(np.sum(np.abs(f.values) ** 2) * f.grid.cell_volume()))
-    return float(np.sqrt(np.sum(np.abs(f.spectrum) ** 2) * f.grid.freq_cell_volume()))
+        return float(np.sqrt(_abs_squared(f.values).sum() * f.grid.cell_volume()))
+    return float(np.sqrt(_abs_squared(f.spectrum).sum() * f.grid.freq_cell_volume()))
 
 
 def norm_lp(f: Field, p) -> float:
@@ -290,7 +348,7 @@ def norm_lp(f: Field, p) -> float:
     p = int(p)
     if p < 2 or p % 2 != 0:
         raise ValueError("p must be an even integer >= 2 or inf")
-    val = np.sum(np.abs(f.values) ** p) * f.grid.cell_volume()
+    val = (np.abs(f.values) ** p).sum() * f.grid.cell_volume()
     return float(val ** (1.0 / p))
 
 
@@ -318,8 +376,9 @@ def energy_mass(f: Field, sym, sigma: int) -> tuple[float, float]:
     sigma = int(sigma)
     if sigma < 1:
         raise ValueError("sigma must be a positive integer")
-    p_vals = np.broadcast_to(sym.evaluate(f.grid.freq_mesh()), f.grid.sizes)
-    kinetic = float(np.sum(p_vals * np.abs(f.spectrum) ** 2) * f.grid.freq_cell_volume())
+    kinetic_density = _abs_squared(f.spectrum)
+    kinetic_density *= sym.evaluate(f.grid.freq_mesh())
+    kinetic = float(kinetic_density.sum() * f.grid.freq_cell_volume())
     potential = norm_lp(f, 2 * sigma + 2) ** (2 * sigma + 2)
     energy = 0.5 * kinetic - potential / (2.0 * sigma + 2.0)
     mass = norm_l2(f) ** 2

@@ -42,10 +42,13 @@ the relative residual of the rescaled profile equation
 The loop evaluates each state once.  One |u|^2 pass over a candidate's values
 gives the L^{2 sigma + 2} mass of J and the factor |u|^{2 sigma} of the
 nonlinearity; the quadratic form <(P_v + omega) u, u> is taken once from its
-spectrum.  An accepted candidate carries its spectrum, values, |u|^{2 sigma}
-and quadratic form into the next iteration, which forms |u|^{2 sigma} u,
-transforms it and computes only the unit residual.  The differences dF and dG
-live in two fixed depth-by-2N float buffers used as rings; one real matrix
+spectrum and w u^ = (P_v + omega) u^.  An accepted candidate carries its
+spectrum, values, |u|^{2 sigma}, quadratic form and w u^ into the next
+iteration, which forms |u|^{2 sigma} u, transforms it and computes only the
+unit residual, subtracting the nonlinearity from w u^ in place; w u^ is
+dropped there, before the next candidate is formed, so no buffer beyond the
+state and its temporaries is alive when memory peaks.  The differences dF and
+dG live in two fixed depth-by-2N float buffers used as rings; one real matrix
 product over the history gives the new Gram entries with the right side, and
 one more the mix dG c.  An accepted step therefore makes 2 transforms: the
 nonlinearity forward (its Nyquist bins zeroed by the same table multiply) and
@@ -127,10 +130,8 @@ class Problem:
 
     def weight(self) -> np.ndarray:
         """Spectral diagonal p(xi) - v.xi + omega, strictly positive."""
-        w = np.broadcast_to(
-            self.bsym.evaluate(self.grid.freq_mesh()), self.grid.sizes
-        ).copy()
-        return w + self.omega
+        p_v = self.bsym.evaluate(self.grid.freq_mesh())
+        return np.broadcast_to(p_v, self.grid.sizes) + self.omega
 
 
 @dataclass(frozen=True)
@@ -184,10 +185,11 @@ def gaussian_init(grid: Grid, width: float = 1.0, phase=None) -> Field:
 
 
 def _state(prob: Problem, spec: np.ndarray, vals: np.ndarray, weight: np.ndarray):
-    """(J, quadratic form, |u|^(2 sigma)) of the state with this spectrum and these values.
+    """(J, quadratic form, |u|^(2 sigma), w u^) of the state with this spectrum and these values.
 
     One |u|^2 pass gives both the L^(2 sigma + 2) mass under J and the factor
-    |u|^(2 sigma) of the nonlinearity.
+    |u|^(2 sigma) of the nonlinearity; w u^, formed for the quadratic form,
+    is returned for the residual of the next iteration.
     """
     mod2 = np.square(vals.real)
     mod2 += np.square(vals.imag)
@@ -195,8 +197,9 @@ def _state(prob: Problem, spec: np.ndarray, vals: np.ndarray, weight: np.ndarray
     denom = float(np.vdot(nl_mod, mod2)) * prob.grid.cell_volume()
     if denom == 0.0:
         raise ZeroFieldError("the quotient is undefined at the zero field")
-    quad = float(np.vdot(spec, weight * spec).real) * prob.grid.freq_cell_volume()
-    return quad ** (prob.sigma + 1) / denom, quad, nl_mod
+    wspec = weight * spec
+    quad = float(np.vdot(spec, wspec).real) * prob.grid.freq_cell_volume()
+    return quad ** (prob.sigma + 1) / denom, quad, nl_mod, wspec
 
 
 def weinstein(prob: Problem, u: Field, weight: np.ndarray | None = None) -> float:
@@ -232,8 +235,9 @@ def _residual_parts(prob: Problem, u: Field, weight: np.ndarray):
     if nl_norm2 == 0.0:
         return 1.0, 0.0, 1.0
     kappa = real_dot(nl_spec, lhs) / nl_norm2
-    res_opt = flat_norm(lhs - kappa * nl_spec) / lhs_norm
-    res_unit = flat_norm(lhs - nl_spec) / lhs_norm
+    miss = np.multiply(kappa, nl_spec)  # both defects in this one buffer
+    res_opt = flat_norm(np.subtract(lhs, miss, out=miss)) / lhs_norm
+    res_unit = flat_norm(np.subtract(lhs, nl_spec, out=miss)) / lhs_norm
     return res_opt, kappa, res_unit
 
 
@@ -251,13 +255,15 @@ def unit_residual(prob: Problem, Q: Field) -> float:
 
 def centroid(f: Field) -> np.ndarray:
     """First moment of |f|^2 in centered coordinates."""
-    w = np.abs(f.values) ** 2
+    w = np.abs(f.values)
+    np.square(w, out=w)
     total = float(w.sum())
     if total == 0.0:
         raise ZeroFieldError("centroid of the zero field")
     out = np.empty(f.grid.ndim)
+    moment = np.empty_like(w)
     for axis, mesh in enumerate(f.grid.coord_mesh()):
-        out[axis] = float(np.sum(w * mesh)) / total
+        out[axis] = float(np.multiply(w, mesh, out=moment).sum()) / total
     return out
 
 
@@ -269,22 +275,23 @@ def canonicalize(f: Field) -> Field:
     the residual sub-cell offset is material, since it re-samples the
     nonlinearity and can surface aliasing noise on marginally resolved grids.
     """
+    grid = f.grid
     vals = f.values
     peak = np.unravel_index(int(np.argmax(np.abs(vals))), vals.shape)
-    shift = [n // 2 - p for n, p in zip(f.grid.sizes, peak)]
+    shift = [n // 2 - p for n, p in zip(grid.sizes, peak)]
     if any(shift):
-        f = Field.from_values(f.grid, np.roll(vals, shift, axis=tuple(range(f.grid.ndim))))
+        f = Field.from_values(grid, np.roll(vals, shift, axis=tuple(range(grid.ndim))))
+    spacing = [grid.spacing(i) for i in range(grid.ndim)]
     for _ in range(3):
         c = centroid(f)
-        steps = c / np.array([f.grid.spacing(i) for i in range(f.grid.ndim)])
-        if float(np.max(np.abs(steps))) < 0.25:
+        if all(abs(float(ci) / dx) < 0.25 for ci, dx in zip(c, spacing)):
             break
         f = f.shifted(c)
     spec = f.spectrum
-    dc = spec[(0,) * f.grid.ndim]
+    dc = spec[(0,) * grid.ndim]
     if dc != 0:
-        spec = spec * np.exp(-1j * np.angle(dc))
-    return Field.from_spectrum(f.grid, spec)
+        spec = spec * np.exp(-1j * np.arctan2(dc.imag, dc.real))  # the angle of dc
+    return Field.from_spectrum(grid, spec)
 
 
 def minimize(prob: Problem, init: Field | None = None,
@@ -324,7 +331,7 @@ def minimize(prob: Problem, init: Field | None = None,
     spec = init.spectrum * (1.0 / l2)
     vals = fields._spec_to_phys(grid, spec)
     del init  # from here on the state is carried as arrays
-    j_cur, quad, nl_mod = _state(prob, spec, vals, weight)
+    j_cur, quad, nl_mod, wspec = _state(prob, spec, vals, weight)
 
     trace: list[TraceRow] = []
     converged = False
@@ -338,6 +345,7 @@ def minimize(prob: Problem, init: Field | None = None,
     # 2 CPUs).  mix holds c in its first row and zeros in its second.
     d_f = np.empty((ANDERSON_DEPTH, 2 * spec.size))
     d_g = np.empty((ANDERSON_DEPTH, 2 * spec.size))
+    d_g_fields = d_g.view(complex).reshape((ANDERSON_DEPTH,) + grid.sizes)  # its rows as spectra
     gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))  # Re <df_i, df_j>
     mix = np.zeros((2, ANDERSON_DEPTH))
     count = 0  # differences recorded since the history was last cleared
@@ -347,11 +355,12 @@ def minimize(prob: Problem, init: Field | None = None,
         iterations = k
         nl_spec = _nonlinear_spectrum(grid, nl_mod, vals)
 
-        # The unit residual ||w u^ - N^|| / ||w u^||, formed in one buffer.
-        defect = weight * spec
-        lhs_norm2 = float(np.vdot(defect, defect).real)
-        defect -= nl_spec
-        res_unit = math.sqrt(float(np.vdot(defect, defect).real) / lhs_norm2)
+        # The unit residual ||w u^ - N^|| / ||w u^||, formed in the state's w u^,
+        # which is dropped before the candidate is formed.
+        lhs_norm2 = float(np.vdot(wspec, wspec).real)
+        wspec -= nl_spec
+        res_unit = math.sqrt(float(np.vdot(wspec, wspec).real) / lhs_norm2)
+        del wspec
 
         pairing = float(np.vdot(spec, nl_spec).real) * dxi
         if not pairing > 0.0:  # also a NaN state
@@ -376,12 +385,13 @@ def minimize(prob: Problem, init: Field | None = None,
             count += 1
             m = min(count, ANDERSON_DEPTH)
             pair = np.empty((2, 2 * spec.size))  # rows: df_new, f
-            np.subtract(f, f_prev, out=pair[0].view(complex).reshape(grid.sizes))
-            pair[1] = f.view(float).reshape(-1)
+            pair_fields = pair.view(complex).reshape((2,) + grid.sizes)
+            np.subtract(f, f_prev, out=pair_fields[0])
+            pair_fields[1] = f
             d_f[slot] = pair[0]
-            np.subtract(g, g_prev, out=d_g[slot].view(complex).reshape(grid.sizes))
+            np.subtract(g, g_prev, out=d_g_fields[slot])
             col, rhs = pair @ d_f[:m].T
-            del pair  # freed before the candidate is formed, where memory peaks
+            del pair, pair_fields  # freed before the candidate is formed, where memory peaks
             gram[:m, slot] = col
             gram[slot, :m] = col
         f_prev, g_prev = f, g
@@ -394,21 +404,21 @@ def minimize(prob: Problem, init: Field | None = None,
             mix[0, :m] = coef
             cand = g - (mix[:, :m] @ d_g[:m])[0].view(complex).reshape(grid.sizes)
             cand_vals = fields._spec_to_phys(grid, cand)
-            j_new, quad_new, nl_new = _state(prob, cand, cand_vals, weight)
+            j_new, quad_new, nl_new, w_new = _state(prob, cand, cand_vals, weight)
             row.accelerated = j_new <= j_cur + slack
             if not row.accelerated:
                 count = 0
         if not row.accelerated:
             cand = g
             cand_vals = fields._spec_to_phys(grid, cand)
-            j_new, quad_new, nl_new = _state(prob, cand, cand_vals, weight)
+            j_new, quad_new, nl_new, w_new = _state(prob, cand, cand_vals, weight)
             while j_new > j_cur + slack and row.halvings < opts.damp_limit:
                 cand = 0.5 * (cand + spec)
                 cand_vals = fields._spec_to_phys(grid, cand)
-                j_new, quad_new, nl_new = _state(prob, cand, cand_vals, weight)
+                j_new, quad_new, nl_new, w_new = _state(prob, cand, cand_vals, weight)
                 row.halvings += 1
 
-        spec, vals, nl_mod, quad, j_cur = cand, cand_vals, nl_new, quad_new, j_new
+        spec, vals, nl_mod, quad, j_cur, wspec = cand, cand_vals, nl_new, quad_new, j_new, w_new
 
     u = Field(grid, values=vals, spectrum=spec)
     q = canonicalize(u)

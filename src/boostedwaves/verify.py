@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy import fft
@@ -65,10 +65,10 @@ def _line_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     past every line's end, is never True.
     """
     m = mask.shape[-1]
-    padded = np.zeros((mask.size // m, m + 1), dtype=np.int8)
-    padded[:, :m] = mask.reshape(-1, m)
-    step = np.diff(padded.ravel(), prepend=np.int8(0))
-    return np.flatnonzero(step == 1), np.flatnonzero(step == -1)
+    flat = np.zeros(mask.size // m * (m + 1) + 1, dtype=bool)  # flat[1 + key]; flat[0] is False
+    flat[1:].reshape(-1, m + 1)[:, :m] = mask.reshape(-1, m)
+    point, before = flat[1:], flat[:-1]
+    return np.flatnonzero(point > before), np.flatnonzero(point < before)
 
 
 def _run_contacts(shape: tuple[int, ...], starts: np.ndarray,
@@ -108,8 +108,10 @@ def _component_count(nodes: int, i: np.ndarray, j: np.ndarray) -> int:
     component.  Each round first jumps every pointer to its root, then hooks
     the larger root of each edge whose ends have different roots under the
     smaller one, so the number of roots falls in every round until each
-    component has one.
+    component has one.  Without edges every node is its own component.
     """
+    if not i.size:
+        return nodes
     parent = np.arange(nodes)
     while True:
         while True:
@@ -335,10 +337,37 @@ def _moments(arr: np.ndarray, bases: list[np.ndarray]) -> np.ndarray:
     arr * bases[0][:, i_0] * .. * bases[n-1][:, i_{n-1}], one contraction per
     axis; the first one, along the last axis, makes the only pass over ``arr``.
     """
-    out = arr
-    for axis in reversed(range(arr.ndim)):
+    out = arr @ bases[-1]
+    for axis in reversed(range(arr.ndim - 1)):
         out = np.moveaxis(out, axis, -1) @ bases[axis]
     return out.transpose()
+
+
+@lru_cache(maxsize=4)
+def _phase_lattice(grid) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per axis of ``grid``: the centered frequencies, shaped to broadcast, and
+    the basis (1, xi_j, xi_j^2) of :func:`_moments`, built once per grid."""
+    ndim = grid.ndim
+    coords = [_broadcast((np.arange(n) - n // 2) * grid.freq_step(axis), axis, ndim)
+              for axis, n in enumerate(grid.sizes)]
+    bases = [np.stack([np.ones(c.size), c.ravel(), c.ravel() ** 2], axis=1) for c in coords]
+    for table in coords + bases:
+        table.setflags(write=False)
+    return coords, bases
+
+
+@lru_cache(maxsize=3)
+def _gram_index(ndim: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Indices of the Gram matrix and the right side of the phase fit in the
+    moment tensors of :func:`_moments`.
+
+    The columns 1, xi_0, .., xi_{n-1} are powers of the axis coordinates (the
+    rows of ``powers``); Gram entry (a, b) is the moment of the summed powers
+    a + b, and right-side entry a the moment of a.
+    """
+    powers = np.eye(ndim + 1, ndim, k=-1, dtype=int)
+    summed = powers[:, None, :] + powers[None, :, :]
+    return tuple(summed[..., j] for j in range(ndim)), tuple(powers.T)
 
 
 def phase_affinity(f: Field, s: SupportSet | None = None, tau: float = 1e-8) -> PhaseFit:
@@ -379,11 +408,10 @@ def phase_affinity(f: Field, s: SupportSet | None = None, tau: float = 1e-8) -> 
     grid = f.grid
     spec_c = np.fft.fftshift(f.spectrum)
     ndim = spec_c.ndim
-    raw = np.angle(spec_c)
+    raw = np.arctan2(spec_c.imag, spec_c.real)  # np.angle, without its argument handling
     mag = np.abs(spec_c)
     mag *= s.centered  # |Q_hat| on the support, 0 off it
-    coords = [_broadcast((np.arange(n) - n // 2) * grid.freq_step(axis), axis, ndim)
-              for axis, n in enumerate(grid.sizes)]
+    coords, bases = _phase_lattice(grid)
 
     beta0 = np.zeros(ndim)
     for axis in range(ndim):
@@ -403,15 +431,10 @@ def phase_affinity(f: Field, s: SupportSet | None = None, tau: float = 1e-8) -> 
     y = _minus_affine(y, -anchor, -beta0, coords, out=y)  # guess + wrap(raw - guess)
 
     w = np.square(mag)
-    bases = [np.stack([np.ones(c.size), c.ravel(), c.ravel() ** 2], axis=1) for c in coords]
     sums_w = _moments(w, bases)
     sums_wy = _moments(w * y, bases)
-
-    # the columns 1, xi_0, .., xi_{n-1} as powers of each axis coordinate
-    powers = np.eye(ndim + 1, ndim, k=-1, dtype=int)
-    gram = np.array([[sums_w[tuple(a + b)] for b in powers] for a in powers])
-    rhs = np.array([sums_wy[tuple(a)] for a in powers])
-    sol, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
+    gram_at, rhs_at = _gram_index(ndim)
+    sol, *_ = np.linalg.lstsq(sums_w[gram_at], sums_wy[rhs_at], rcond=None)
     alpha, beta = float(sol[0]), sol[1:]
 
     miss = _minus_affine(y, alpha, beta, coords, out=y)
@@ -475,12 +498,11 @@ def _s2_defect(f: Field, fit: PhaseFit | None) -> float:
     if fit is not None:
         # e^{-i(alpha + beta . xi)} = e^{-i alpha} prod_j e^{-i beta_j xi_j}: n
         # one-dimensional exponentials, broadcast onto the spectrum
-        ndim = f.grid.ndim
-        factors = [np.exp(-1j * (b * f.grid.freqs(axis))) for axis, b in enumerate(fit.beta)]
+        factors = [np.exp(-1j * (b * xi)) for b, xi in zip(fit.beta, f.grid.freq_mesh())]
         factors[0] *= np.exp(-1j * fit.alpha)
-        spec = spec * _broadcast(factors[0], 0, ndim)
-        for axis in range(1, ndim):
-            spec *= _broadcast(factors[axis], axis, ndim)
+        spec = spec * factors[0]
+        for factor in factors[1:]:
+            spec *= factor
     # conjugation symmetry Q(x) = conj(Q(-x)) is exactly realness of Q_hat
     return 2.0 * flat_norm(spec.imag) / flat_norm(spec)
 

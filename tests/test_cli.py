@@ -2,6 +2,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -256,6 +257,20 @@ def test_sweep_empty_range_rejected(classical_cfg, tmp_path, capsys):
     code = run("sweep", "--config", classical_cfg, "--param", "v",
                "--range", "0:1:0", "--out", tmp_path / "x")
     assert code == 1
+
+
+@pytest.mark.parametrize("param", ["v", "omega"])
+@pytest.mark.parametrize("bounds", ["nan:1", "0:nan", "inf:1", "1:inf", "-inf:1", "0:-inf"])
+def test_sweep_non_finite_range_rejected(classical_cfg, tmp_path, capsys, param, bounds):
+    # refused up front like an empty range: no solve, no warning, no output
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("sweep", "--config", classical_cfg, "--param", param,
+                   "--range", f"{bounds}:3", "--out", out)
+    assert code == 1
+    assert "config error: sweep range bounds must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_failed_rows_named_on_stderr(classical_cfg, tmp_path, capsys):
@@ -544,6 +559,46 @@ def test_sweep_rows_keep_the_conjugation_symmetry(tmp_path):
     column = lines[0].split(",").index("s2_defect")
     s2 = [float(line.split(",")[column]) for line in lines[1:]]
     assert len(s2) == 6 and max(s2) <= 1e-14
+
+
+# The benchmark's sweep-1d op: iterations and transforms per row, measured
+# before the transform pair and the row report were trimmed for speed.
+SWEEP_1D_ITERATIONS = (18, 13, 12, 12, 12, 12, 20, 14, 12, 11, 11, 11, 18, 11, 11, 11, 10)
+SWEEP_1D_TRANSFORMS = (40, 28, 26, 26, 26, 26, 44, 30, 26, 24, 24, 24, 40, 24, 24, 24, 22)
+
+
+def test_sweep_1d_work_is_pinned(tmp_path, monkeypatch):
+    # A faster row must come from cheaper calls, not from fewer of them: every
+    # row keeps its iteration count and its number of n-D transforms, counted
+    # on the module pair that the solver and Field call.
+    transforms = [0]
+
+    def counted(pair_half):
+        def call(*args, **kwargs):
+            transforms[0] += 1
+            return pair_half(*args, **kwargs)
+        return call
+
+    from boostedwaves import fields
+
+    for name in ("_phys_to_spec", "_spec_to_phys"):
+        monkeypatch.setattr(fields, name, counted(getattr(fields, name)))
+    rows = []
+    solve_row = cli._sweep_value
+
+    def counted_row(*args, **kwargs):
+        before = transforms[0]
+        row, q = solve_row(*args, **kwargs)
+        rows.append((row.iterations, transforms[0] - before))
+        return row, q
+
+    monkeypatch.setattr(cli, "_sweep_value", counted_row)
+    path = _half_wave_cfg(tmp_path, 1024)
+    assert run("sweep", "--config", path, "--param", "v", "--range", "0:0.8:17",
+               "--out", tmp_path / "sweep") == 0
+    assert tuple(it for it, _ in rows) == SWEEP_1D_ITERATIONS
+    assert tuple(n for _, n in rows) == SWEEP_1D_TRANSFORMS
+    assert (sum(SWEEP_1D_ITERATIONS), transforms[0]) == (219, 478)
 
 
 @pytest.mark.parametrize("outcome", ["unconverged", "raises"])

@@ -64,6 +64,12 @@ def test_transform_pair_matches_shifted_reference(sizes, half_lengths):
     assert np.max(np.abs(phys - phys_ref)) <= 1e-13 * np.max(np.abs(phys_ref))
     assert np.array_equal(x, x_before)  # neither direction writes its input
 
+    # per-axis transforms in fftn's order: bit-equal to fftn / ifftn and the table
+    forward, inverse = g._modulation
+    assert np.array_equal(spec, np.fft.fftn(x) * forward)
+    assert np.array_equal(phys, np.fft.ifftn(x * inverse))
+    assert np.array_equal(fields._phys_to_spec(g, x.real), np.fft.fftn(x.real) * forward)
+
     # the band-limited forward transform is the spectrum with the Nyquist bins zeroed
     band = fields._phys_to_spec(g, x, band_limited=True)
     nyquist = g.nyquist_mask()
@@ -78,6 +84,56 @@ def test_transform_pair_matches_shifted_reference(sizes, half_lengths):
         assert table.shape == g.sizes and not table.flags.writeable
         with pytest.raises(ValueError):
             table[(0,) * g.ndim] = 0
+
+    # equal grids share the modulation tables and the axes, all read-only,
+    # with the values the axes had when they were built on every call
+    def shared(grid):
+        axes = range(grid.ndim)
+        return (*grid._modulation, *(grid.coords(i) for i in axes),
+                *(grid.freqs(i) for i in axes), *grid.coord_mesh(), *grid.freq_mesh())
+
+    twin = bw.Grid.make(sizes, half_lengths)
+    assert twin is not g
+    assert all(a is b for a, b in zip(shared(g), shared(twin), strict=True))
+    for table in shared(g):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 0
+    coords = [(np.arange(n) - n // 2) * g.spacing(i) for i, n in enumerate(g.sizes)]
+    freqs = [2 * np.pi * np.fft.fftfreq(n, d=g.spacing(i)) for i, n in enumerate(g.sizes)]
+    for i in range(g.ndim):
+        assert np.array_equal(g.coords(i), coords[i]) and np.array_equal(g.freqs(i), freqs[i])
+    for mesh, axes in ((g.coord_mesh(), coords), (g.freq_mesh(), freqs)):
+        reference = np.meshgrid(*axes, indexing="ij", sparse=True)
+        assert all(a.shape == b.shape and np.array_equal(a, b)
+                   for a, b in zip(mesh, reference, strict=True))
+
+
+def _real_dot_reference(a, b):
+    """``fields.real_dot`` as it was first written: the einsum it must keep."""
+    if np.iscomplexobj(a):
+        a = np.ascontiguousarray(a).view(np.float64)
+    if np.iscomplexobj(b):
+        b = np.ascontiguousarray(b).view(np.float64)
+    axes = list(range(a.ndim))
+    return float(np.einsum(a, axes, b, axes, []))
+
+
+@pytest.mark.parametrize("shape", [(1024,), (37,), (16, 32), (64, 64), (8, 16, 32), (5, 6, 7)])
+def test_real_dot_is_bit_equal_to_its_einsum(shape):
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    w = 1e3 * rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    r = rng.standard_normal(shape)
+    pairs = [
+        (z, z), (z, w), (r, r), (r, z.real),
+        (z.imag, z.imag), (z.real, w.real),  # strided real views
+        (z.T, w.T), (r.T, r.T),  # transposed views
+        (z[..., ::2], w[..., ::2]),  # strided complex views
+    ]
+    for a, b in pairs:
+        assert fields.real_dot(a, b) == _real_dot_reference(a, b)
+        assert fields.flat_norm(a) == np.sqrt(_real_dot_reference(a, a))
 
 
 def test_adopted_read_only_arrays_survive_every_operation(
