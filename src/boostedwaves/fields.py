@@ -32,8 +32,9 @@ transform about twice as slow.
 
 Equal grids share one set of read-only tables (:func:`_grid_tables`): the
 modulation tables and the axes that :meth:`Grid.coords`, :meth:`Grid.freqs`,
-:meth:`Grid.coord_mesh` and :meth:`Grid.freq_mesh` return.  A grid read again
-from a file, or rebuilt for every row of a sweep, builds none of them again.
+:meth:`Grid.coord_mesh` and :meth:`Grid.freq_mesh` return.  They are built
+once per distinct grid, not once per call: the rows of a sweep and a grid read
+again from a file reuse them.
 
 A :class:`Field` adopts the complex128 array it is given instead of copying
 it, and lazily computed representations are shared the same way.  A caller
