@@ -36,7 +36,6 @@ pages of their large temporaries instead of mapping fresh ones.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import ctypes
 import functools
 import math
@@ -408,7 +407,10 @@ def _sweep_value(cfg: RunConfig, param: str, value: float,
 
     Returns the row and its converged state, None when the row failed.
     """
-    setting = (value,) + (0.0,) * (cfg.grid.ndim - 1) if param == "v" else value
+    if param == "v":  # the speed along the config's symmetry axis
+        setting = tuple(value if i == cfg.axis else 0.0 for i in range(cfg.grid.ndim))
+    else:
+        setting = value
     local = RunConfig(**{**vars(cfg), param: setting})
     try:
         prob = make_problem(local)
@@ -458,6 +460,8 @@ def cmd_sweep(args) -> int:
         return _sweep_chain(cfg, args.param, chain)
 
     if cfg.jobs > 1:
+        import concurrent.futures  # here only: it imports logging, ~4 ms of every start-up
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
             rows = [row for chain in pool.map(solve_chain, chains) for row in chain]
     else:
@@ -556,7 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "sweep.csv does not depend on it.",
     )
     p.add_argument("--param", choices=("v", "omega"), required=True,
-                   help="the config key each row sets (v: its first component, the others 0)")
+                   help="the config key each row sets (v: its component along the "
+                        "config's axis, the others 0)")
     p.add_argument("--range", required=True,
                    help="start:stop:count; the start may be negative (--range -0.5:1:4)")
     p.set_defaults(handler=cmd_sweep)

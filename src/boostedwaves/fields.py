@@ -373,16 +373,22 @@ def quad_form(f: Field, bsym, omega: float, weight=None, warn: bool = True) -> f
 
 
 def energy_mass(f: Field, sym, sigma: int) -> tuple[float, float]:
-    """Conserved energy and L2 mass for nonlinearity power sigma."""
+    """Conserved energy and L2 mass for nonlinearity power sigma.
+
+    ``sym`` gives p on the frequency mesh through ``on_grid`` (cached per
+    symbol and grid, see :meth:`symbols.Symbol.on_grid`).  One |u_hat|^2 pass
+    gives the kinetic term, and one |u|^2 pass both the mass and the
+    potential term.
+    """
     sigma = int(sigma)
     if sigma < 1:
         raise ValueError("sigma must be a positive integer")
-    kinetic_density = _abs_squared(f.spectrum)
-    kinetic_density *= sym.evaluate(f.grid.freq_mesh())
-    kinetic = float(kinetic_density.sum() * f.grid.freq_cell_volume())
-    potential = norm_lp(f, 2 * sigma + 2) ** (2 * sigma + 2)
+    grid = f.grid
+    kinetic = real_dot(_abs_squared(f.spectrum), sym.on_grid(grid)) * grid.freq_cell_volume()
+    mod2 = _abs_squared(f.values)
+    potential = real_dot(mod2 if sigma == 1 else mod2**sigma, mod2) * grid.cell_volume()
     energy = 0.5 * kinetic - potential / (2.0 * sigma + 2.0)
-    mass = norm_l2(f) ** 2
+    mass = float(mod2.sum()) * grid.cell_volume()
     return energy, mass
 
 

@@ -66,6 +66,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _gesv
 
 from .errors import HypothesisViolatedError, ZeroFieldError
 from . import fields
@@ -130,8 +131,7 @@ class Problem:
 
     def weight(self) -> np.ndarray:
         """Spectral diagonal p(xi) - v.xi + omega, strictly positive."""
-        p_v = self.bsym.evaluate(self.grid.freq_mesh())
-        return np.broadcast_to(p_v, self.grid.sizes) + self.omega
+        return self.bsym.on_grid(self.grid) + self.omega
 
 
 @dataclass(frozen=True)
@@ -274,6 +274,10 @@ def canonicalize(f: Field) -> Field:
     residuals untouched); the fractional spectral shift is applied only when
     the residual sub-cell offset is material, since it re-samples the
     nonlinearity and can surface aliasing noise on marginally resolved grids.
+    Without that shift the result carries its values as well as its spectrum:
+    the input's values, rolled and multiplied by the same phase, with no
+    inverse transform.  After it only the spectrum is set, so
+    ``has_values()`` on the result tells whether the state was resampled.
     """
     grid = f.grid
     vals = f.values
@@ -282,16 +286,19 @@ def canonicalize(f: Field) -> Field:
     if any(shift):
         f = Field.from_values(grid, np.roll(vals, shift, axis=tuple(range(grid.ndim))))
     spacing = [grid.spacing(i) for i in range(grid.ndim)]
+    resampled = False
     for _ in range(3):
         c = centroid(f)
         if all(abs(float(ci) / dx) < 0.25 for ci, dx in zip(c, spacing)):
             break
         f = f.shifted(c)
+        resampled = True
     spec = f.spectrum
     dc = spec[(0,) * grid.ndim]
-    if dc != 0:
-        spec = spec * np.exp(-1j * np.arctan2(dc.imag, dc.real))  # the angle of dc
-    return Field.from_spectrum(grid, spec)
+    turn = np.exp(-1j * np.arctan2(dc.imag, dc.real)) if dc != 0 else 1.0  # the angle of dc
+    if resampled:
+        return Field.from_spectrum(grid, spec * turn)
+    return Field(grid, values=f.values * turn, spectrum=spec * turn)
 
 
 def minimize(prob: Problem, init: Field | None = None,
@@ -398,8 +405,9 @@ def minimize(prob: Problem, init: Field | None = None,
         slack = 1e-12 * max(1.0, abs(j_cur))
         if m:
             try:
-                coef = np.linalg.solve(gram[:m, :m], rhs)
-            except np.linalg.LinAlgError:  # exactly singular: a repeated difference
+                with np.errstate(invalid="raise"):  # how gesv reports a zero pivot
+                    coef = _gesv(gram[:m, :m], rhs)
+            except FloatingPointError:  # exactly singular: a repeated difference
                 coef = np.linalg.lstsq(gram[:m, :m], rhs, rcond=1e-14)[0]
             mix[0, :m] = coef
             cand = g - (mix[:, :m] @ d_g[:m])[0].view(complex).reshape(grid.sizes)
@@ -419,14 +427,20 @@ def minimize(prob: Problem, init: Field | None = None,
                 row.halvings += 1
 
         spec, vals, nl_mod, quad, j_cur, wspec = cand, cand_vals, nl_new, quad_new, j_new, w_new
+    else:
+        res_unit = None  # out of iterations: the last candidate was never measured
 
-    u = Field(grid, values=vals, spectrum=spec)
-    q = canonicalize(u)
-    _, _, res_final = _residual_parts(prob, q, weight)
-    # converged judges q, as canonicalize resamples an off-centre state
+    q = canonicalize(Field(grid, values=vals, spectrum=spec))
+    if res_unit is not None and q.has_values():
+        # a lattice roll and a global phase: J and the residual are the loop's
+        j_final, res_final = j_cur, res_unit
+    else:
+        # converged judges q, as canonicalize resamples an off-centre state
+        _, _, res_final = _residual_parts(prob, q, weight)
+        j_final = weinstein(prob, q, weight)
     return SolveReport(
         Q=q,
-        J_value=weinstein(prob, q, weight),
+        J_value=j_final,
         residual=res_final,
         iterations=iterations,
         trace=trace,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -79,6 +80,22 @@ class Symbol:
         if len(xi) != self.ndim:
             raise ValueError(f"expected {self.ndim} frequency components, got {len(xi)}")
         return KINDS[self.kind].evaluate(self, xi)
+
+    def on_grid(self, grid) -> np.ndarray:
+        """p on the frequency mesh of ``grid``, full size.
+
+        Built once per symbol and grid and shared read-only, as the grid's own
+        tables are (:func:`fields._grid_tables`).  A symbol built from a
+        callable is evaluated afresh: symbols compare without their callable.
+        """
+        if self.func is not None:
+            return np.broadcast_to(self.evaluate(grid.freq_mesh()), grid.sizes)
+        return _grid_values(self, grid)
+
+
+@lru_cache(maxsize=4)
+def _grid_values(sym: Symbol, grid) -> np.ndarray:
+    return np.broadcast_to(sym.evaluate(grid.freq_mesh()), grid.sizes)  # a read-only view
 
 
 def _sum_sq(components):
@@ -214,7 +231,14 @@ class BoostedSymbol:
         return cls(base, tuple(float(v) for v in velocity))
 
     def evaluate(self, xi_components):
-        out = self.base.evaluate(xi_components)
+        return self._boost(self.base.evaluate(xi_components), xi_components)
+
+    def on_grid(self, grid) -> np.ndarray:
+        """p_v on the frequency mesh of ``grid``, from the base symbol's cached table."""
+        return self._boost(self.base.on_grid(grid), grid.freq_mesh())
+
+    def _boost(self, out, xi_components):
+        """``out`` - v.xi; ``out`` itself when v = 0."""
         for v, xi in zip(self.velocity, xi_components):
             if v != 0.0:
                 out = out - v * np.asarray(xi, dtype=float)

@@ -19,40 +19,70 @@ shifted once per :class:`SupportSet`.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy import fft
 
 from .errors import DisconnectedSupportError, ZeroFieldError
-from .fields import TAU, Field, flat_norm, norm_l2
+from .fields import TAU, Field, flat_norm
 from .rearrange import fourier_rearrange
 
 
 @dataclass
 class SupportSet:
-    """Thresholded spectral support: mask = { |Q_hat| > tau * max |Q_hat| }."""
+    """Thresholded spectral support: mask = { |Q_hat| > tau * max |Q_hat| }.
+
+    ``modulus`` is the |Q_hat| that :func:`support_set` cut the mask from, FFT
+    order; the phase fit weighs by it.  None for a mask given directly.
+    """
 
     grid: object
     mask: np.ndarray  # boolean, FFT order
     tau: float
+    modulus: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def centered(self) -> np.ndarray:
         """The mask in centered (fftshift) order, shifted once per support."""
-        return np.fft.fftshift(self.mask)
+        return _centered(self.mask)
 
 
-def support_set(f: Field, tau: float = 1e-8) -> SupportSet:
+@lru_cache(maxsize=8)
+def _shift_blocks(shape: tuple[int, ...]) -> list[tuple[tuple[slice, ...], tuple[slice, ...]]]:
+    """(destination, source) slices of the blocks that ``fftshift`` moves.
+
+    Along an axis of n points, fftshift rolls by h = n // 2: the first n - h
+    points go to [h, n) and the last h to [0, h).  A block takes one of the
+    two moves per axis.
+    """
+    moves = [((slice(n // 2, None), slice(None, n - n // 2)),
+              (slice(None, n // 2), slice(n - n // 2, None))) for n in shape]
+    return [(tuple(dst for dst, _ in block), tuple(src for _, src in block))
+            for block in itertools.product(*moves)]
+
+
+def _centered(a: np.ndarray) -> np.ndarray:
+    """``np.fft.fftshift(a)``, as 2^n block copies without ``np.roll``'s argument handling."""
+    out = np.empty_like(a)
+    for dst, src in _shift_blocks(a.shape):
+        out[dst] = a[src]
+    return out
+
+
+def support_set(f: Field, tau: float = 1e-8, modulus: np.ndarray | None = None) -> SupportSet:
+    """The bins where |f_hat| exceeds tau times its maximum; ``modulus`` is
+    |f_hat| when the caller has it already."""
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
-    mag = np.abs(f.spectrum)
+    mag = np.abs(f.spectrum) if modulus is None else modulus
     top = float(mag.max())
     if top == 0.0:
         raise ZeroFieldError("support of the zero field is empty")
-    return SupportSet(f.grid, mag > tau * top, tau)
+    return SupportSet(f.grid, mag > tau * top, tau, mag)
 
 
 def _line_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,6 +167,8 @@ def is_connected(s: SupportSet) -> bool:
     component.
     """
     starts, ends = _line_runs(s.centered)
+    if starts.size < 2:  # one run, or none
+        return starts.size == 1
     i, j = _run_contacts(s.centered.shape, starts, ends)
     return _component_count(starts.size, i, j) == 1
 
@@ -388,14 +420,18 @@ def phase_affinity(f: Field, s: SupportSet | None = None, tau: float = 1e-8) -> 
     the support and 0 off it.  The fit solves the (n+1) x (n+1) moment (Gram)
     system of the columns 1, xi_0, .., xi_{n-1}, whose entries are weighted
     sums of 1, xi_j and xi_j xi_k over the dense centered lattice, each taken
-    axis by axis.  Where the support is one bin thick along an axis (a single
-    bin, or a line), that xi_j is constant on it, the Gram matrix is singular
-    and the fit is not unique.  ``lstsq`` on the Gram matrix then returns the
-    minimum-norm answer, the same as a least-squares solve of the per-point
-    system: the pseudo-inverse solution of G x = A^T b with G = A^T A is
-    A^+ b.  Rounding leaves the zero singular values of G below about one ulp
-    of the largest (measured on single bins, lines and planes of up to 512
-    bins), under the cut of ``lstsq`` at (n+1) ulp.
+    axis by axis.  The weights |Q_hat| are the support's ``modulus`` when it
+    has one.  Where the support holds two adjacent bins along every axis j,
+    an affine function vanishing on it has no xi_j term for any j, so it is
+    zero: the Gram matrix is nonsingular and ``solve`` takes it.  Where the
+    support is one bin thick along an axis (a single bin, or a line), that
+    xi_j is constant on it, the Gram matrix is singular and the fit is not
+    unique.  ``lstsq`` on the Gram matrix then returns the minimum-norm
+    answer, the same as a least-squares solve of the per-point system: the
+    pseudo-inverse solution of G x = A^T b with G = A^T A is A^+ b.
+    Rounding leaves the zero singular values of G below about one ulp of the
+    largest (measured on single bins, lines and planes of up to 512 bins),
+    under the cut of ``lstsq`` at (n+1) ulp.
 
     Raises :class:`DisconnectedSupportError` when the mask has several
     components.
@@ -406,35 +442,45 @@ def phase_affinity(f: Field, s: SupportSet | None = None, tau: float = 1e-8) -> 
         raise DisconnectedSupportError("phase unwrapping needs a connected support")
 
     grid = f.grid
-    spec_c = np.fft.fftshift(f.spectrum)
+    spec_c = _centered(f.spectrum)
     ndim = spec_c.ndim
     raw = np.arctan2(spec_c.imag, spec_c.real)  # np.angle, without its argument handling
-    mag = np.abs(spec_c)
+    mag = np.abs(spec_c) if s.modulus is None else _centered(s.modulus)
     mag *= s.centered  # |Q_hat| on the support, 0 off it
     coords, bases = _phase_lattice(grid)
 
     beta0 = np.zeros(ndim)
+    thick = True  # two adjacent support bins along every axis
     for axis in range(ndim):
         lo = (slice(None),) * axis + (slice(None, -1),)
         hi = (slice(None),) * axis + (slice(1, None),)
         size = mag[hi] * mag[lo]
         total = float(size.sum())
-        if total > 0.0:  # else the support is one bin thick along this axis
+        if total > 0.0:
             turn = _wrap_angle(raw[hi] - raw[lo])
             turn *= size
             beta0[axis] = float(turn.sum()) / (total * grid.freq_step(axis))
+        else:  # the support is one bin thick along this axis
+            thick = False
 
     start = np.unravel_index(int(np.argmax(mag)), mag.shape)
     at_start = [float(c.ravel()[i]) for c, i in zip(coords, start)]
     anchor = float(raw[start]) - float(np.dot(beta0, at_start))
-    y = _wrap_angle(_minus_affine(raw, anchor, beta0, coords))
-    y = _minus_affine(y, -anchor, -beta0, coords, out=y)  # guess + wrap(raw - guess)
+    guess = anchor + beta0[0] * coords[0]
+    for axis in range(1, ndim):
+        guess = guess + beta0[axis] * coords[axis]
+    y = _wrap_angle(raw - guess)
+    y += guess
 
     w = np.square(mag)
     sums_w = _moments(w, bases)
     sums_wy = _moments(w * y, bases)
     gram_at, rhs_at = _gram_index(ndim)
-    sol, *_ = np.linalg.lstsq(sums_w[gram_at], sums_wy[rhs_at], rcond=None)
+    gram, rhs = sums_w[gram_at], sums_wy[rhs_at]
+    if thick:
+        sol = np.linalg.solve(gram, rhs)
+    else:
+        sol, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
     alpha, beta = float(sol[0]), sol[1:]
 
     miss = _minus_affine(y, alpha, beta, coords, out=y)
@@ -493,43 +539,46 @@ def _s1_defect(f: Field, axis: int) -> float:
     return worst
 
 
-def _s2_defect(f: Field, fit: PhaseFit | None) -> float:
+def _s2_defect(f: Field, fit: PhaseFit | None, mag: np.ndarray) -> float:
     spec = f.spectrum
     if fit is not None:
-        # e^{-i(alpha + beta . xi)} = e^{-i alpha} prod_j e^{-i beta_j xi_j}: n
-        # one-dimensional exponentials, broadcast onto the spectrum
-        factors = [np.exp(-1j * (b * xi)) for b, xi in zip(fit.beta, f.grid.freq_mesh())]
-        factors[0] *= np.exp(-1j * fit.alpha)
-        spec = spec * factors[0]
-        for factor in factors[1:]:
-            spec *= factor
+        # e^{-i(alpha + beta . xi)} = prod_j e^{-i (beta_j xi_j + [j = 0] alpha)}:
+        # n one-dimensional exponentials, broadcast onto the spectrum
+        turns = [b * xi for b, xi in zip(fit.beta, f.grid.freq_mesh())]
+        turns[0] = turns[0] + fit.alpha
+        spec = spec * np.exp(-1j * turns[0])
+        for turn in turns[1:]:
+            spec *= np.exp(-1j * turn)
     # conjugation symmetry Q(x) = conj(Q(-x)) is exactly realness of Q_hat
-    return 2.0 * flat_norm(spec.imag) / flat_norm(spec)
+    return 2.0 * flat_norm(spec.imag) / flat_norm(mag)
 
 
-def _modulus_rearranged_defect(f: Field, axis: int) -> float:
+def _modulus_rearranged_defect(f: Field, axis: int, mag: np.ndarray) -> float:
     if f.grid.ndim == 1:
         # the transverse operator is void in one dimension
         return 0.0
-    mag = np.abs(f.spectrum)
     rearranged = np.abs(fourier_rearrange(f, "axial", axis=axis).spectrum)
     return flat_norm(mag - rearranged) / flat_norm(mag)
 
 
-def _checked_support(f: Field, tau: float) -> SupportSet:
-    norm = norm_l2(f)
-    if not math.isfinite(norm):
+def _report_pass(f: Field, axis: int, tau: float):
+    """The support, phase fit, s2 and rearrangement defects of one report.
+
+    |Q_hat| is taken once and serves all four.  A field with a non-finite
+    value raises ``ValueError``, and the zero field :class:`ZeroFieldError`.
+    """
+    mag = np.abs(f.spectrum)
+    top = float(mag.max())
+    if not math.isfinite(top):
         raise ValueError("symmetry report of a field with non-finite values")
-    if norm == 0.0:
+    if top == 0.0:
         raise ZeroFieldError("symmetry report of the zero field")
-    return support_set(f, tau)
-
-
-def _phase_or_none(f: Field, s: SupportSet) -> PhaseFit | None:
+    s = support_set(f, tau, mag)
     try:
-        return phase_affinity(f, s)  # labels the support once, for both answers
+        fit = phase_affinity(f, s)  # labels the support once, for both answers
     except DisconnectedSupportError:
-        return None
+        fit = None
+    return s, fit, _s2_defect(f, fit, mag), _modulus_rearranged_defect(f, axis, mag)
 
 
 def symmetry_report(
@@ -542,16 +591,14 @@ def symmetry_report(
 
     A disconnected support does not abort the report: the phase fit is left
     unset (callers treat that as failure) and the conjugation defect is then
-    computed without affine-phase removal.  A field whose L2 norm is not
-    finite (NaN or infinite values) raises ``ValueError``, and the zero field
-    :class:`ZeroFieldError`.
+    computed without affine-phase removal.  A field with a NaN or infinite
+    value raises ``ValueError``, and the zero field :class:`ZeroFieldError`.
     """
-    s = _checked_support(f, tau)
-    fit = _phase_or_none(f, s)
+    s, fit, s2, modrearr = _report_pass(f, axis, tau)
     return SymmetryReport(
         s1_defect=_s1_defect(f, axis),
-        s2_defect=_s2_defect(f, fit),
-        modulus_rearranged_defect=_modulus_rearranged_defect(f, axis),
+        s2_defect=s2,
+        modulus_rearranged_defect=modrearr,
         phase=fit,
         connected=fit is not None,
         minkowski_defect=minkowski_defect(s, int(sigma)),
@@ -562,8 +609,8 @@ def symmetry_report(
 def sweep_defects(f: Field, axis: int = 0, tau: float = 1e-8) -> tuple[float, float]:
     """``(s2_defect, modulus_rearranged_defect)``, the defects a sweep row writes.
 
-    The values and errors of :func:`symmetry_report`, without its s1 and
-    Minkowski work.
+    The values and errors of :func:`symmetry_report`, from the same pass,
+    without its s1 and Minkowski work.
     """
-    fit = _phase_or_none(f, _checked_support(f, tau))
-    return _s2_defect(f, fit), _modulus_rearranged_defect(f, axis)
+    _, _, s2, modrearr = _report_pass(f, axis, tau)
+    return s2, modrearr
