@@ -23,7 +23,11 @@ a row after one that failed or did not converge, starts cold from the
 Gaussian set by ``init_width`` and ``init_phase``; in a sweep those keys set
 only these cold starts.  ``--jobs`` solves whole chains in parallel.  The
 split depends only on the row index, so ``sweep.csv`` does not depend on
-``--jobs``.
+``--jobs``.  ``--param v`` sets the speed along the config's ``axis``, the
+symmetry axis of the row's defects, and the other components to 0.  A row's
+J and residual are the solve's own (see :func:`solver.minimize`), and its
+defects, energy and mass come from one pass over the returned state
+(:func:`verify.sweep_defects`, :func:`fields.energy_mass`).
 
 Exit codes: 0 success, 1 configuration or I/O error, 2 solver did not
 converge, 3 disconnected spectral support, 4 property-suite failure.
@@ -405,7 +409,8 @@ def _sweep_value(cfg: RunConfig, param: str, value: float,
                  init: Field | None = None) -> tuple[_SweepRow, Field | None]:
     """Solve one sweep row, from ``init`` or, when it is None, cold.
 
-    Returns the row and its converged state, None when the row failed.
+    A speed ``value`` is set along ``cfg.axis``.  Returns the row and its
+    converged state, None when the row failed.
     """
     if param == "v":  # the speed along the config's symmetry axis
         setting = tuple(value if i == cfg.axis else 0.0 for i in range(cfg.grid.ndim))

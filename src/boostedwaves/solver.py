@@ -57,7 +57,14 @@ the candidate back; a rejected one adds one per plain step or halving.
 Converged states are canonicalized: the modulus centroid is moved to the
 origin (integer roll plus exact fractional spectral shifts) and the global
 phase is rotated so the DC spectral coefficient is real and nonnegative.
-Minimizers are unique only up to these transformations.
+Minimizers are unique only up to these transformations.  The report judges
+the returned state, at the cost of one pass over what the loop already holds.
+When the loop stopped on a state it measured and canonicalize only rolled it
+and turned its phase, the returned values are the loop's values moved exactly,
+and the report keeps the loop's J and unit residual: no inverse transform and
+no nonlinearity transform.  Only a fractional shift, which resamples the
+state, or a last candidate the loop never measured (``max_iter`` reached)
+makes it recompute both on the returned state.
 """
 
 from __future__ import annotations
@@ -66,11 +73,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg._umath_linalg import solve1 as _gesv
 
 from .errors import HypothesisViolatedError, ZeroFieldError
 from . import fields
-from .fields import Field, Grid, flat_norm, real_dot
+from .fields import Field, Grid, flat_norm, real_dot, solve_small
 from .symbols import BoostedSymbol, check_assumptions, dispersion_floor
 
 ANDERSON_DEPTH = 5  # differences of past iterates mixed into each step
@@ -255,15 +261,18 @@ def unit_residual(prob: Problem, Q: Field) -> float:
 
 def centroid(f: Field) -> np.ndarray:
     """First moment of |f|^2 in centered coordinates."""
-    w = np.abs(f.values)
-    np.square(w, out=w)
-    total = float(w.sum())
+    return _centroid(f.grid, fields._abs_squared(f.values))
+
+
+def _centroid(grid: Grid, mod2: np.ndarray) -> np.ndarray:
+    """First moment of ``mod2``, a field's |f|^2, in centered coordinates."""
+    total = float(mod2.sum())
     if total == 0.0:
         raise ZeroFieldError("centroid of the zero field")
-    out = np.empty(f.grid.ndim)
-    moment = np.empty_like(w)
-    for axis, mesh in enumerate(f.grid.coord_mesh()):
-        out[axis] = float(np.multiply(w, mesh, out=moment).sum()) / total
+    out = np.empty(grid.ndim)
+    moment = np.empty_like(mod2)
+    for axis, mesh in enumerate(grid.coord_mesh()):
+        out[axis] = float(np.multiply(mod2, mesh, out=moment).sum()) / total
     return out
 
 
@@ -281,14 +290,18 @@ def canonicalize(f: Field) -> Field:
     """
     grid = f.grid
     vals = f.values
-    peak = np.unravel_index(int(np.argmax(np.abs(vals))), vals.shape)
+    mod2 = fields._abs_squared(vals)  # for the peak and the centroid
+    peak = np.unravel_index(int(np.argmax(mod2)), vals.shape)
     shift = [n // 2 - p for n, p in zip(grid.sizes, peak)]
     if any(shift):
         f = Field.from_values(grid, np.roll(vals, shift, axis=tuple(range(grid.ndim))))
+        mod2 = fields._abs_squared(f.values)
     spacing = [grid.spacing(i) for i in range(grid.ndim)]
     resampled = False
     for _ in range(3):
-        c = centroid(f)
+        if resampled:
+            mod2 = fields._abs_squared(f.values)
+        c = _centroid(grid, mod2)
         if all(abs(float(ci) / dx) < 0.25 for ci, dx in zip(c, spacing)):
             break
         f = f.shifted(c)
@@ -404,11 +417,8 @@ def minimize(prob: Problem, init: Field | None = None,
         f_prev, g_prev = f, g
         slack = 1e-12 * max(1.0, abs(j_cur))
         if m:
-            try:
-                with np.errstate(invalid="raise"):  # how gesv reports a zero pivot
-                    coef = _gesv(gram[:m, :m], rhs)
-            except FloatingPointError:  # exactly singular: a repeated difference
-                coef = np.linalg.lstsq(gram[:m, :m], rhs, rcond=1e-14)[0]
+            # lstsq only where a repeated difference makes gram exactly singular
+            coef = solve_small(gram[:m, :m], rhs, rcond=1e-14)
             mix[0, :m] = coef
             cand = g - (mix[:, :m] @ d_g[:m])[0].view(complex).reshape(grid.sizes)
             cand_vals = fields._spec_to_phys(grid, cand)

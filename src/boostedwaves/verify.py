@@ -14,7 +14,13 @@ Thm 24.2) could reach 1/4.  On the 1D and 2D ground states at sigma = 1 the
 fold is one pruned forward and one box-only inverse transform, by
 ``numpy.fft`` in one zero-padded buffer.  Connectivity is counted on the runs
 of the mask along its last axis (:func:`is_connected`).  The centered mask is
-shifted once per :class:`SupportSet`.
+shifted once per :class:`SupportSet`, by block copies (:func:`_centered`).
+
+A report (:func:`symmetry_report`, and :func:`sweep_defects` for a sweep row)
+makes one pass over the field's spectrum: |Q_hat| is taken once, checked for
+the zero and non-finite fields, and handed to the support (which keeps it as
+its ``modulus``), to the phase fit as its weights, to the s2 norm and to the
+rearrangement defect.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import numpy as np
 from numpy import fft
 
 from .errors import DisconnectedSupportError, ZeroFieldError
-from .fields import TAU, Field, flat_norm
+from .fields import TAU, Field, flat_norm, solve_small
 from .rearrange import fourier_rearrange
 
 
@@ -97,8 +103,8 @@ def _line_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = mask.shape[-1]
     flat = np.zeros(mask.size // m * (m + 1) + 1, dtype=bool)  # flat[1 + key]; flat[0] is False
     flat[1:].reshape(-1, m + 1)[:, :m] = mask.reshape(-1, m)
-    point, before = flat[1:], flat[:-1]
-    return np.flatnonzero(point > before), np.flatnonzero(point < before)
+    edges = np.flatnonzero(flat[1:] != flat[:-1])  # a start, then its end, and so on
+    return edges[0::2], edges[1::2]
 
 
 def _run_contacts(shape: tuple[int, ...], starts: np.ndarray,
@@ -478,7 +484,7 @@ def phase_affinity(f: Field, s: SupportSet | None = None, tau: float = 1e-8) -> 
     gram_at, rhs_at = _gram_index(ndim)
     gram, rhs = sums_w[gram_at], sums_wy[rhs_at]
     if thick:
-        sol = np.linalg.solve(gram, rhs)
+        sol = solve_small(gram, rhs, rcond=None)
     else:
         sol, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
     alpha, beta = float(sol[0]), sol[1:]

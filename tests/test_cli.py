@@ -463,6 +463,24 @@ def test_cli_and_1d_runs_leave_scipy_unloaded(classical_cfg, tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_one_job_sweep_leaves_the_thread_pool_unloaded(classical_cfg, tmp_path):
+    # concurrent.futures, and logging with it, cost ~4 ms of every start-up;
+    # only a sweep with --jobs > 1 imports them
+    code = (
+        "import sys\n"
+        "from boostedwaves import cli\n"
+        "cfg, out = sys.argv[1:]\n"
+        "pool = ('concurrent.futures', 'logging')\n"
+        "for jobs in ('1', '2'):\n"
+        "    assert cli.main(['sweep', '--config', cfg, '--out', out, '--param', 'v',\n"
+        "                     '--range', '0:0.4:7', '--jobs', jobs]) == 0\n"
+        "    print([m for m in pool if m in sys.modules])\n"
+    )
+    proc = _run_python(code, classical_cfg, tmp_path / "run")
+    loaded = [line for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert loaded == ["[]", "['concurrent.futures', 'logging']"]
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap thresholds are glibc's")
 def test_repeated_verify_maps_no_fresh_pages(tmp_path):
     # With the heap thresholds fixed, a second report of a 256^2 ground state
