@@ -14,7 +14,7 @@ Thm 24.2) could reach 1/4.  On the 1D and 2D ground states at sigma = 1 the
 fold is one pruned forward and one box-only inverse transform, by
 ``numpy.fft`` in one zero-padded buffer.  Connectivity is counted on the runs
 of the mask along its last axis (:func:`is_connected`).  The centered mask is
-shifted once per :class:`SupportSet`, by block copies (:func:`_centered`).
+shifted once per :class:`SupportSet`.
 
 A report (:func:`symmetry_report`, and :func:`sweep_defects` for a sweep row)
 makes one pass over the field's spectrum: |Q_hat| is taken once, checked for
@@ -25,7 +25,6 @@ rearrangement defect.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -54,29 +53,7 @@ class SupportSet:
     @cached_property
     def centered(self) -> np.ndarray:
         """The mask in centered (fftshift) order, shifted once per support."""
-        return _centered(self.mask)
-
-
-@lru_cache(maxsize=8)
-def _shift_blocks(shape: tuple[int, ...]) -> list[tuple[tuple[slice, ...], tuple[slice, ...]]]:
-    """(destination, source) slices of the blocks that ``fftshift`` moves.
-
-    Along an axis of n points, fftshift rolls by h = n // 2: the first n - h
-    points go to [h, n) and the last h to [0, h).  A block takes one of the
-    two moves per axis.
-    """
-    moves = [((slice(n // 2, None), slice(None, n - n // 2)),
-              (slice(None, n // 2), slice(n - n // 2, None))) for n in shape]
-    return [(tuple(dst for dst, _ in block), tuple(src for _, src in block))
-            for block in itertools.product(*moves)]
-
-
-def _centered(a: np.ndarray) -> np.ndarray:
-    """``np.fft.fftshift(a)``, as 2^n block copies without ``np.roll``'s argument handling."""
-    out = np.empty_like(a)
-    for dst, src in _shift_blocks(a.shape):
-        out[dst] = a[src]
-    return out
+        return np.fft.fftshift(self.mask)
 
 
 def support_set(f: Field, tau: float = 1e-8, modulus: np.ndarray | None = None) -> SupportSet:
@@ -429,15 +406,15 @@ def phase_affinity(f: Field, s: SupportSet | None = None, tau: float = 1e-8) -> 
     axis by axis.  The weights |Q_hat| are the support's ``modulus`` when it
     has one.  Where the support holds two adjacent bins along every axis j,
     an affine function vanishing on it has no xi_j term for any j, so it is
-    zero: the Gram matrix is nonsingular and ``solve`` takes it.  Where the
-    support is one bin thick along an axis (a single bin, or a line), that
-    xi_j is constant on it, the Gram matrix is singular and the fit is not
-    unique.  ``lstsq`` on the Gram matrix then returns the minimum-norm
-    answer, the same as a least-squares solve of the per-point system: the
-    pseudo-inverse solution of G x = A^T b with G = A^T A is A^+ b.
-    Rounding leaves the zero singular values of G below about one ulp of the
-    largest (measured on single bins, lines and planes of up to 512 bins),
-    under the cut of ``lstsq`` at (n+1) ulp.
+    zero: the Gram matrix is nonsingular and LAPACK ``gesv`` solves it
+    (:func:`fields.solve_small`).  Where the support is one bin thick along
+    an axis (a single bin, or a line), that xi_j is constant on it, the Gram
+    matrix is singular and the fit is not unique.  ``lstsq`` on the Gram
+    matrix then returns the minimum-norm answer, the same as a least-squares
+    solve of the per-point system: the pseudo-inverse solution of G x = A^T b
+    with G = A^T A is A^+ b.  Rounding leaves the zero singular values of G
+    below about one ulp of the largest (measured on single bins, lines and
+    planes of up to 512 bins), under the cut of ``lstsq`` at (n+1) ulp.
 
     Raises :class:`DisconnectedSupportError` when the mask has several
     components.
@@ -448,10 +425,10 @@ def phase_affinity(f: Field, s: SupportSet | None = None, tau: float = 1e-8) -> 
         raise DisconnectedSupportError("phase unwrapping needs a connected support")
 
     grid = f.grid
-    spec_c = _centered(f.spectrum)
+    spec_c = np.fft.fftshift(f.spectrum)
     ndim = spec_c.ndim
     raw = np.arctan2(spec_c.imag, spec_c.real)  # np.angle, without its argument handling
-    mag = np.abs(spec_c) if s.modulus is None else _centered(s.modulus)
+    mag = np.abs(spec_c) if s.modulus is None else np.fft.fftshift(s.modulus)
     mag *= s.centered  # |Q_hat| on the support, 0 off it
     coords, bases = _phase_lattice(grid)
 
