@@ -20,11 +20,15 @@ power of two >= 8, hence even, so each grid carries one read-only table
 table, the forward one with the Nyquist bins zeroed, band-limits a spectrum in
 that same multiply.
 
-The n-D FFT is one ``numpy.fft.fft`` (or ``ifft``) call per axis, last axis
-first, which is the order and the arithmetic of ``fftn``/``ifftn``, so the
-result is bit-identical to theirs.  ``fftn``'s own argument handling costs
-about 4 us of a 20 us transform of 1,024 points, where a sweep row spends its
-time.  Each direction makes one new array and works in it: the forward
+The n-D FFT is one call per axis, last axis first, which is the order and
+the arithmetic of ``fftn``/``ifftn``, so the result is bit-identical to
+theirs.  Each call goes to the pocketfft gufunc that ``numpy.fft.fft`` (or
+``ifft``) wraps, with the scale ``ifft`` passes (1/n along the axis) and the
+axis given as the gufunc's ``axes``: ``fftn``'s argument handling cost about
+4 us of a 20 us transform of 1,024 points, and ``fft``'s about 2 to 3 us of
+an 11 to 13 us one, where a sweep row spends its time.  (The gufuncs live in
+numpy's private ``numpy.fft._pocketfft_umath``, as in numpy 2.0 to 2.4.)
+Each direction makes one new array and works in it: the forward
 transform writes every axis into it with ``out=`` and is then multiplied by
 its table in place, and the inverse transforms ``spectrum * table`` in place.
 Without ``out=``, numpy allocates a new array per axis, which made a 256^2
@@ -51,6 +55,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 from numpy.linalg._umath_linalg import solve1 as _gesv
 
 from .errors import GnfFormatError
@@ -194,7 +199,9 @@ class _GridTables(NamedTuple):
     freqs: tuple[np.ndarray, ...]  # per axis, FFT order
     coord_mesh: tuple[np.ndarray, ...]  # the coords, shaped to broadcast
     freq_mesh: tuple[np.ndarray, ...]
-    fft_axes: tuple[int, ...]  # -1, -2, ..: the axes in the order fftn transforms them
+    # per axis, in the order fftn transforms them (-1, -2, ..): the gufunc
+    # ``axes`` argument for that axis and the scale 1/n of its inverse
+    fft_steps: tuple[tuple[list[tuple[int, ...]], float], ...]
 
 
 def _mesh(axes: list[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -220,15 +227,16 @@ def _grid_tables(grid: Grid) -> _GridTables:
              for i, n in enumerate(grid.sizes)]
     return _GridTables(_read_only(sign * scale), _read_only(sign / scale),
                        tuple(coords), tuple(freqs), _mesh(coords), _mesh(freqs),
-                       tuple(range(-1, -grid.ndim - 1, -1)))
+                       tuple(([(axis,), (), (axis,)], 1.0 / grid.sizes[axis])
+                             for axis in range(-1, -grid.ndim - 1, -1)))
 
 
 def _phys_to_spec(grid: Grid, values: np.ndarray, band_limited: bool = False) -> np.ndarray:
     """Spectrum of ``values``; ``band_limited`` zeroes the Nyquist bins in the same multiply."""
     tables = grid._tables
     spec = np.empty(grid.sizes, dtype=np.complex128)
-    for axis in tables.fft_axes:
-        values = np.fft.fft(values, axis=axis, out=spec)
+    for axes, _ in tables.fft_steps:
+        values = _pocketfft.fft(values, 1.0, axes=axes, out=spec)
     spec *= grid._band_limited_forward if band_limited else tables.forward
     return spec
 
@@ -236,8 +244,8 @@ def _phys_to_spec(grid: Grid, values: np.ndarray, band_limited: bool = False) ->
 def _spec_to_phys(grid: Grid, spectrum: np.ndarray) -> np.ndarray:
     tables = grid._tables
     vals = spectrum * tables.inverse
-    for axis in tables.fft_axes:
-        np.fft.ifft(vals, axis=axis, out=vals)
+    for axes, scale in tables.fft_steps:
+        _pocketfft.ifft(vals, scale, axes=axes, out=vals)
     return vals
 
 

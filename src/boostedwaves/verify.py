@@ -14,7 +14,7 @@ Thm 24.2) could reach 1/4.  On the 1D and 2D ground states at sigma = 1 the
 fold is one pruned forward and one box-only inverse transform, by
 ``numpy.fft`` in one zero-padded buffer.  Connectivity is counted on the runs
 of the mask along its last axis (:func:`is_connected`).  The centered mask is
-shifted once per :class:`SupportSet`.
+shifted once per :class:`SupportSet`, by block copies (:func:`_centered`).
 
 A report (:func:`symmetry_report`, and :func:`sweep_defects` for a sweep row)
 makes one pass over the field's spectrum: |Q_hat| is taken once, checked for
@@ -25,6 +25,7 @@ rearrangement defect.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -53,7 +54,33 @@ class SupportSet:
     @cached_property
     def centered(self) -> np.ndarray:
         """The mask in centered (fftshift) order, shifted once per support."""
-        return np.fft.fftshift(self.mask)
+        return _centered(self.mask)
+
+
+@lru_cache(maxsize=8)
+def _half_turns(shape: tuple[int, ...]) -> tuple[tuple[tuple[slice, ...], tuple[slice, ...]], ...]:
+    """(destination, source) slices of the blocks that ``fftshift`` moves.
+
+    Along an axis of n points fftshift rolls by h = n // 2: the first n - h
+    points go to [h, n) and the last h to [0, h).  A block takes one of these
+    two moves along each axis.
+    """
+    moves = [((slice(n // 2, None), slice(None, n - n // 2)),
+              (slice(None, n // 2), slice(n - n // 2, None))) for n in shape]
+    return tuple((tuple(dst for dst, _ in block), tuple(src for _, src in block))
+                 for block in itertools.product(*moves))
+
+
+def _centered(a: np.ndarray) -> np.ndarray:
+    """``np.fft.fftshift(a)`` by 2^n block copies.
+
+    ``np.roll`` spends about 5 us of a 7 us shift of 1,024 points on its
+    argument handling; a report shifts three arrays.
+    """
+    out = np.empty_like(a)
+    for dst, src in _half_turns(a.shape):
+        out[dst] = a[src]
+    return out
 
 
 def support_set(f: Field, tau: float = 1e-8, modulus: np.ndarray | None = None) -> SupportSet:
@@ -425,10 +452,10 @@ def phase_affinity(f: Field, s: SupportSet | None = None, tau: float = 1e-8) -> 
         raise DisconnectedSupportError("phase unwrapping needs a connected support")
 
     grid = f.grid
-    spec_c = np.fft.fftshift(f.spectrum)
+    spec_c = _centered(f.spectrum)
     ndim = spec_c.ndim
     raw = np.arctan2(spec_c.imag, spec_c.real)  # np.angle, without its argument handling
-    mag = np.abs(spec_c) if s.modulus is None else np.fft.fftshift(s.modulus)
+    mag = np.abs(spec_c) if s.modulus is None else _centered(s.modulus)
     mag *= s.centered  # |Q_hat| on the support, 0 off it
     coords, bases = _phase_lattice(grid)
 

@@ -138,6 +138,14 @@ def test_is_connected_matches_ndimage_label():
         assert bw.is_connected(s) == (want == 1), name
 
 
+@pytest.mark.parametrize("shape", [(8,), (9,), (1024,), (8, 16), (3, 1, 5), (4, 6, 8)])
+def test_centered_is_fftshift(shape):
+    rng = np.random.default_rng(sum(shape))
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for a in (values, values.real, values.real > 0):
+        assert np.array_equal(verify._centered(a), np.fft.fftshift(a))
+
+
 def test_minkowski_defect_full_lattice():
     g = bw.Grid.make(64, 5.0)
     s = bw.SupportSet(g, np.ones(64, dtype=bool), 0.5)
