@@ -27,7 +27,7 @@ theirs.  Each call goes to the pocketfft gufunc that ``numpy.fft.fft`` (or
 axis given as the gufunc's ``axes``: ``fftn``'s argument handling cost about
 4 us of a 20 us transform of 1,024 points, and ``fft``'s about 2 to 3 us of
 an 11 to 13 us one, where a sweep row spends its time.  (The gufuncs live in
-numpy's private ``numpy.fft._pocketfft_umath``, as in numpy 2.0 to 2.4.)
+numpy 2's private module ``numpy.fft._pocketfft_umath``.)
 Each direction makes one new array and works in it: the forward
 transform writes every axis into it with ``out=`` and is then multiplied by
 its table in place, and the inverse transforms ``spectrum * table`` in place.
