@@ -32,9 +32,10 @@ defects, energy and mass come from one pass over the returned state
 Exit codes: 0 success, 1 configuration or I/O error, 2 solver did not
 converge, 3 disconnected spectral support, 4 property-suite failure.
 
-``main`` fixes two glibc heap thresholds once per process (see
-:func:`_fix_heap_thresholds`), so that repeated in-process calls reuse the
-pages of their large temporaries instead of mapping fresh ones.
+``main`` fixes two glibc heap thresholds and caps glibc at one malloc arena,
+once per process (see :func:`_fix_heap_thresholds`), so that repeated
+in-process calls, and the worker thread of a symmetry report, reuse the pages
+of their large temporaries instead of mapping fresh ones.
 """
 
 from __future__ import annotations
@@ -595,11 +596,13 @@ def _glue_range(argv: list[str]) -> list[str]:
 
 _M_TRIM_THRESHOLD = -1  # mallopt parameters, from glibc's malloc.h
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 @functools.cache
 def _fix_heap_thresholds() -> None:
-    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 256 MiB.
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 256 MiB,
+    and cap it at one malloc arena.
 
     glibc serves a block above the mmap threshold (128 KiB at start) with its
     own mapping, whose pages fault in afresh on first touch and go back to the
@@ -609,8 +612,18 @@ def _fix_heap_thresholds() -> None:
     ``verify`` makes temporaries of up to 4 MiB: in a process that only
     verifies, each report mapped about 2,200 fresh pages with the defaults,
     and none with these values.  32 MiB is the largest mmap threshold glibc
-    accepts on 64-bit systems.  Where the C library has no ``mallopt`` (not
-    glibc), nothing is set.
+    accepts on 64-bit systems.
+
+    glibc gives a thread that meets a locked arena an arena of its own, up to
+    8 per core, and each arena keeps its freed blocks under the same
+    thresholds.  The Minkowski fold of a symmetry report runs on a worker
+    thread (:func:`verify.symmetry_report`).  When the fold allocated its
+    lattice buffers itself, in an arena of its own, the 256^2 ``verify``
+    benchmark peaked at 68.4 MB resident against 60.9 MB for a one-thread
+    report.  The calling thread now allocates them
+    (``verify._fold_buffers``), and the peak is 61.5 MB with glibc's
+    default arenas and 61.2 MB with one.  Where the C library has no
+    ``mallopt`` (not glibc), nothing is set.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -620,6 +633,7 @@ def _fix_heap_thresholds() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def main(argv=None) -> int:

@@ -21,12 +21,40 @@ makes one pass over the field's spectrum: |Q_hat| is taken once, checked for
 the zero and non-finite fields, and handed to the support (which keeps it as
 its ``modulus``), to the phase fit as its weights, to the s2 norm and to the
 rearrangement defect.
+
+:func:`symmetry_report` runs on two threads.  The paper's result has two
+halves that share only the support mask: the affine phase and Steiner
+symmetry of |Q_hat| (phase fit, s2, rearrangement defect, s1), which read
+the field, and the Minkowski fold, which reads only the centered mask.  So
+the fold is the part that moves: once the support is cut, one worker thread
+folds it while the calling thread makes the other half.  Both halves spend
+their time in numpy's pocketfft transforms and ufunc loops, which release
+the GIL on lattice-sized arrays, so on two cores they overlap; on the 256^2
+ground state the fold takes about 2.5 ms and the other half about 3.2 ms.
+No call on either side of the overlap may hand a lattice-sized operand to
+BLAS (``np.vdot``, ``np.dot``, ``@``, ``np.linalg``): OpenBLAS threads such a
+call over every core, and the two halves then compete for them.  With the
+phase-fit residual taken by ``np.vdot``, the fastest of 300 reports on the
+256^2 ground state took 6.6 to 7.0 ms, against 4.0 to 4.7 ms with one BLAS
+thread; norms go through :func:`fields.flat_norm`.  The calling
+thread allocates the fold's two lattice buffers (:func:`_fold_buffers`)
+before the worker starts and frees them after the join, so a one-run fold
+allocates no lattice-sized array on the worker: where glibc serves both
+threads from one arena (``cli._fix_heap_thresholds``), the heap's layout does
+not depend on how the threads interleave, and a repeated report faults in
+no fresh pages.  Starting and joining the worker costs about 50 us, and the
+two threads hand the GIL to each other around every numpy call, which on
+small lattices costs more than the overlap saves: a 1D report of 1,024
+points took 0.17 to 0.18 ms on one thread and 0.32 to 0.45 ms on two.  There
+is no switch by size; the one code path serves every lattice, and no
+measured workload makes small reports.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -183,16 +211,21 @@ def is_connected(s: SupportSet) -> bool:
     return _component_count(starts.size, i, j) == 1
 
 
-def _forward(x: np.ndarray, period: tuple[int, ...]) -> np.ndarray:
+def _forward(x: np.ndarray, period: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
     """``rfftn(x, s=period)`` one axis at a time, in one zero-padded buffer.
 
-    ``rfft`` along the last axis runs on the rows of ``x`` only, since the
-    rows that zero padding to ``period`` adds transform to zero, and writes
-    into the corner of the buffer that those rows occupy.  Each other axis is
-    then transformed in place, over its whole period but only on the rows of
-    the axes after it that are not zero yet.
+    The buffer is ``out`` when given (its values are not read), else a new
+    array.  Only its padding rows are zeroed: ``rfft`` along the last axis
+    runs on the rows of ``x`` only, since the rows that zero padding to
+    ``period`` adds transform to zero, and writes into the corner of the
+    buffer that those rows occupy.  Each other axis is then transformed in
+    place, over its whole period but only on the rows of the axes after it
+    that are not zero yet.
     """
-    out = np.zeros(period[:-1] + (period[-1] // 2 + 1,), dtype=np.complex128)
+    if out is None:
+        out = np.empty(_half_spectrum(period), dtype=np.complex128)
+    for axis, n in enumerate(x.shape[:-1]):
+        out[(slice(None),) * axis + (slice(n, None),)] = 0.0
     rows = tuple(slice(0, n) for n in x.shape[:-1])
     fft.rfft(x, n=period[-1], axis=-1, out=out[rows])
     for axis in range(x.ndim - 1):
@@ -201,18 +234,47 @@ def _forward(x: np.ndarray, period: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _inverse(spec: np.ndarray, period: tuple[int, ...], keep: tuple[slice, ...]) -> np.ndarray:
+def _inverse(spec: np.ndarray, period: tuple[int, ...], keep: tuple[slice, ...],
+             out: np.ndarray | None = None) -> np.ndarray:
     """``irfftn(spec, s=period)[keep]`` one axis at a time; overwrites ``spec``.
 
     Each axis is inverted in place.  Its outputs are then independent, so
     only the slice ``keep`` of that axis goes on to the transforms of the
-    next axes.
+    next axes.  The last axis, a real transform, writes into the leading
+    elements of the flat float array ``out`` when given.
     """
-    out = spec
+    part = spec
     for axis in range(spec.ndim - 1):
-        fft.ifft(out, axis=axis, out=out)
-        out = out[(slice(None),) * axis + (keep[axis],)]
-    return fft.irfft(out, n=period[-1], axis=-1)[..., keep[-1]]
+        fft.ifft(part, axis=axis, out=part)
+        part = part[(slice(None),) * axis + (keep[axis],)]
+    if out is not None:
+        out = _leading(out, part.shape[:-1] + (period[-1],))
+    return fft.irfft(part, n=period[-1], axis=-1, out=out)[..., keep[-1]]
+
+
+def _half_spectrum(period: tuple[int, ...]) -> tuple[int, ...]:
+    """Shape of the ``rfftn`` of a real array of shape ``period``."""
+    return period[:-1] + (period[-1] // 2 + 1,)
+
+
+def _leading(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The first elements of the flat array ``buf``, as an array of ``shape``."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+def _fold_buffers(shape: tuple[int, ...], sigma: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two lattice buffers of :func:`minkowski_defect` on a mask of ``shape``.
+
+    A complex array for the padded half spectrum of the mask, and a flat
+    float array that holds the mask before its transform, then |F[S]|^2,
+    then the counts of the last inverse transform, which keeps the box along
+    every axis but the last.  A fold of one run allocates no other
+    lattice-sized array.
+    """
+    period = tuple((sigma + 1) * n for n in shape)
+    half = _half_spectrum(period)
+    counts = math.prod(shape[:-1]) * period[-1]
+    return np.empty(half, dtype=np.complex128), np.empty(max(math.prod(half), counts))
 
 
 def _run_rounding_bound(factors: int, start: float, size: int, lattice: int) -> float:
@@ -242,11 +304,13 @@ def _run_rounding_bound(factors: int, start: float, size: int, lattice: int) -> 
             * math.sqrt(start) * float(size) ** (factors - 1))
 
 
-def _run_product(spec, base, pair, plus, minus):
-    """spec F[S]^plus conj(F[S])^minus, for |plus - minus| <= 1; may overwrite ``spec``.
+def _run_product(spec, base, pair, plus, minus, last):
+    """spec F[S]^plus conj(F[S])^minus, for |plus - minus| <= 1.
 
-    ``spec`` None stands for 1.  The run then holds a pair at least, so the
-    result is a new array, never ``base`` or ``pair`` themselves.
+    ``spec`` None stands for 1.  Overwrites ``spec``, and ``base`` in the
+    ``last`` run, after which it is not read again.  The run holds a pair at
+    least, so the result is never ``pair`` itself, nor ``base`` unless
+    ``last``.
     """
     acc = spec
     if plus != minus:
@@ -255,11 +319,17 @@ def _run_product(spec, base, pair, plus, minus):
     pairs = min(plus, minus)
     if pairs:
         power = pair if pairs == 1 else pair**pairs
-        acc = power.astype(complex) if acc is None else acc * power
+        if acc is None:
+            acc = power.astype(complex)
+        elif acc is base and not last:
+            acc = acc * power
+        else:
+            acc = np.multiply(acc, power, out=acc)
     return acc
 
 
-def minkowski_defect(s: SupportSet, sigma: int) -> float:
+def minkowski_defect(s: SupportSet, sigma: int,
+                     buffers: tuple[np.ndarray, np.ndarray] | None = None) -> float:
     """Symmetric-difference fraction |S xor ((sigma+1) S + sigma (-S))| / |S| in the box.
 
     The map is the paper's: |u|^{2 sigma} u = u^{sigma+1} conj(u)^sigma and
@@ -308,6 +378,12 @@ def minkowski_defect(s: SupportSet, sigma: int) -> float:
     the last inverse keeps only the box along each axis before the next axis
     is transformed, as the bins outside the box are never read.  The
     transforms between runs are full, on float buffers.
+
+    The first run and the last inverse work in the two arrays of
+    :func:`_fold_buffers`, ``buffers`` when given: the mask is converted to
+    floats in the float one and transformed into the complex one, |F[S]|^2
+    overwrites the mask, a last run multiplies in place, and the counts
+    overwrite |F[S]|^2.  Every other lattice-sized array is allocated here.
     """
     if sigma < 1:
         raise ValueError("sigma must be >= 1")
@@ -317,8 +393,11 @@ def minkowski_defect(s: SupportSet, sigma: int) -> float:
         raise ZeroFieldError("empty support mask")
     period = tuple((sigma + 1) * n for n in centered.shape)
     lattice = math.prod(period)
-    base = _forward(centered.astype(np.float64), period)
-    pair = np.abs(base)
+    spec_buf, real_buf = _fold_buffers(centered.shape, sigma) if buffers is None else buffers
+    mask = _leading(real_buf, centered.shape)
+    mask[...] = centered  # 0.0 / 1.0
+    base = _forward(mask, period, out=spec_buf)
+    pair = np.abs(base, out=_leading(real_buf, base.shape))
     np.square(pair, out=pair)  # |F[S]|^2 = F[S] conj F[S], the transform of S - S
     signs = [1] + [-1, 1] * sigma  # the factors S, then sigma pairs -S, S
     spec, start, done = None, size, 0  # the run's start (None: the mask itself) and its size
@@ -328,7 +407,7 @@ def minkowski_defect(s: SupportSet, sigma: int) -> float:
         while end < len(signs) and _run_rounding_bound(end - first + 2, start, size, lattice) <= 0.25:
             end += 1
         plus = signs[done:end].count(1)
-        acc = _run_product(spec, base, pair, plus, end - done - plus)
+        acc = _run_product(spec, base, pair, plus, end - done - plus, end == len(signs))
         done = end
         if done == len(signs):
             break
@@ -336,7 +415,7 @@ def minkowski_defect(s: SupportSet, sigma: int) -> float:
         np.greater(acc, 0.5, out=acc)  # the run's sum, in place as 0.0 / 1.0
         start = float(acc.sum())  # exact: a sum of 0.0 / 1.0 below 2^53
         spec = _forward(acc, period)
-    summed = _inverse(acc, period, tuple(slice(0, n) for n in centered.shape)) > 0.5
+    summed = _inverse(acc, period, tuple(slice(0, n) for n in centered.shape), out=real_buf) > 0.5
     return float(np.count_nonzero(centered != summed)) / float(size)
 
 
@@ -521,12 +600,14 @@ class SymmetryReport:
     tau: float
 
 
-def _reflect_axis(arr: np.ndarray, axis: int) -> np.ndarray:
-    # periodic point reflection about the centered origin: exact permutation
-    return np.roll(np.flip(arr, axis=axis), 1, axis=axis)
-
-
 def _s1_defect(f: Field, axis: int) -> float:
+    """Worst relative change of Q under a transverse reflection or axis swap.
+
+    The periodic reflection about the centered origin along axis t maps index
+    i to -i mod N: bin 0 stays and bins 1 .. N-1 reverse, so Q minus its
+    reflection is 0 at i = 0 and v[i] - v[N - i] above, formed by two slices
+    in one buffer.
+    """
     grid = f.grid
     if grid.ndim == 1:
         return 0.0
@@ -534,9 +615,13 @@ def _s1_defect(f: Field, axis: int) -> float:
     denom = flat_norm(vals)
     worst = 0.0
     transverse = [i for i in range(grid.ndim) if i != axis]
+    diff = np.empty_like(vals)
     for t in transverse:
-        refl = _reflect_axis(vals, t)
-        worst = max(worst, flat_norm(vals - refl) / denom)
+        lead = (slice(None),) * t
+        diff[lead + (0,)] = 0.0
+        np.subtract(vals[lead + (slice(1, None),)], vals[lead + (slice(None, 0, -1),)],
+                    out=diff[lead + (slice(1, None),)])
+        worst = max(worst, flat_norm(diff) / denom)
     if len(transverse) == 2:
         t0, t1 = transverse
         same_geometry = (
@@ -544,8 +629,8 @@ def _s1_defect(f: Field, axis: int) -> float:
             and grid.half_lengths[t0] == grid.half_lengths[t1]
         )
         if same_geometry:
-            swapped = np.swapaxes(vals, t0, t1)
-            worst = max(worst, flat_norm(vals - swapped) / denom)
+            np.subtract(vals, np.swapaxes(vals, t0, t1), out=diff)
+            worst = max(worst, flat_norm(diff) / denom)
     return worst
 
 
@@ -571,11 +656,10 @@ def _modulus_rearranged_defect(f: Field, axis: int, mag: np.ndarray) -> float:
     return flat_norm(mag - rearranged) / flat_norm(mag)
 
 
-def _report_pass(f: Field, axis: int, tau: float):
-    """The support, phase fit, s2 and rearrangement defects of one report.
-
-    |Q_hat| is taken once and serves all four.  A field with a non-finite
-    value raises ``ValueError``, and the zero field :class:`ZeroFieldError`.
+def _report_support(f: Field, tau: float) -> SupportSet:
+    """The support of one report, cut from |Q_hat|, which it keeps as its
+    ``modulus``.  A field with a non-finite value raises ``ValueError``, and
+    the zero field :class:`ZeroFieldError`.
     """
     mag = np.abs(f.spectrum)
     top = float(mag.max())
@@ -583,12 +667,26 @@ def _report_pass(f: Field, axis: int, tau: float):
         raise ValueError("symmetry report of a field with non-finite values")
     if top == 0.0:
         raise ZeroFieldError("symmetry report of the zero field")
-    s = support_set(f, tau, mag)
+    return support_set(f, tau, mag)
+
+
+def _report_pass(f: Field, axis: int, s: SupportSet):
+    """The phase fit, s2 and rearrangement defects of one report, weighed by
+    the support's |Q_hat|."""
     try:
         fit = phase_affinity(f, s)  # labels the support once, for both answers
     except DisconnectedSupportError:
         fit = None
-    return s, fit, _s2_defect(f, fit, mag), _modulus_rearranged_defect(f, axis, mag)
+    return fit, _s2_defect(f, fit, s.modulus), _modulus_rearranged_defect(f, axis, s.modulus)
+
+
+def _fold_into(out: list, s: SupportSet, sigma: int, buffers) -> None:
+    """The report's worker: appends ``minkowski_defect(s, sigma, buffers)``
+    to ``out``, or the exception it raised, for the calling thread to re-raise."""
+    try:
+        out.append(minkowski_defect(s, sigma, buffers))
+    except BaseException as exc:
+        out.append(exc)
 
 
 def symmetry_report(
@@ -603,15 +701,38 @@ def symmetry_report(
     unset (callers treat that as failure) and the conjugation defect is then
     computed without affine-phase removal.  A field with a NaN or infinite
     value raises ``ValueError``, and the zero field :class:`ZeroFieldError`.
+
+    The Minkowski fold runs on a worker thread while this thread makes the
+    phase fit, s2, the rearrangement defect and s1 (see the module
+    docstring); the values are those of the stages run one after another.
+    Before the worker starts, this thread forms the support's centered mask
+    (under Python 3.11 ``cached_property`` computes while holding a lock)
+    and allocates the fold's buffers, which it frees only after the join.
+    The worker is joined before the report returns or raises.  An error of
+    this thread's stages propagates; otherwise an error of the fold
+    (``sigma`` < 1, say) is re-raised here.
     """
-    s, fit, s2, modrearr = _report_pass(f, axis, tau)
+    s = _report_support(f, tau)
+    sigma = int(sigma)
+    buffers = _fold_buffers(s.centered.shape, max(sigma, 1))
+    fold: list = []
+    worker = threading.Thread(target=_fold_into, args=(fold, s, sigma, buffers),
+                              name="minkowski-fold")
+    worker.start()
+    try:
+        fit, s2, modrearr = _report_pass(f, axis, s)
+        s1 = _s1_defect(f, axis)
+    finally:
+        worker.join()
+    if isinstance(fold[0], BaseException):
+        raise fold[0]
     return SymmetryReport(
-        s1_defect=_s1_defect(f, axis),
+        s1_defect=s1,
         s2_defect=s2,
         modulus_rearranged_defect=modrearr,
         phase=fit,
         connected=fit is not None,
-        minkowski_defect=minkowski_defect(s, int(sigma)),
+        minkowski_defect=fold[0],
         tau=tau,
     )
 
@@ -622,5 +743,5 @@ def sweep_defects(f: Field, axis: int = 0, tau: float = 1e-8) -> tuple[float, fl
     The values and errors of :func:`symmetry_report`, from the same pass,
     without its s1 and Minkowski work.
     """
-    _, _, s2, modrearr = _report_pass(f, axis, tau)
+    _, s2, modrearr = _report_pass(f, axis, _report_support(f, tau))
     return s2, modrearr

@@ -1,7 +1,19 @@
+import threading
+
 import numpy as np
 import pytest
 
 import boostedwaves as bw
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_behind():
+    # A symmetry report joins its fold worker and `sweep --jobs 2` shuts its
+    # pool down before returning; no test may end with a thread it started.
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert not left, f"threads left running: {left}"
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,6 @@
 import itertools
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from scipy.integrate import quad
 
 import boostedwaves as bw
 from boostedwaves import verify
+from boostedwaves.fields import flat_norm
 
 
 def test_support_set_gaussian_radius():
@@ -599,3 +602,98 @@ def test_symmetry_report_goes_through_module_stages(frac2d_report, monkeypatch):
     rep = verify.symmetry_report(frac2d_report.Q, axis=0, sigma=1)
     assert rep.connected
     assert calls == dict.fromkeys(names, 1)
+
+
+def _serial_report(f, axis, sigma, tau):
+    """The report's stages one after another, in the order of the single-thread
+    report: support, phase fit, s2, rearrangement, s1 (reflections by
+    ``np.roll(np.flip(..))``), then the fold in buffers of its own."""
+    mag = np.abs(f.spectrum)
+    s = verify.support_set(f, tau, mag)
+    try:
+        fit = verify.phase_affinity(f, s)
+    except bw.DisconnectedSupportError:
+        fit = None
+    s2 = verify._s2_defect(f, fit, mag)
+    modrearr = verify._modulus_rearranged_defect(f, axis, mag)
+    s1 = 0.0
+    vals = f.values
+    transverse = [t for t in range(f.grid.ndim) if t != axis]
+    if transverse:
+        denom = flat_norm(vals)
+        images = [np.roll(np.flip(vals, axis=t), 1, axis=t) for t in transverse]
+        if len(transverse) == 2:
+            images.append(np.swapaxes(vals, *transverse))
+        s1 = max(flat_norm(vals - image) / denom for image in images)
+    return verify.SymmetryReport(s1, s2, modrearr, fit, fit is not None,
+                                 verify.minkowski_defect(s, sigma), tau)
+
+
+def _gapped_field():
+    g = bw.Grid.make(128, 10.0)
+    xi = g.freqs(0)
+    spec = np.where((np.abs(xi) > 2.0) & (np.abs(xi) < 4.0), 1.0, 0.0)
+    return bw.Field.from_spectrum(g, spec.astype(complex))
+
+
+def _swap_broken_3d_field():
+    # even in every coordinate, so the reflections leave it; the transverse
+    # axes share their geometry but not their widths, so the swap does not
+    g = bw.Grid.make((16, 16, 16), 6.0)
+    x0, x1, x2 = g.coord_mesh()
+    vals = np.exp(-(x0**2 + x1**2 + 2.0 * x2**2) / 2.0) * np.exp(0.3j * x0)
+    return bw.Field.from_values(g, vals.astype(complex))
+
+
+@pytest.mark.parametrize("case", ["ground_2d", "gapped", "swap_3d"])
+def test_symmetry_report_is_its_serial_stages(case, frac2d_report):
+    # the two-thread report equals its stages run one after another, bit for bit
+    f, axis, tau = {"ground_2d": (frac2d_report.Q, 0, 1e-8),
+                    "gapped": (_gapped_field(), 0, 1e-3),
+                    "swap_3d": (_swap_broken_3d_field(), 0, 1e-8)}[case]
+    rep = bw.symmetry_report(f, axis=axis, sigma=1, tau=tau)
+    assert rep == _serial_report(f, axis, 1, tau)
+    if case == "gapped":
+        assert rep.phase is None
+    if case == "swap_3d":
+        assert rep.s1_defect > 1e-2  # the swap branch sets it
+        for t in (1, 2):
+            lead = (slice(None),) * t
+            refl = np.concatenate([f.values[lead + (slice(0, 1),)],
+                                   f.values[lead + (slice(None, 0, -1),)]], axis=t)
+            assert flat_norm(f.values - refl) <= 1e-12 * flat_norm(f.values)
+
+
+def test_symmetry_report_raises_the_fold_error_from_its_worker(frac2d_report, monkeypatch):
+    threads = []
+    real = verify.minkowski_defect
+
+    def fold(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "minkowski_defect", fold)
+    with pytest.raises(ValueError, match="sigma must be >= 1"):
+        bw.symmetry_report(frac2d_report.Q, sigma=0)
+    assert len(threads) == 1 and threads[0] is not threading.current_thread()
+    assert not threads[0].is_alive()
+
+
+def test_symmetry_report_joins_its_worker_before_raising(frac2d_report, monkeypatch):
+    finished = []
+    real = verify.minkowski_defect
+
+    def slow_fold(*args, **kwargs):
+        time.sleep(0.05)
+        value = real(*args, **kwargs)
+        finished.append(threading.current_thread())
+        return value
+
+    def failing_fit(*args, **kwargs):
+        raise RuntimeError("phase fit failed")
+
+    monkeypatch.setattr(verify, "minkowski_defect", slow_fold)
+    monkeypatch.setattr(verify, "phase_affinity", failing_fit)
+    with pytest.raises(RuntimeError, match="phase fit failed"):
+        bw.symmetry_report(frac2d_report.Q)
+    assert len(finished) == 1 and not finished[0].is_alive()
