@@ -29,25 +29,33 @@ the field, and the Minkowski fold, which reads only the centered mask.  So
 the fold is the part that moves: once the support is cut, one worker thread
 folds it while the calling thread makes the other half.  Both halves spend
 their time in numpy's pocketfft transforms and ufunc loops, which release
-the GIL on lattice-sized arrays, so on two cores they overlap; on the 256^2
-ground state the fold takes about 2.5 ms and the other half about 3.2 ms.
+the GIL on lattice-sized arrays, so on two cores they overlap.  On the 256^2
+ground state the fastest of 300 folds took 2.8 ms, of the other half 3.7 ms,
+and of the reports 5.3 ms.
+
 No call on either side of the overlap may hand a lattice-sized operand to
 BLAS (``np.vdot``, ``np.dot``, ``@``, ``np.linalg``): OpenBLAS threads such a
 call over every core, and the two halves then compete for them.  With the
 phase-fit residual taken by ``np.vdot``, the fastest of 300 reports on the
 256^2 ground state took 6.6 to 7.0 ms, against 4.0 to 4.7 ms with one BLAS
-thread; norms go through :func:`fields.flat_norm`.  The calling
-thread allocates the fold's two lattice buffers (:func:`_fold_buffers`)
-before the worker starts and frees them after the join, so a one-run fold
-allocates no lattice-sized array on the worker: where glibc serves both
-threads from one arena (``cli._fix_heap_thresholds``), the heap's layout does
-not depend on how the threads interleave, and a repeated report faults in
-no fresh pages.  Starting and joining the worker costs about 50 us, and the
-two threads hand the GIL to each other around every numpy call, which on
-small lattices costs more than the overlap saves: a 1D report of 1,024
-points took 0.17 to 0.18 ms on one thread and 0.32 to 0.45 ms on two.  There
-is no switch by size; the one code path serves every lattice, and no
-measured workload makes small reports.
+thread; norms go through :func:`fields.flat_norm`.  The moment contractions
+of the phase fit (:func:`_moments`) are such products, of the lattice with
+a three-column basis: at 256^2 the report took the same time with one BLAS
+thread as with OpenBLAS's default, at 512^2 it took less.
+
+The calling thread allocates the fold's two lattice buffers
+(:func:`_fold_buffers`) before the worker starts and frees them after the
+join, so a one-run fold allocates no lattice-sized array on the worker:
+where glibc serves both threads from one arena
+(``cli._fix_heap_thresholds``), the heap's layout does not depend on how the
+threads interleave, and a repeated report faults in no fresh pages.
+
+Starting and joining a thread costs 40 to 70 us, and on small lattices the
+two threads cost more than their overlap saves: the fastest of 3,000 1D
+reports of 1,024 points took 0.18 ms on one thread and 0.34 to 0.44 ms on
+two, the median 0.29 to 0.37 ms against 0.65 to 0.87 ms.  There is no
+switch by size; the one code path serves every lattice, and no measured
+workload makes small reports.
 """
 
 from __future__ import annotations
