@@ -8,7 +8,6 @@ from .errors import (
     DisconnectedSupportError,
     GnfFormatError,
     HypothesisViolatedError,
-    UnboundedBelowError,
     ZeroFieldError,
 )
 from .fields import (
@@ -42,12 +41,9 @@ from .solver import (
     weinstein,
 )
 from .symbols import (
-    AssumptionReport,
     BoostedSymbol,
     Symbol,
     biharmonic,
-    check_assumptions,
-    custom,
     dispersion_floor,
     fractional,
     galilean_gauge,

@@ -8,8 +8,8 @@ value is refused with the number of the line it came from.  The flags
 the same parser and check.  The ``symbol`` value is
 ``<kind>; name = value; ...``.  This module names no kind: the kinds, their
 parameters and the parameters' defaults are read from the table
-``symbols.KINDS`` (a kind built from a Python callable cannot be configured),
-and the kind's factory builds the symbol.
+``symbols.KINDS``, which lists every kind the package has, and the kind's
+factory builds the symbol.
 
 All CSV output uses a fixed column order and 17-significant-digit floats, so
 the same config reproduces byte-identical files.
@@ -145,8 +145,8 @@ def _symbol(_, text: str, ndim: int) -> Symbol:
     """``<kind>; name = value; ...`` -> the Symbol the kind's factory builds."""
     name, *pieces = [p.strip() for p in text.split(";")]
     kind = KINDS.get(name)
-    if kind is None or kind.params is None:
-        known = ", ".join(k for k, row in KINDS.items() if row.params is not None)
+    if kind is None:
+        known = ", ".join(KINDS)
         raise ValueError(f"unknown symbol kind {name!r} (known: {known})")
     given: dict[str, str] = {}
     for piece in filter(None, pieces):

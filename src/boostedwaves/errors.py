@@ -9,10 +9,6 @@ class HypothesisViolatedError(ValueError):
     """Problem parameters fall outside the coercivity/existence hypotheses."""
 
 
-class UnboundedBelowError(ValueError):
-    """The boosted symbol decreases past the configured floor; no finite infimum."""
-
-
 class DisconnectedSupportError(ValueError):
     """Phase unwrapping is undefined on a spectral support with several components."""
 

@@ -70,14 +70,14 @@ makes it recompute both on the returned state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HypothesisViolatedError, ZeroFieldError
 from . import fields
 from .fields import Field, Grid, flat_norm, real_dot, solve_small
-from .symbols import BoostedSymbol, check_assumptions, dispersion_floor
+from .symbols import BoostedSymbol, dispersion_floor
 
 ANDERSON_DEPTH = 5  # differences of past iterates mixed into each step
 
@@ -103,10 +103,11 @@ class Problem:
     def make(cls, bsym: BoostedSymbol, omega: float, sigma: int, grid: Grid) -> "Problem":
         """Validate the hypotheses and compute the dispersion floor.
 
-        A symbol built from a user callable must pass the sampled
-        :func:`check_assumptions`; a failure raises
-        :class:`HypothesisViolatedError` naming the witness frequency.  The
-        shipped kinds have analytic bounds and are not sampled.
+        Refuses, with :class:`HypothesisViolatedError`, a sigma at or above the
+        energy-critical sigma_*, a symbol that :func:`symbols.dispersion_floor`
+        refuses (s < 1/2, or |v| >= 1 at s = 1/2), and omega <= -Sigma_v.  The
+        growth bounds need no check: every kind in :data:`symbols.KINDS` meets
+        them by its formula.
         """
         base = bsym.base
         if grid.ndim != base.ndim:
@@ -119,15 +120,6 @@ class Problem:
             raise HypothesisViolatedError(
                 f"sigma = {sigma} is energy-critical or worse (sigma_* = {crit:g})"
             )
-        if base.func is not None:  # a user callable: its bounds are only declared
-            rep = check_assumptions(base)
-            if not rep.ok:
-                what, witness = (("growth bound", rep.ass1_witness) if not rep.ass1_ok
-                                 else ("transverse monotonicity", rep.ass2_witness))
-                xi = ", ".join(f"{x:.6g}" for x in witness)
-                raise HypothesisViolatedError(
-                    f"{base.kind} symbol violates its declared {what} at xi = ({xi})"
-                )
         floor = dispersion_floor(bsym)  # also enforces s, |v| hypotheses
         if not omega > -floor:
             raise HypothesisViolatedError(

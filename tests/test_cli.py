@@ -101,7 +101,7 @@ def test_config_errors_carry_line_numbers(tmp_path, capsys):
     ("fractional", "symbol 'fractional' needs parameter 's'"),
     ("biharmonic; mu = x", "bad symbol parameter 'mu': 'x'"),
     ("half_wave; s = 1", "unused symbol parameters ['s']"),
-    ("biharmonic; mu = 1; A = 2", "biharmonic with mu > 0 needs 0 < A < 1"),
+    ("biharmonic; mu = 1; A = 2", "unused symbol parameters ['A']"),
 ])
 def test_symbol_errors_carry_one_line_number(tmp_path, capsys, symbol, message):
     cfg = tmp_path / "symbol.cfg"
@@ -113,10 +113,10 @@ def test_symbol_errors_carry_one_line_number(tmp_path, capsys, symbol, message):
 
 
 # A sample value for every parameter a table kind takes.
-SYMBOL_PARAMS = {"s": 0.75, "mu": -1.0, "A": 0.25, "m": 1.0}
+SYMBOL_PARAMS = {"s": 0.75, "mu": -1.0, "m": 1.0}
 
 
-@pytest.mark.parametrize("name", [k for k, row in KINDS.items() if row.params is not None])
+@pytest.mark.parametrize("name", list(KINDS))
 def test_every_table_kind_parses_and_solves(name, tmp_path, capsys):
     kind = KINDS[name]
     values = {key: SYMBOL_PARAMS[key] for key in kind.params}
@@ -449,17 +449,24 @@ def _run_python(code: str, *args) -> subprocess.CompletedProcess:
 
 def test_cli_and_1d_runs_leave_scipy_unloaded(classical_cfg, tmp_path):
     # numpy.fft and the run-length connectivity serve every transform and
-    # label of a 1D solve and sweep; scipy is imported only where used
+    # label of a 1D solve and sweep, and every floor is in closed form, off
+    # the axis too: the package imports no scipy
+    bih = tmp_path / "biharmonic.cfg"
+    bih.write_text("symbol = biharmonic; mu = 1\nn = 2\nsizes = 32\nL = 12.0\n"
+                   "v = 0.3, 0.3\nomega = 1\nsigma = 1\n")
     code = (
         "import sys\n"
         "from boostedwaves import cli\n"
-        "cfg, out = sys.argv[1:]\n"
+        "cfg, bih, out = sys.argv[1:]\n"
         "assert cli.main(['solve', '--config', cfg, '--out', out]) == 0\n"
         "assert cli.main(['sweep', '--config', cfg, '--out', out, '--param', 'v',\n"
         "                 '--range', '0:0.4:3']) == 0\n"
+        "assert cli.main(['sigma', '--config', bih]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    proc = _run_python(code, classical_cfg, tmp_path / "run")
+    proc = _run_python(code, classical_cfg, bih, tmp_path / "run")
+    floor = bw.dispersion_floor(bw.BoostedSymbol.make(bw.biharmonic(1.0, 2), (0.3, 0.3)))
+    assert float(proc.stdout.splitlines()[-2]) == floor
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
