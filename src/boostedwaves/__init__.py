@@ -21,12 +21,7 @@ from .fields import (
     read_gnf,
     write_gnf,
 )
-from .rearrange import (
-    RearrangementPlan,
-    fourier_rearrange,
-    schwarz,
-    steiner_array,
-)
+from .rearrange import fourier_rearrange, steiner_array
 from .solver import (
     Problem,
     SolveOptions,

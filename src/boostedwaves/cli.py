@@ -23,7 +23,10 @@ a row after one that failed or did not converge, starts cold from the
 Gaussian set by ``init_width`` and ``init_phase``; in a sweep those keys set
 only these cold starts.  ``--jobs`` solves whole chains in parallel.  The
 split depends only on the row index, so ``sweep.csv`` does not depend on
-``--jobs``.  ``--param v`` sets the speed along the config's ``axis``, the
+``--jobs``.  The chains are threads, and rows of 1,024 points hold the GIL
+for most of each solve: on a 2-core machine ``--jobs 2`` measured slower
+than ``--jobs 1`` on the 17-row half-wave sweep of ``bench/workloads.py``.
+``--param v`` sets the speed along the config's ``axis``, the
 symmetry axis of the row's defects, and the other components to 0.  A row's
 J and residual are the solve's own (see :func:`solver.minimize`), and its
 defects, energy and mass come from one pass over the returned state
@@ -528,7 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     flag_help = {
         "out": "output directory",
         "tol": "solver tolerance",
-        "jobs": "sweep chains solved in parallel (>= 1)",
+        "jobs": "sweep chains solved in parallel (>= 1; the chains hold the GIL on "
+                "1,024-point rows, where 2 measured slower than 1)",
     }
 
     def configured(name, flags=(), **kwargs):

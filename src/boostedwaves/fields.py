@@ -379,15 +379,14 @@ def norm_lp(f: Field, p) -> float:
     return float(val ** (1.0 / p))
 
 
-def quad_form(f: Field, bsym, omega: float, weight=None, warn: bool = True) -> float:
+def quad_form(f: Field, bsym, omega: float, warn: bool = True) -> float:
     """Boosted quadratic form sum (p(xi) - v.xi + omega) |u_hat|^2 dxi^n.
 
     ``bsym`` is any object with an ``evaluate(xi_components)`` method returning
     the boosted symbol on the frequency mesh.  A :class:`NegativeWeightWarning`
     is emitted when the weight dips below zero (omega <= -Sigma_v territory).
     """
-    if weight is None:
-        weight = np.broadcast_to(bsym.evaluate(f.grid.freq_mesh()), f.grid.sizes) + omega
+    weight = np.broadcast_to(bsym.evaluate(f.grid.freq_mesh()), f.grid.sizes) + omega
     if warn and np.any(weight < 0):
         warnings.warn(
             "quadratic-form weight is negative somewhere; omega > -Sigma_v fails",

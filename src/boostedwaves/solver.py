@@ -35,7 +35,7 @@ in warm sweep rows.
 A J safeguard keeps the quotient non-increasing: a candidate that raises J
 by more than 1e-12 (relative) is rejected, the history is cleared, and the
 plain step u_{k+1} = g_k is taken instead, halved against u_k (up to
-``damp_limit`` times) while it still raises J.  Convergence is declared on
+``DAMP_LIMIT`` times) while it still raises J.  Convergence is declared on
 the relative residual of the rescaled profile equation
 (P_v(D) + omega) Q = |Q|^{2 sigma} Q.
 
@@ -80,6 +80,7 @@ from .fields import Field, Grid, flat_norm, real_dot, solve_small
 from .symbols import BoostedSymbol, dispersion_floor
 
 ANDERSON_DEPTH = 5  # differences of past iterates mixed into each step
+DAMP_LIMIT = 30  # halvings of a rejected step's plain update, at most
 
 
 def sigma_star(order: float, ndim: int) -> float:
@@ -136,7 +137,6 @@ class Problem:
 class SolveOptions:
     tol: float = 1e-10
     max_iter: int = 5000
-    damp_limit: int = 30
     init_width: float = 1.0
     init_phase: tuple[float, ...] | None = None  # None: v/2 along the boost
 
@@ -422,7 +422,7 @@ def minimize(prob: Problem, init: Field | None = None,
             cand = g
             cand_vals = fields._spec_to_phys(grid, cand)
             j_new, quad_new, nl_new, w_new = _state(prob, cand, cand_vals, weight)
-            while j_new > j_cur + slack and row.halvings < opts.damp_limit:
+            while j_new > j_cur + slack and row.halvings < DAMP_LIMIT:
                 cand = 0.5 * (cand + spec)
                 cand_vals = fields._spec_to_phys(grid, cand)
                 j_new, quad_new, nl_new, w_new = _state(prob, cand, cand_vals, weight)

@@ -13,6 +13,7 @@ import numpy as np
 from .fields import Field, Grid, norm_l2, norm_lp, quad_form
 from .rearrange import fourier_rearrange, steiner_array
 from .symbols import BoostedSymbol, fractional, half_wave, sqrt_klein_gordon
+from .verify import _forward, _inverse
 
 
 @dataclass
@@ -120,11 +121,10 @@ def _compact_nonneg(rng, shape, radius) -> np.ndarray:
 
 
 def _convolve_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two real arrays, by zero-padded real FFTs."""
+    """Full linear convolution of two real arrays, by the fold's padded real FFTs."""
     shape = tuple(np.add(a.shape, b.shape) - 1)
-    axes = tuple(range(a.ndim))
-    spec = np.fft.rfftn(a, shape, axes) * np.fft.rfftn(b, shape, axes)
-    return np.fft.irfftn(spec, shape, axes)
+    spec = _forward(a, shape) * _forward(b, shape)
+    return _inverse(spec, shape, (slice(None),) * len(shape))
 
 
 def _linear_conv_at_zero(factors) -> float:

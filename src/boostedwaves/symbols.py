@@ -227,7 +227,7 @@ def dispersion_floor(bsym: BoostedSymbol) -> float:
     closed form at |v|.
     """
     base = bsym.base
-    speed = float(np.linalg.norm(bsym.velocity))
+    speed = math.hypot(*bsym.velocity)  # no overflow of the squares
     if base.order < 0.5:
         raise HypothesisViolatedError("dispersion floor needs order s >= 1/2")
     if base.order == 0.5 and speed >= 1.0:

@@ -16,11 +16,11 @@ fold is one pruned forward and one box-only inverse transform, by
 of the mask along its last axis (:func:`is_connected`).  The centered mask is
 shifted once per :class:`SupportSet`, by block copies (:func:`_centered`).
 
-A report (:func:`symmetry_report`, and :func:`sweep_defects` for a sweep row)
-makes one pass over the field's spectrum: |Q_hat| is taken once, checked for
-the zero and non-finite fields, and handed to the support (which keeps it as
-its ``modulus``), to the phase fit as its weights, to the s2 norm and to the
-rearrangement defect.
+:func:`support_set` is the one constructor of a field's support: it takes
+|Q_hat| once, refuses the non-finite and zero fields, and keeps |Q_hat| as
+the support's ``modulus``.  So a report (:func:`symmetry_report`, and
+:func:`sweep_defects` for a sweep row) makes one pass over the spectrum, and
+the modulus weighs the phase fit, the s2 norm and the rearrangement defect.
 
 :func:`symmetry_report` runs on two threads.  The paper's result has two
 halves that share only the support mask: the affine phase and Steiner
@@ -82,9 +82,7 @@ class SupportSet:
     order; the phase fit weighs by it.  None for a mask given directly.
     """
 
-    grid: object
     mask: np.ndarray  # boolean, FFT order
-    tau: float
     modulus: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @cached_property
@@ -119,16 +117,19 @@ def _centered(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def support_set(f: Field, tau: float = 1e-8, modulus: np.ndarray | None = None) -> SupportSet:
-    """The bins where |f_hat| exceeds tau times its maximum; ``modulus`` is
-    |f_hat| when the caller has it already."""
+def support_set(f: Field, tau: float = 1e-8) -> SupportSet:
+    """The bins where |f_hat| exceeds tau times its maximum; |f_hat|, taken
+    once, is kept as the ``modulus``.  A field with a NaN or infinite value
+    raises ``ValueError``, the zero field :class:`ZeroFieldError`."""
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
-    mag = np.abs(f.spectrum) if modulus is None else modulus
-    top = float(mag.max())
+    mag = np.abs(f.spectrum)
+    top = float(mag.max())  # NaN if any |f_hat| is NaN
+    if not math.isfinite(top):
+        raise ValueError("support of a field with non-finite values")
     if top == 0.0:
         raise ZeroFieldError("support of the zero field is empty")
-    return SupportSet(f.grid, mag > tau * top, tau, mag)
+    return SupportSet(mag > tau * top, mag)
 
 
 def _line_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -664,20 +665,6 @@ def _modulus_rearranged_defect(f: Field, axis: int, mag: np.ndarray) -> float:
     return flat_norm(mag - rearranged) / flat_norm(mag)
 
 
-def _report_support(f: Field, tau: float) -> SupportSet:
-    """The support of one report, cut from |Q_hat|, which it keeps as its
-    ``modulus``.  A field with a non-finite value raises ``ValueError``, and
-    the zero field :class:`ZeroFieldError`.
-    """
-    mag = np.abs(f.spectrum)
-    top = float(mag.max())
-    if not math.isfinite(top):
-        raise ValueError("symmetry report of a field with non-finite values")
-    if top == 0.0:
-        raise ZeroFieldError("symmetry report of the zero field")
-    return support_set(f, tau, mag)
-
-
 def _report_pass(f: Field, axis: int, s: SupportSet):
     """The phase fit, s2 and rearrangement defects of one report, weighed by
     the support's |Q_hat|."""
@@ -720,7 +707,7 @@ def symmetry_report(
     this thread's stages propagates; otherwise an error of the fold
     (``sigma`` < 1, say) is re-raised here.
     """
-    s = _report_support(f, tau)
+    s = support_set(f, tau)
     sigma = int(sigma)
     buffers = _fold_buffers(s.centered.shape, max(sigma, 1))
     fold: list = []
@@ -751,5 +738,5 @@ def sweep_defects(f: Field, axis: int = 0, tau: float = 1e-8) -> tuple[float, fl
     The values and errors of :func:`symmetry_report`, from the same pass,
     without its s1 and Minkowski work.
     """
-    _, s2, modrearr = _report_pass(f, axis, _report_support(f, tau))
+    _, s2, modrearr = _report_pass(f, axis, support_set(f, tau))
     return s2, modrearr

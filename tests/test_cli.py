@@ -194,8 +194,8 @@ def test_verify_refuses_a_field_from_another_grid(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("spoil, reason", [
-    ("zero", "symmetry report of the zero field"),
-    ("nan", "symmetry report of a field with non-finite values"),
+    ("zero", "support of the zero field is empty"),
+    ("nan", "support of a field with non-finite values"),
 ])
 def test_verify_zero_or_non_finite_field_is_one_line_error(tmp_path, capsys, spoil, reason):
     cfg = tmp_path / "c2.cfg"
@@ -750,8 +750,8 @@ def test_sweep_restarts_cold_after_failed_row(classical_cfg, tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("spoil, reason", [
-    ("zero", "ZeroFieldError: symmetry report of the zero field"),
-    ("nan", "ValueError: symmetry report of a field with non-finite values"),
+    ("zero", "ZeroFieldError: support of the zero field is empty"),
+    ("nan", "ValueError: support of a field with non-finite values"),
 ])
 def test_sweep_zero_or_non_finite_state_is_a_named_failure_row(
         classical_cfg, tmp_path, monkeypatch, capsys, spoil, reason):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import boostedwaves as bw
@@ -12,53 +12,58 @@ def centered(n):
 
 
 # -- schwarz -------------------------------------------------------------------
+# Schwarz symmetrization, the full sort-and-assign, through
+# ``fourier_rearrange(f, "full")`` on the FFT-ordered frequency lattice.
 
 
 def test_schwarz_indicator_centers():
-    coords = [np.linspace(-8, 8, 256, endpoint=False)]
-    x = coords[0]
-    vals = ((x > 1.0) & (x < 3.0)).astype(float)
-    out = bw.schwarz(vals, coords)
-    # centered ball of equal point count
+    g = bw.Grid.make(256, 8.0)
+    xi = g.freqs(0)
+    vals = ((xi > 1.0) & (xi < 3.0)).astype(float)
+    out = bw.fourier_rearrange(bw.Field.from_spectrum(g, vals.astype(complex)), "full")
+    # centered ball of equal point count, +k before -k
     count = int(vals.sum())
-    order = np.argsort(np.abs(x), kind="stable")
+    order = np.argsort(np.abs(xi), kind="stable")
     expected = np.zeros_like(vals)
     expected[order[:count]] = 1.0
-    assert np.array_equal(out, expected)
+    assert count > 1
+    assert np.array_equal(out.spectrum, expected)
 
 
 def test_schwarz_fixed_point():
-    coords = [centered(64).astype(float)]
-    vals = np.exp(-np.abs(coords[0]) / 3.0)
-    once = bw.schwarz(vals, coords)
-    assert np.array_equal(once, bw.schwarz(once, coords))
+    g = bw.Grid.make(64, 8.0)
+    f = bw.Field.from_spectrum(g, np.exp(-np.abs(g.freqs(0)) / 3.0).astype(complex))
+    once = bw.fourier_rearrange(f, "full")
+    assert np.array_equal(once.spectrum, bw.fourier_rearrange(once, "full").spectrum)
 
 
 def test_schwarz_four_point_oracle():
-    # distance order on {-2,-1,0,1}: 0, 1, -1, -2 -> values [3,2,1,0]
-    coords = [np.array([-2.0, -1.0, 0.0, 1.0])]
-    vals = np.array([0.0, 3.0, 1.0, 2.0])
-    out = bw.schwarz(vals, coords)
-    # brute-force oracle: sort descending onto distance-sorted positions
-    order = sorted(range(4), key=lambda i: (abs(coords[0][i]), i))
-    expected = np.zeros(4)
-    for rank, idx in enumerate(order):
-        expected[idx] = sorted(vals, reverse=True)[rank]
+    # four nonzero moduli on the 8-point lattice, bins at k dxi for
+    # k = 0, 1, 2, 3, -4, -3, -2, -1
+    g = bw.Grid.make(8, 4.0)
+    xi = g.freqs(0)
+    spec = np.array([0.0, 3j, 0.0, -1.0, 0.0, 2.0, 0.0, -4j])
+    out = bw.fourier_rearrange(bw.Field.from_spectrum(g, spec), "full").spectrum
+    # brute-force oracle: |u_hat| sorted descending onto the bins ranked by
+    # (|xi|, flat index)
+    ranked = sorted(range(8), key=lambda i: (abs(xi[i]), i))
+    expected = np.zeros(8)
+    for rank, idx in enumerate(ranked):
+        expected[idx] = sorted(np.abs(spec), reverse=True)[rank]
     assert np.array_equal(out, expected)
-    assert np.array_equal(out, np.array([0.0, 2.0, 3.0, 1.0]))
+    assert np.array_equal(out, np.array([4.0, 3.0, 1.0, 0.0, 0.0, 0.0, 0.0, 2.0]))
 
 
-def test_schwarz_rejects_negative():
-    coords = [centered(8).astype(float)]
-    with pytest.raises(ValueError):
-        bw.schwarz(np.array([0, 1, 2, -1, 0, 0, 0, 0], dtype=float), coords)
-
-
-@given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=8, max_size=8))
-def test_schwarz_preserves_multiset(values):
-    coords = [centered(8).astype(float)]
-    out = bw.schwarz(np.array(values), coords)
-    assert sorted(out.tolist()) == sorted(values)
+@given(st.data())
+def test_schwarz_preserves_multiset(data):
+    shape = data.draw(st.sampled_from([(8,), (8, 8)]))
+    size = int(np.prod(shape))
+    values = data.draw(st.lists(st.floats(min_value=-1e6, max_value=1e6),
+                                min_size=size, max_size=size))
+    spec = np.array(values, dtype=complex).reshape(shape)
+    out = bw.fourier_rearrange(bw.Field.from_spectrum(bw.Grid.make(shape, 4.0), spec), "full")
+    assert np.all(out.spectrum.imag == 0)
+    assert sorted(out.spectrum.real.ravel().tolist()) == sorted(np.abs(values).tolist())
 
 
 # -- steiner -------------------------------------------------------------------
@@ -101,6 +106,23 @@ def test_steiner_rejects_1d():
     g = bw.Grid.make(16, 4.0)
     with pytest.raises(ValueError):
         bw.steiner_array(np.ones(16), [g.coords(0)], axis=0)
+
+
+@pytest.mark.parametrize("spoil, message", [
+    ("negative", "must be nonnegative"),
+    ("nan", "must be finite"),
+    ("inf", "must be finite"),
+    ("shape", "does not match the coordinates"),
+], ids=["negative", "nan", "inf", "shape"])
+def test_steiner_rejects_bad_input(spoil, message):
+    coords = [centered(8).astype(float), centered(16).astype(float)]
+    vals = np.ones((8, 16))
+    if spoil == "shape":
+        vals = np.ones((16, 8))
+    else:
+        vals[2, 3] = {"negative": -1.0, "nan": np.nan, "inf": np.inf}[spoil]
+    with pytest.raises(ValueError, match=message):
+        steiner_array(vals, coords, axis=0)
 
 
 def test_steiner_idempotent_exactly():

@@ -20,7 +20,7 @@ def test_convolution_suite_small():
 
 
 @pytest.mark.parametrize("shape_a, shape_b", [
-    ((7,), (12,)), ((5, 9), (8, 3)), ((63, 63), (32, 32)),
+    ((7,), (12,)), ((5, 9), (8, 3)), ((63, 63), (32, 32)), ((3, 4, 5), (6, 5, 4)),
 ])
 def test_full_convolution_matches_scipy_signal(shape_a, shape_b):
     rng = np.random.default_rng(7)

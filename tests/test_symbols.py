@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,17 @@ def test_biharmonic_floor_exact_oracles(ndim):
         floor = bw.dispersion_floor(bw.BoostedSymbol.make(bw.biharmonic(mu, ndim), (0.0,) * ndim))
         exact = -(mu * mu) / 4.0
         assert abs(floor - exact) <= math.ulp(exact)
+
+
+@pytest.mark.parametrize("velocity", [(1e200,), (6e199, 8e199)], ids=["1d", "2d"])
+def test_floor_of_huge_speed_does_not_overflow(velocity):
+    # |v|^2 = 1e400 overflows; Sigma_v = -|v|^2 / (4 |mu|) to leading order,
+    # as r^4 is negligible at the minimizer r = |v| / (2 |mu|) = 5e49
+    bsym = bw.BoostedSymbol.make(bw.biharmonic(-1e150, len(velocity)), velocity)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        floor = bw.dispersion_floor(bsym)
+    assert floor == pytest.approx(-2.5e249, rel=1e-12)
 
 
 def test_gauge_identity_at_zero_velocity(sech_field):

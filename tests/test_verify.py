@@ -30,6 +30,22 @@ def test_support_set_rejects_zero_field():
         bw.support_set(zero)
 
 
+@pytest.mark.parametrize("spoil", ["all_nan", "one_inf"])
+def test_support_set_rejects_non_finite_field(spoil):
+    # cut naively, the mask would be empty and the phase fit would blame a
+    # disconnected support
+    g = bw.Grid.make(64, 5.0)
+    if spoil == "all_nan":
+        spec = np.full(64, np.nan, dtype=complex)
+    else:
+        spec = np.exp(-g.freqs(0) ** 2).astype(complex)
+        spec[7] = np.inf
+    f = bw.Field.from_spectrum(g, spec)
+    for call in (bw.support_set, bw.phase_affinity):
+        with pytest.raises(ValueError, match="non-finite"):
+            call(f)
+
+
 def test_support_of_sech_state_is_one_interval(classical_report):
     # oracle: the transform of sech is a positive sech profile, so the
     # thresholded mask must be a single centered interval
@@ -42,23 +58,21 @@ def test_support_of_sech_state_is_one_interval(classical_report):
 
 
 def test_is_connected_masks():
-    g = bw.Grid.make(64, 5.0)
-    full = bw.SupportSet(g, np.ones(64, dtype=bool), 0.5)
+    full = bw.SupportSet(np.ones(64, dtype=bool))
     assert bw.is_connected(full)
     two = np.zeros(64, dtype=bool)
     two[10:20] = True
     two[40:50] = True
-    assert not bw.is_connected(bw.SupportSet(g, two, 0.5))
+    assert not bw.is_connected(bw.SupportSet(two))
 
 
 def test_is_connected_joined_tubes():
     # two half-space tubes meeting at an origin slab form one component
-    g = bw.Grid.make((32, 32), 5.0)
     mask_c = np.zeros((32, 32), dtype=bool)
     mask_c[:16, 14:18] = True   # left tube
     mask_c[16:, 12:20] = True   # right tube, overlapping rows at the seam
     mask = np.fft.ifftshift(mask_c)
-    assert bw.is_connected(bw.SupportSet(g, mask, 0.5))
+    assert bw.is_connected(bw.SupportSet(mask))
 
 
 def _spiral(n: int) -> np.ndarray:
@@ -137,7 +151,7 @@ def test_is_connected_matches_ndimage_label():
         starts, ends = verify._line_runs(mask_c)
         pairs = verify._run_contacts(mask_c.shape, starts, ends)
         assert verify._component_count(starts.size, *pairs) == want, name
-        s = bw.SupportSet(None, np.fft.ifftshift(mask_c), 0.5)
+        s = bw.SupportSet(np.fft.ifftshift(mask_c))
         assert bw.is_connected(s) == (want == 1), name
 
 
@@ -150,32 +164,29 @@ def test_centered_is_fftshift(shape):
 
 
 def test_minkowski_defect_full_lattice():
-    g = bw.Grid.make(64, 5.0)
-    s = bw.SupportSet(g, np.ones(64, dtype=bool), 0.5)
+    s = bw.SupportSet(np.ones(64, dtype=bool))
     assert bw.minkowski_defect(s, 3) == 0.0
 
 
 def test_minkowski_defect_half_lattice():
-    g = bw.Grid.make(64, 5.0)
     # the support map is S -> (sigma+1) S + sigma (-S), and H + H - H fills
     # the box: the half-lattice [0, 32) of 32 points becomes all 64 box points
     mask_c = np.zeros(64, dtype=bool)
     mask_c[32:] = True
-    s = bw.SupportSet(g, np.fft.ifftshift(mask_c), 0.5)
+    s = bw.SupportSet(np.fft.ifftshift(mask_c))
     assert bw.minkowski_defect(s, 3) == 1.0
     # without the boundary bin, [1, 32) still sums to an interval covering the box
     strict = np.zeros(64, dtype=bool)
     strict[33:] = True
-    s2 = bw.SupportSet(g, np.fft.ifftshift(strict), 0.5)
+    s2 = bw.SupportSet(np.fft.ifftshift(strict))
     assert bw.minkowski_defect(s2, 3) == 33 / 31
 
 
 def test_minkowski_defect_two_blobs_oracle():
-    g = bw.Grid.make(32, 4.0)
     mask_c = np.zeros(32, dtype=bool)
     mask_c[4:7] = True
     mask_c[26:29] = True
-    s = bw.SupportSet(g, np.fft.ifftshift(mask_c), 0.5)
+    s = bw.SupportSet(np.fft.ifftshift(mask_c))
     pts = [int(p) for p in np.where(mask_c)[0] - 16]
     for sigma in (1, 2):
         got = bw.minkowski_defect(s, sigma)
@@ -234,7 +245,6 @@ def _check_masks(shape, sigma, oracle):
     first = (0,) * len(shape)
     last = tuple(n - 1 for n in shape)
     centre = tuple(n // 2 for n in shape)
-    g = bw.Grid.make(shape, 4.0)
     rng = np.random.default_rng(sum(shape) + 100 * sigma)
     masks = [np.ones(shape, dtype=bool)]
     for bins in ((first, last), (first, centre), (last, centre)):
@@ -245,7 +255,7 @@ def _check_masks(shape, sigma, oracle):
         masks.append(rng.uniform(size=shape) < density)
         masks[-1][centre] = True
     for mask_c in masks:
-        s = bw.SupportSet(g, np.fft.ifftshift(mask_c), 0.5)
+        s = bw.SupportSet(np.fft.ifftshift(mask_c))
         assert bw.minkowski_defect(s, sigma) == oracle(mask_c, sigma), np.argwhere(mask_c)
 
 
@@ -298,8 +308,7 @@ def test_minkowski_fold_matches_reference_where_runs_threshold(shape, sigma, mon
     # the rounding bound splits the fold of the full mask into several runs
     counted = _CountedFFT()
     monkeypatch.setattr(verify, "fft", counted)
-    g = bw.Grid.make(shape, 4.0)
-    bw.minkowski_defect(bw.SupportSet(g, np.ones(shape, dtype=bool), 0.5), sigma)
+    bw.minkowski_defect(bw.SupportSet(np.ones(shape, dtype=bool)), sigma)
     assert sum(name == "rfft" for name, _ in counted.calls) > 1
     _check_masks(shape, sigma, _reference_minkowski)
 
@@ -312,7 +321,7 @@ def test_minkowski_fold_of_a_sublattice_stays_on_it(shape, sigma):
     # than 1/2 (a defect near 2).
     points = np.indices(shape).sum(axis=0) - sum(n // 2 for n in shape)
     mask_c = points % 3 == 0
-    s = bw.SupportSet(bw.Grid.make(shape, 4.0), np.fft.ifftshift(mask_c), 0.5)
+    s = bw.SupportSet(np.fft.ifftshift(mask_c))
     assert bw.minkowski_defect(s, sigma) == 0.0 == _reference_minkowski(mask_c, sigma)
 
 
@@ -608,8 +617,8 @@ def _serial_report(f, axis, sigma, tau):
     """The report's stages one after another, in the order of the single-thread
     report: support, phase fit, s2, rearrangement, s1 (reflections by
     ``np.roll(np.flip(..))``), then the fold in buffers of its own."""
-    mag = np.abs(f.spectrum)
-    s = verify.support_set(f, tau, mag)
+    s = verify.support_set(f, tau)
+    mag = s.modulus
     try:
         fit = verify.phase_affinity(f, s)
     except bw.DisconnectedSupportError:
