@@ -1,7 +1,7 @@
 """Pseudospectral toolkit for boosted ground states of dispersion-generalized
 NLS equations: spectral fields, Fourier multipliers, rearrangement operators,
 a stabilized fixed-point solver, and symmetry verification, including the
-Minkowski support check of the nonlinearity."""
+residual of the profile equation."""
 
 from .errors import (
     ConfigError,
@@ -50,7 +50,6 @@ from .verify import (
     SupportSet,
     SymmetryReport,
     is_connected,
-    minkowski_defect,
     phase_affinity,
     support_set,
     symmetry_report,

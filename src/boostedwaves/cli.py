@@ -33,12 +33,16 @@ defects, energy and mass come from one pass over the returned state
 (:func:`verify.sweep_defects`, :func:`fields.energy_mass`).
 
 Exit codes: 0 success, 1 configuration or I/O error, 2 solver did not
-converge, 3 disconnected spectral support, 4 property-suite failure.
+converge, 3 disconnected spectral support, 4 property-suite failure
+(``props``) or a failed gate (``verify``).  ``verify`` builds the config's
+problem, so its hypotheses are enforced as in ``solve``, and passes when s1,
+s2 and the rearrangement defect are within ``s1_max``, ``s2_max`` and
+``modrearr_max``, the support is connected, and the unit residual of the
+profile equation is within ``tol``.
 
-``main`` fixes two glibc heap thresholds and caps glibc at one malloc arena,
-once per process (see :func:`_fix_heap_thresholds`), so that repeated
-in-process calls, and the worker thread of a symmetry report, reuse the pages
-of their large temporaries instead of mapping fresh ones.
+``main`` fixes two glibc heap thresholds once per process (see
+:func:`_fix_heap_thresholds`), so that repeated in-process calls reuse the
+pages of their large temporaries instead of mapping fresh ones.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ SWEEP_CHAIN = 6  # sweep rows per continuation chain
 
 _EXIT_DOC = (
     "exit codes: 0 ok; 1 config, field or I/O error; 2 solver did not converge; "
-    "3 disconnected spectral support; 4 property-suite failure"
+    "3 disconnected spectral support; 4 property-suite failure or failed verify gate"
 )
 
 
@@ -223,7 +227,6 @@ KEYS = {
     "s1_max": Key(_float, "1e-5", *_FINITE),
     "s2_max": Key(_float, "1e-5", *_FINITE),
     "modrearr_max": Key(_float, "1e-5", *_FINITE),
-    "minkowski_max": Key(_float, "0.05", *_FINITE),
     "out": Key(lambda name, text, n: text, "out"),
     "jobs": Key(_int, "1", *_COUNT),
 }
@@ -320,7 +323,7 @@ def _symmetry_csv_row(case: str, rep, ndim: int) -> str:
         _fmt(rep.s2_defect),
         _fmt(rep.modulus_rearranged_defect),
         "1" if rep.connected else "0",
-        _fmt(rep.minkowski_defect),
+        _fmt(rep.unit_residual),
         _fmt(alpha),
     ]
     cells.extend(_fmt(b) for b in beta)
@@ -330,7 +333,7 @@ def _symmetry_csv_row(case: str, rep, ndim: int) -> str:
 
 def _symmetry_csv(path, case: str, rep, ndim: int):
     beta_cols = ",".join(f"beta{i}" for i in range(ndim))
-    header = f"case,s1,s2,modrearr,connected,minkowski,alpha,{beta_cols},residual"
+    header = f"case,s1,s2,modrearr,connected,unit_residual,alpha,{beta_cols},residual"
     Path(path).write_text(header + "\n" + _symmetry_csv_row(case, rep, ndim) + "\n")
 
 
@@ -362,13 +365,14 @@ def _grid_text(grid: Grid) -> str:
 
 def cmd_verify(args) -> int:
     cfg = _config(args)
+    prob = make_problem(cfg)
     f = read_gnf(args.field)
     if f.grid != cfg.grid:
         print(f"verify error: field grid {_grid_text(f.grid)} differs from the config grid "
               f"{_grid_text(cfg.grid)}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        rep = symmetry_report(f, axis=cfg.axis, sigma=cfg.sigma, tau=cfg.tau)
+        rep = symmetry_report(f, prob, axis=cfg.axis, tau=cfg.tau)
     except ValueError as exc:  # the zero field, or non-finite values
         print(f"verify error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -382,11 +386,11 @@ def cmd_verify(args) -> int:
         rep.s1_defect <= cfg.s1_max
         and rep.s2_defect <= cfg.s2_max
         and rep.modulus_rearranged_defect <= cfg.modrearr_max
-        and rep.minkowski_defect <= cfg.minkowski_max
+        and rep.unit_residual <= cfg.tol
     )
     print(f"verify: s1={rep.s1_defect:.3e} s2={rep.s2_defect:.3e} "
           f"modrearr={rep.modulus_rearranged_defect:.3e} "
-          f"minkowski={rep.minkowski_defect:.3e} connected={rep.connected}")
+          f"residual={rep.unit_residual:.3e} connected={rep.connected}")
     return EXIT_OK if ok else EXIT_PROPERTY
 
 
@@ -548,7 +552,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_solve)
 
     p = configured("verify", ("out",),
-                   help="symmetry report for a GNF1 field on the config's grid")
+                   help="symmetry report for a GNF1 field on the config's grid",
+                   description="Exit 0 when s1, s2 and modrearr are within s1_max, "
+                               "s2_max and modrearr_max, the spectral support is connected, "
+                               "and the unit residual of the config's profile equation is "
+                               "within tol; exit 3 when the support is disconnected, and 4 "
+                               "when another of these gates fails.")
     p.add_argument("--field", required=True, help="input GNF1 field file")
     p.set_defaults(handler=cmd_verify)
 
@@ -600,13 +609,11 @@ def _glue_range(argv: list[str]) -> list[str]:
 
 _M_TRIM_THRESHOLD = -1  # mallopt parameters, from glibc's malloc.h
 _M_MMAP_THRESHOLD = -3
-_M_ARENA_MAX = -8
 
 
 @functools.cache
 def _fix_heap_thresholds() -> None:
-    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 256 MiB,
-    and cap it at one malloc arena.
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 256 MiB.
 
     glibc serves a block above the mmap threshold (128 KiB at start) with its
     own mapping, whose pages fault in afresh on first touch and go back to the
@@ -620,14 +627,20 @@ def _fix_heap_thresholds() -> None:
 
     glibc gives a thread that meets a locked arena an arena of its own, up to
     8 per core, and each arena keeps its freed blocks under the same
-    thresholds.  The Minkowski fold of a symmetry report runs on a worker
-    thread (:func:`verify.symmetry_report`).  When the fold allocated its
-    lattice buffers itself, in an arena of its own, the 256^2 ``verify``
-    benchmark peaked at 68.4 MB resident against 60.9 MB for a one-thread
-    report.  The calling thread now allocates them
-    (``verify._fold_buffers``), and the peak is 61.5 MB with glibc's
-    default arenas and 61.2 MB with one.  Where the C library has no
-    ``mallopt`` (not glibc), nothing is set.
+    thresholds.  The number of arenas is left at that default.  The residual
+    worker of a symmetry report (:func:`verify.symmetry_report`) works in
+    lattice buffers that the calling thread allocates, so only its small
+    temporaries go to its own arena, and each thread's heap takes the same
+    layout in every report.  Capped at one arena (``M_ARENA_MAX`` 1), the
+    worker's small blocks and the calling thread's lattice temporaries
+    interleaved in one heap: in 2 of 40 fresh processes the second 256^2
+    report mapped 132 fresh pages, against 0 of 40 uncapped, and the
+    ``verify`` benchmark peaked at 61.3 to 61.6 MB resident capped and 60.4
+    to 60.7 MB uncapped (seven 8 s runs each).  The cap saves memory where
+    several threads allocate lattice temporaries: an 8-row 128^2 sweep with
+    ``--jobs 2`` peaked at 44.9 to 46.1 MB capped and 47.5 to 48.3 MB
+    uncapped (four runs each).  Where the C library has no ``mallopt`` (not
+    glibc), nothing is set.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -637,7 +650,6 @@ def _fix_heap_thresholds() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
-    mallopt(_M_ARENA_MAX, 1)
 
 
 def main(argv=None) -> int:

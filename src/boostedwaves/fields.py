@@ -28,15 +28,17 @@ axis given as the gufunc's ``axes``: ``fftn``'s argument handling cost about
 4 us of a 20 us transform of 1,024 points, and ``fft``'s about 2 to 3 us of
 an 11 to 13 us one, where a sweep row spends its time.  (The gufuncs live in
 numpy 2's private module ``numpy.fft._pocketfft_umath``.)
-Each direction makes one new array and works in it: the forward
-transform writes every axis into it with ``out=`` and is then multiplied by
-its table in place, and the inverse transforms ``spectrum * table`` in place.
+Each direction makes one new array and works in it (the forward transform
+can take the caller's instead): the forward transform writes every axis into
+it with ``out=`` and is then multiplied by its table in place, and the
+inverse transforms ``spectrum * table`` in place.
 Without ``out=``, numpy allocates a new array per axis, which made a 256^2
 transform about twice as slow.
 
 Equal grids share one set of read-only tables (:func:`_grid_tables`): the
-modulation tables and the axes that :meth:`Grid.coords`, :meth:`Grid.freqs`,
-:meth:`Grid.coord_mesh` and :meth:`Grid.freq_mesh` return.  They are built
+modulation tables, the band-limited one, and the axes that
+:meth:`Grid.coords`, :meth:`Grid.freqs`, :meth:`Grid.coord_mesh` and
+:meth:`Grid.freq_mesh` return.  They are built
 once per distinct grid, not once per call: the rows of a sweep and a grid read
 again from a file reuse them.
 
@@ -180,11 +182,10 @@ class Grid:
         """(forward, inverse) tables (-1)**(k_1 + ... + k_n) * scale**(+-1)."""
         return self._tables.forward, self._tables.inverse
 
-    @cached_property
+    @property
     def _band_limited_forward(self) -> np.ndarray:
         """The forward table with the Nyquist bins zeroed."""
-        table = np.where(self._nyquist, 0.0, self._modulation[0])
-        return _read_only(table)
+        return self._tables.band_limited_forward
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -195,6 +196,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class _GridTables(NamedTuple):
     forward: np.ndarray  # (-1)**(k_1 + ... + k_n) * scale
     inverse: np.ndarray  # (-1)**(k_1 + ... + k_n) / scale
+    band_limited_forward: np.ndarray  # forward, 0 on the Nyquist bins
     coords: tuple[np.ndarray, ...]  # per axis
     freqs: tuple[np.ndarray, ...]  # per axis, FFT order
     coord_mesh: tuple[np.ndarray, ...]  # the coords, shaped to broadcast
@@ -220,21 +222,27 @@ def _grid_tables(grid: Grid) -> _GridTables:
     parity = sum(np.indices(grid.sizes, sparse=True)) % 2
     sign = 1.0 - 2.0 * parity
     scale = math.prod(grid.spacing(i) / math.sqrt(TAU) for i in range(grid.ndim))
+    forward = sign * scale
+    band = forward.copy()
+    for axis, n in enumerate(grid.sizes):
+        band[(slice(None),) * axis + (n // 2,)] = 0.0
     coords = [_read_only((np.arange(n) - n // 2) * grid.spacing(i))
               for i, n in enumerate(grid.sizes)]
     # fftfreq(N, d=dx) * 2*pi == pi*k/L in FFT storage order
     freqs = [_read_only(TAU * np.fft.fftfreq(n, d=grid.spacing(i)))
              for i, n in enumerate(grid.sizes)]
-    return _GridTables(_read_only(sign * scale), _read_only(sign / scale),
+    return _GridTables(_read_only(forward), _read_only(sign / scale), _read_only(band),
                        tuple(coords), tuple(freqs), _mesh(coords), _mesh(freqs),
                        tuple(([(axis,), (), (axis,)], 1.0 / grid.sizes[axis])
                              for axis in range(-1, -grid.ndim - 1, -1)))
 
 
-def _phys_to_spec(grid: Grid, values: np.ndarray, band_limited: bool = False) -> np.ndarray:
-    """Spectrum of ``values``; ``band_limited`` zeroes the Nyquist bins in the same multiply."""
+def _phys_to_spec(grid: Grid, values: np.ndarray, band_limited: bool = False,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Spectrum of ``values``, in ``out`` when given (not ``values`` itself);
+    ``band_limited`` zeroes the Nyquist bins in the same multiply."""
     tables = grid._tables
-    spec = np.empty(grid.sizes, dtype=np.complex128)
+    spec = np.empty(grid.sizes, dtype=np.complex128) if out is None else out
     for axes, _ in tables.fft_steps:
         values = _pocketfft.fft(values, 1.0, axes=axes, out=spec)
     spec *= grid._band_limited_forward if band_limited else tables.forward

@@ -70,7 +70,7 @@ makes it recompute both on the returned state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,6 +99,12 @@ class Problem:
     sigma: int
     grid: Grid
     floor: float
+    _weight: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        weight = self.bsym.on_grid(self.grid) + self.omega
+        weight.setflags(write=False)
+        object.__setattr__(self, "_weight", weight)
 
     @classmethod
     def make(cls, bsym: BoostedSymbol, omega: float, sigma: int, grid: Grid) -> "Problem":
@@ -129,8 +135,12 @@ class Problem:
         return cls(bsym, float(omega), sigma, grid, floor)
 
     def weight(self) -> np.ndarray:
-        """Spectral diagonal p(xi) - v.xi + omega, strictly positive."""
-        return self.bsym.on_grid(self.grid) + self.omega
+        """Spectral diagonal p(xi) - v.xi + omega, strictly positive.
+
+        Built once per problem and read-only, so the residual worker of a
+        symmetry report reads it without allocating it.
+        """
+        return self._weight
 
 
 @dataclass(frozen=True)
@@ -212,20 +222,36 @@ def _nonlinear_spectrum(grid: Grid, nl_mod: np.ndarray, vals: np.ndarray) -> np.
     return fields._phys_to_spec(grid, nl_mod * vals, band_limited=True)
 
 
-def _nonlinearity(prob: Problem, u: Field) -> Field:
+def _nonlinearity(prob: Problem, u: Field, nl_mod: np.ndarray, work: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """Spectrum of |u|^(2 sigma) u, with the Nyquist bins zeroed, in ``out``.
+
+    ``nl_mod`` (real) and ``work`` (complex) are overwritten on the way.
+    """
     vals = u.values
-    nl_mod = np.abs(vals) ** (2 * prob.sigma)
-    return Field.from_spectrum(prob.grid, _nonlinear_spectrum(prob.grid, nl_mod, vals))
+    np.abs(vals, out=nl_mod)
+    nl_mod **= 2 * prob.sigma
+    return fields._phys_to_spec(prob.grid, np.multiply(nl_mod, vals, out=work),
+                                band_limited=True, out=out)
 
 
-def _residual_parts(prob: Problem, u: Field, weight: np.ndarray):
+def residual_scratch(grid: Grid) -> tuple[np.ndarray, ...]:
+    """Buffers for every lattice-sized temporary of a residual on ``grid``:
+    one real and three complex arrays."""
+    return (np.empty(grid.sizes),) + tuple(np.empty(grid.sizes, dtype=np.complex128)
+                                           for _ in range(3))
+
+
+def _residual_parts(prob: Problem, u: Field, weight: np.ndarray, scratch=None):
     """Relative defects of (P_v + omega) Q = kappa |Q|^(2 sigma) Q.
 
     Returns (optimal-kappa residual, kappa, unit-kappa residual), all relative
-    to ||(P_v + omega) Q||.
+    to ||(P_v + omega) Q||.  Every lattice-sized temporary lives in
+    ``scratch`` (:func:`residual_scratch`), new buffers when it is None.
     """
-    nl_spec = _nonlinearity(prob, u).spectrum
-    lhs = weight * u.spectrum
+    nl_mod, lhs, nl_spec, miss = residual_scratch(prob.grid) if scratch is None else scratch
+    _nonlinearity(prob, u, nl_mod, lhs, nl_spec)
+    np.multiply(weight, u.spectrum, out=lhs)
     lhs_norm = flat_norm(lhs)
     if lhs_norm == 0.0:
         raise ZeroFieldError("residual of the zero field")
@@ -233,7 +259,7 @@ def _residual_parts(prob: Problem, u: Field, weight: np.ndarray):
     if nl_norm2 == 0.0:
         return 1.0, 0.0, 1.0
     kappa = real_dot(nl_spec, lhs) / nl_norm2
-    miss = np.multiply(kappa, nl_spec)  # both defects in this one buffer
+    np.multiply(kappa, nl_spec, out=miss)  # both defects in this one buffer
     res_opt = flat_norm(np.subtract(lhs, miss, out=miss)) / lhs_norm
     res_unit = flat_norm(np.subtract(lhs, nl_spec, out=miss)) / lhs_norm
     return res_opt, kappa, res_unit
@@ -245,9 +271,13 @@ def profile_residual(prob: Problem, Q: Field) -> float:
     return res_opt
 
 
-def unit_residual(prob: Problem, Q: Field) -> float:
-    """Relative residual of the rescaled (kappa = 1) profile equation."""
-    _, _, res_unit = _residual_parts(prob, Q, prob.weight())
+def unit_residual(prob: Problem, Q: Field, scratch=None) -> float:
+    """Relative residual of the rescaled (kappa = 1) profile equation.
+
+    With ``scratch`` (:func:`residual_scratch` on ``prob.grid``) given, the
+    call allocates no lattice-sized array.
+    """
+    _, _, res_unit = _residual_parts(prob, Q, prob.weight(), scratch)
     return res_unit
 
 

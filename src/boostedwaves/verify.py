@@ -1,20 +1,10 @@
-"""Support masks, connectivity, Minkowski-sum defects, phase fits, symmetry reports.
+"""Support masks, connectivity, phase fits, symmetry reports.
 
 All analyses run on the centered (fftshift) view of the frequency lattice so
-that adjacency and Minkowski sums approximate the continuum picture without
-periodic wrap-around.  The Minkowski check uses the support map of the
-nonlinearity |u|^{2 sigma} u for integer sigma, S -> (sigma+1) S + sigma (-S).
-Its sums of masks are computed as cyclic convolutions on one lattice whose
-period is just large enough that no sum outside the box wraps onto it (see
-:func:`minkowski_defect`): intermediate sums are never clipped, and lattice
-points whose sums exit the box never count as defects.  The convolutions
-count the ways to reach each point, exact integers up to rounding; they are
-thresholded at 1/2 only where an a-priori bound on that rounding (Higham,
-Thm 24.2) could reach 1/4.  On the 1D and 2D ground states at sigma = 1 the
-fold is one pruned forward and one box-only inverse transform, by
-``numpy.fft`` in one zero-padded buffer.  Connectivity is counted on the runs
-of the mask along its last axis (:func:`is_connected`).  The centered mask is
-shifted once per :class:`SupportSet`, by block copies (:func:`_centered`).
+that adjacency approximates the continuum picture without periodic
+wrap-around.  Connectivity is counted on the runs of the mask along its last
+axis (:func:`is_connected`).  The centered mask is shifted once per
+:class:`SupportSet`, by block copies (:func:`_centered`).
 
 :func:`support_set` is the one constructor of a field's support: it takes
 |Q_hat| once, refuses the non-finite and zero fields, and keeps |Q_hat| as
@@ -22,40 +12,46 @@ the support's ``modulus``.  So a report (:func:`symmetry_report`, and
 :func:`sweep_defects` for a sweep row) makes one pass over the spectrum, and
 the modulus weighs the phase fit, the s2 norm and the rearrangement defect.
 
-:func:`symmetry_report` runs on two threads.  The paper's result has two
-halves that share only the support mask: the affine phase and Steiner
-symmetry of |Q_hat| (phase fit, s2, rearrangement defect, s1), which read
-the field, and the Minkowski fold, which reads only the centered mask.  So
-the fold is the part that moves: once the support is cut, one worker thread
-folds it while the calling thread makes the other half.  Both halves spend
-their time in numpy's pocketfft transforms and ufunc loops, which release
-the GIL on lattice-sized arrays, so on two cores they overlap.  On the 256^2
-ground state the fastest of 300 folds took 2.8 ms, of the other half 3.7 ms,
-and of the reports 5.3 ms.
+:func:`symmetry_report` runs on two threads.  It checks the paper's
+statement in two halves that share only the field: the affine phase and
+Steiner symmetry of |Q_hat| (phase fit, s2, rearrangement defect, s1), and
+the equation itself, the unit residual of (P_v(D) + omega) Q =
+|Q|^{2 sigma} Q (:func:`solver.unit_residual`: the nonlinearity, its
+forward transform and three norms).  So once the support is cut, one worker
+thread takes the residual while the calling thread makes the other half.
+Both halves spend their time in numpy's pocketfft transforms and ufunc
+loops, which release the GIL on lattice-sized arrays, so on two cores they
+overlap.  On the 256^2 ground state (2-core machine, one BLAS thread), the
+fastest of 300 residuals took 1.6 ms, of the phase fit, s2 and the
+rearrangement defect together 2.9 ms, and of s1 0.3 ms; the fastest report
+took 3.8 to 4.7 ms on two threads and 5.2 to 5.4 ms on one.
 
 No call on either side of the overlap may hand a lattice-sized operand to
 BLAS (``np.vdot``, ``np.dot``, ``@``, ``np.linalg``): OpenBLAS threads such a
 call over every core, and the two halves then compete for them.  With the
 phase-fit residual taken by ``np.vdot``, the fastest of 300 reports on the
 256^2 ground state took 6.6 to 7.0 ms, against 4.0 to 4.7 ms with one BLAS
-thread; norms go through :func:`fields.flat_norm`.  The moment contractions
-of the phase fit (:func:`_moments`) are such products, of the lattice with
-a three-column basis: at 256^2 the report took the same time with one BLAS
+thread; norms go through :func:`fields.flat_norm`, and the unit residual's
+inner products through :func:`fields.real_dot`.  The moment contractions of
+the phase fit (:func:`_moments`) are such products, of the lattice with a
+three-column basis: at 256^2 the report took the same time with one BLAS
 thread as with OpenBLAS's default, at 512^2 it took less.
 
-The calling thread allocates the fold's two lattice buffers
-(:func:`_fold_buffers`) before the worker starts and frees them after the
-join, so a one-run fold allocates no lattice-sized array on the worker:
-where glibc serves both threads from one arena
-(``cli._fix_heap_thresholds``), the heap's layout does not depend on how the
-threads interleave, and a repeated report faults in no fresh pages.
+The worker allocates no lattice-sized array: the calling thread allocates
+the residual's buffers (:func:`solver.residual_scratch`) before it starts
+the worker and frees them after the join, and the problem's weight and the
+grid's tables are built before any report.  So the calling thread's heap
+takes the same layout in every report, and a repeated report maps no fresh
+pages (``cli._fix_heap_thresholds``).  When the worker allocated its own
+temporaries in the calling thread's heap (glibc capped at one arena), 13 of
+60 repeated 256^2 reports (ten fresh processes, six each after a first one)
+mapped 130 to 1,030 fresh pages.
 
 Starting and joining a thread costs 40 to 70 us, and on small lattices the
 two threads cost more than their overlap saves: the fastest of 3,000 1D
-reports of 1,024 points took 0.18 ms on one thread and 0.34 to 0.44 ms on
-two, the median 0.29 to 0.37 ms against 0.65 to 0.87 ms.  There is no
-switch by size; the one code path serves every lattice, and no measured
-workload makes small reports.
+reports of 1,024 points took 0.16 to 0.20 ms on one thread and 0.28 to
+0.35 ms on two.  There is no switch by size; the one code path serves every
+lattice, and no measured workload makes small reports.
 """
 
 from __future__ import annotations
@@ -67,11 +63,11 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy import fft
 
 from .errors import DisconnectedSupportError, ZeroFieldError
 from .fields import TAU, Field, flat_norm, solve_small
 from .rearrange import fourier_rearrange
+from .solver import Problem, residual_scratch, unit_residual
 
 
 @dataclass
@@ -123,7 +119,8 @@ def support_set(f: Field, tau: float = 1e-8) -> SupportSet:
     raises ``ValueError``, the zero field :class:`ZeroFieldError`."""
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
-    mag = np.abs(f.spectrum)
+    with np.errstate(invalid="ignore", over="ignore"):  # refused below
+        mag = np.abs(f.spectrum)
     top = float(mag.max())  # NaN if any |f_hat| is NaN
     if not math.isfinite(top):
         raise ValueError("support of a field with non-finite values")
@@ -218,214 +215,6 @@ def is_connected(s: SupportSet) -> bool:
         return starts.size == 1
     i, j = _run_contacts(s.centered.shape, starts, ends)
     return _component_count(starts.size, i, j) == 1
-
-
-def _forward(x: np.ndarray, period: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
-    """``rfftn(x, s=period)`` one axis at a time, in one zero-padded buffer.
-
-    The buffer is ``out`` when given (its values are not read), else a new
-    array.  Only its padding rows are zeroed: ``rfft`` along the last axis
-    runs on the rows of ``x`` only, since the rows that zero padding to
-    ``period`` adds transform to zero, and writes into the corner of the
-    buffer that those rows occupy.  Each other axis is then transformed in
-    place, over its whole period but only on the rows of the axes after it
-    that are not zero yet.
-    """
-    if out is None:
-        out = np.empty(_half_spectrum(period), dtype=np.complex128)
-    for axis, n in enumerate(x.shape[:-1]):
-        out[(slice(None),) * axis + (slice(n, None),)] = 0.0
-    rows = tuple(slice(0, n) for n in x.shape[:-1])
-    fft.rfft(x, n=period[-1], axis=-1, out=out[rows])
-    for axis in range(x.ndim - 1):
-        part = out[(slice(None),) * (axis + 1) + rows[axis + 1:]]
-        fft.fft(part, axis=axis, out=part)
-    return out
-
-
-def _inverse(spec: np.ndarray, period: tuple[int, ...], keep: tuple[slice, ...],
-             out: np.ndarray | None = None) -> np.ndarray:
-    """``irfftn(spec, s=period)[keep]`` one axis at a time; overwrites ``spec``.
-
-    Each axis is inverted in place.  Its outputs are then independent, so
-    only the slice ``keep`` of that axis goes on to the transforms of the
-    next axes.  The last axis, a real transform, writes into the leading
-    elements of the flat float array ``out`` when given.
-    """
-    part = spec
-    for axis in range(spec.ndim - 1):
-        fft.ifft(part, axis=axis, out=part)
-        part = part[(slice(None),) * axis + (keep[axis],)]
-    if out is not None:
-        out = _leading(out, part.shape[:-1] + (period[-1],))
-    return fft.irfft(part, n=period[-1], axis=-1, out=out)[..., keep[-1]]
-
-
-def _half_spectrum(period: tuple[int, ...]) -> tuple[int, ...]:
-    """Shape of the ``rfftn`` of a real array of shape ``period``."""
-    return period[:-1] + (period[-1] // 2 + 1,)
-
-
-def _leading(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The first elements of the flat array ``buf``, as an array of ``shape``."""
-    return buf[:math.prod(shape)].reshape(shape)
-
-
-def _fold_buffers(shape: tuple[int, ...], sigma: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two lattice buffers of :func:`minkowski_defect` on a mask of ``shape``.
-
-    A complex array for the padded half spectrum of the mask, and a flat
-    float array that holds the mask before its transform, then |F[S]|^2,
-    then the counts of the last inverse transform, which keeps the box along
-    every axis but the last.  A fold of one run allocates no other
-    lattice-sized array.
-    """
-    period = tuple((sigma + 1) * n for n in shape)
-    half = _half_spectrum(period)
-    counts = math.prod(shape[:-1]) * period[-1]
-    return np.empty(half, dtype=np.complex128), np.empty(max(math.prod(half), counts))
-
-
-def _run_rounding_bound(factors: int, start: float, size: int, lattice: int) -> float:
-    """Bound on the rounding error of every count of one run of the fold.
-
-    A run transforms a 0/1 indicator of ``start`` points, multiplies its
-    transform by ``factors - 1`` transforms of the mask S (``size`` points)
-    and transforms back, on a lattice of M = ``lattice`` points; k =
-    ``factors``.  By Higham (Accuracy and Stability of Numerical Algorithms,
-    2nd ed., Thm 24.2) a computed FFT has a 2-norm relative error of at most
-    eps = log2(M) eta to first order, eta = mu + gamma_4 (sqrt 2 + mu), with
-    mu the error of the computed twiddle factors; the same stage-by-stage
-    count bounds each output of F[S] by eps |S|, as the sub-transforms of one
-    stage partition S.  pocketfft (the C++ library behind ``numpy.fft``)
-    takes each twiddle as a product of two table entries from cos and sin
-    after octant reduction, assumed within mu = 4u of exact (u = 2^-53), so
-    eta <= 9.7u.  We take c = 10 per factor of 2 of M: an axis-by-axis
-    transform sums log2 over its axes, and the radix-3, 5 and 7 and
-    real-input passes of pocketfft are assumed to stay within a radix-2 pass
-    per factor of 2.  The k forward errors, each times
-    the other factors (|F[S]| <= |S| pointwise, ||F[start]||_2 = sqrt(M
-    start)), and the inverse error, on counts of 2-norm at most sqrt(start)
-    |S|^(k-1), add up to (k + 1) c log2(M) u sqrt(start) |S|^(k-1).  The
-    slack between 9.7u and c covers the elementwise products, about 3u each.
-    """
-    return ((factors + 1) * 10.0 * math.log2(lattice) * 2.0**-53
-            * math.sqrt(start) * float(size) ** (factors - 1))
-
-
-def _run_product(spec, base, pair, plus, minus, last):
-    """spec F[S]^plus conj(F[S])^minus, for |plus - minus| <= 1.
-
-    ``spec`` None stands for 1.  Overwrites ``spec``, and ``base`` in the
-    ``last`` run, after which it is not read again.  The run holds a pair at
-    least, so the result is never ``pair`` itself, nor ``base`` unless
-    ``last``.
-    """
-    acc = spec
-    if plus != minus:
-        odd = base if plus > minus else base.conj()
-        acc = odd if acc is None else np.multiply(acc, odd, out=acc)
-    pairs = min(plus, minus)
-    if pairs:
-        power = pair if pairs == 1 else pair**pairs
-        if acc is None:
-            acc = power.astype(complex)
-        elif acc is base and not last:
-            acc = acc * power
-        else:
-            acc = np.multiply(acc, power, out=acc)
-    return acc
-
-
-def minkowski_defect(s: SupportSet, sigma: int,
-                     buffers: tuple[np.ndarray, np.ndarray] | None = None) -> float:
-    """Symmetric-difference fraction |S xor ((sigma+1) S + sigma (-S))| / |S| in the box.
-
-    The map is the paper's: |u|^{2 sigma} u = u^{sigma+1} conj(u)^sigma and
-    F[conj u](xi) = conj F[u](-xi), so the spectrum of the nonlinearity is a
-    convolution of sigma + 1 copies of Q_hat and sigma copies of
-    conj Q_hat(-.), supported on (sigma+1) S + sigma (-S).
-
-    The centered mask occupies indices [0, N) per axis, bin i standing for the
-    lattice point i - N//2.  On a lattice of period P, reflecting a real mask
-    conjugates its transform, so -S is ``base.conj()`` of the mask's own
-    transform and lies at the indices -i mod P.  A sum of sigma + 1 indices
-    of S and sigma of -S then has index t = sum i - sum j, which stands for
-    the point t - N//2 again: the box is [0, N) and the sum lives on
-    [-sigma (N-1), (sigma+1)(N-1)], overhanging the box by sigma (N-1) on
-    each side.  The period is P = (sigma+1) N per axis: the upper overhang
-    stays below P, and the lower one reduces to [N + sigma, P), so no point
-    outside the box is congruent to a box point and the box is read off
-    exactly.  (The shortest such period, (sigma+1) N - sigma, makes worse
-    transform sizes than a power of two times sigma + 1.)  Reduction mod P
-    maps Minkowski sums to cyclic Minkowski sums.  S - S holds the origin, so
-    S lies in the sum.  For a support filling the truncated lattice (the
-    discretization of R^n, the only nonempty open fixed point of the map) the
-    defect vanishes; a half-lattice is not fixed, as H + H - H fills the box.
-
-    The fold takes its factors in the order S, then sigma pairs -S, S, and
-    goes in runs.  A run starts from a 0/1 indicator (the mask, or the sum so
-    far), multiplies its transform by the transforms of the next factors (a
-    pair by |F[S]|^2) and transforms back: the result counts, per point, the
-    ways to write it as a sum of the run's terms, integers up to rounding.
-    A run takes as many factors as keep :func:`_run_rounding_bound` of its
-    counts at most 1/4, and at least one besides its start, so thresholding
-    the counts at 1/2 gives the run's sum exactly: the same indicator that
-    thresholding after every factor gives.  The next run starts from it.
-    When the whole fold is one run, the product is base |base|^{2 sigma},
-    the algebra of the nonlinearity itself, and the fold makes one pruned
-    forward and one box-only inverse transform; each further run adds one
-    full inverse and one full forward.  On the 256^2 ground state (sigma = 1,
-    |S| = 51,033, M = 512^2) the bound is 0.047 and the counts, up to 1.5e9,
-    lie within 8.3e-7 of integers; the 64^3 state (|S| = 250,047, bound 2.9
-    for one run) folds S - S, then S.
-
-    The transforms go axis by axis and skip what the result does not need
-    (FFT pruning, Markel, IEEE Trans. Audio Electroacoust. 19, 1971), which
-    leaves every value that is read unchanged: the forward transform of the
-    mask runs ``rfft`` on its N rows only, as the padded rows are zero, and
-    the last inverse keeps only the box along each axis before the next axis
-    is transformed, as the bins outside the box are never read.  The
-    transforms between runs are full, on float buffers.
-
-    The first run and the last inverse work in the two arrays of
-    :func:`_fold_buffers`, ``buffers`` when given: the mask is converted to
-    floats in the float one and transformed into the complex one, |F[S]|^2
-    overwrites the mask, a last run multiplies in place, and the counts
-    overwrite |F[S]|^2.  Every other lattice-sized array is allocated here.
-    """
-    if sigma < 1:
-        raise ValueError("sigma must be >= 1")
-    centered = s.centered
-    size = np.count_nonzero(centered)
-    if not size:
-        raise ZeroFieldError("empty support mask")
-    period = tuple((sigma + 1) * n for n in centered.shape)
-    lattice = math.prod(period)
-    spec_buf, real_buf = _fold_buffers(centered.shape, sigma) if buffers is None else buffers
-    mask = _leading(real_buf, centered.shape)
-    mask[...] = centered  # 0.0 / 1.0
-    base = _forward(mask, period, out=spec_buf)
-    pair = np.abs(base, out=_leading(real_buf, base.shape))
-    np.square(pair, out=pair)  # |F[S]|^2 = F[S] conj F[S], the transform of S - S
-    signs = [1] + [-1, 1] * sigma  # the factors S, then sigma pairs -S, S
-    spec, start, done = None, size, 0  # the run's start (None: the mask itself) and its size
-    while True:
-        first = max(done, 1)  # the first factor the run multiplies onto its start
-        end = first + 1
-        while end < len(signs) and _run_rounding_bound(end - first + 2, start, size, lattice) <= 0.25:
-            end += 1
-        plus = signs[done:end].count(1)
-        acc = _run_product(spec, base, pair, plus, end - done - plus, end == len(signs))
-        done = end
-        if done == len(signs):
-            break
-        acc = _inverse(acc, period, (slice(None),) * acc.ndim)
-        np.greater(acc, 0.5, out=acc)  # the run's sum, in place as 0.0 / 1.0
-        start = float(acc.sum())  # exact: a sum of 0.0 / 1.0 below 2^53
-        spec = _forward(acc, period)
-    summed = _inverse(acc, period, tuple(slice(0, n) for n in centered.shape), out=real_buf) > 0.5
-    return float(np.count_nonzero(centered != summed)) / float(size)
 
 
 @dataclass
@@ -595,9 +384,8 @@ class SymmetryReport:
     symmetries (0 in one dimension). ``s2_defect``: relative size of
     Q - conj(Q(-x)) after removing the fitted affine spectral phase.
     ``modulus_rearranged_defect``: distance of |Q_hat| from its transverse
-    rearrangement.  ``minkowski_defect``: share of the support S that differs
-    from the support (sigma+1) S + sigma (-S) of the nonlinearity's spectrum,
-    inside the box (:func:`minkowski_defect`).
+    rearrangement.  ``unit_residual``: relative residual of the profile
+    equation (P_v(D) + omega) Q = |Q|^{2 sigma} Q (:func:`solver.unit_residual`).
     """
 
     s1_defect: float
@@ -605,7 +393,7 @@ class SymmetryReport:
     modulus_rearranged_defect: float
     phase: PhaseFit | None
     connected: bool
-    minkowski_defect: float
+    unit_residual: float
     tau: float
 
 
@@ -675,59 +463,58 @@ def _report_pass(f: Field, axis: int, s: SupportSet):
     return fit, _s2_defect(f, fit, s.modulus), _modulus_rearranged_defect(f, axis, s.modulus)
 
 
-def _fold_into(out: list, s: SupportSet, sigma: int, buffers) -> None:
-    """The report's worker: appends ``minkowski_defect(s, sigma, buffers)``
-    to ``out``, or the exception it raised, for the calling thread to re-raise."""
+def _residual_into(out: list, prob: Problem, f: Field, scratch) -> None:
+    """The report's worker: appends ``unit_residual(prob, f, scratch)`` to
+    ``out``, or the exception it raised, for the calling thread to re-raise."""
     try:
-        out.append(minkowski_defect(s, sigma, buffers))
+        out.append(unit_residual(prob, f, scratch))
     except BaseException as exc:
         out.append(exc)
 
 
-def symmetry_report(
-    f: Field,
-    axis: int = 0,
-    sigma: int = 1,
-    tau: float = 1e-8,
-) -> SymmetryReport:
-    """Populate all symmetry defects for a candidate ground state.
+def symmetry_report(f: Field, prob: Problem, axis: int = 0, tau: float = 1e-8) -> SymmetryReport:
+    """Populate all symmetry defects, and the unit residual of ``prob``, for a
+    candidate ground state.
 
     A disconnected support does not abort the report: the phase fit is left
     unset (callers treat that as failure) and the conjugation defect is then
-    computed without affine-phase removal.  A field with a NaN or infinite
-    value raises ``ValueError``, and the zero field :class:`ZeroFieldError`.
+    computed without affine-phase removal.  A field on another grid than
+    ``prob.grid`` or with a NaN or infinite value raises ``ValueError``, and
+    the zero field :class:`ZeroFieldError`.
 
-    The Minkowski fold runs on a worker thread while this thread makes the
+    The unit residual runs on a worker thread while this thread makes the
     phase fit, s2, the rearrangement defect and s1 (see the module
     docstring); the values are those of the stages run one after another.
-    Before the worker starts, this thread forms the support's centered mask
-    (under Python 3.11 ``cached_property`` computes while holding a lock)
-    and allocates the fold's buffers, which it frees only after the join.
-    The worker is joined before the report returns or raises.  An error of
-    this thread's stages propagates; otherwise an error of the fold
-    (``sigma`` < 1, say) is re-raised here.
+    Before the worker starts, this thread forms the field's values and
+    spectrum, which both threads read, and allocates the residual's buffers,
+    which it frees only after the join; the problem's weight and the grid's
+    tables are built with the problem.  The worker is joined before the
+    report returns or raises.  An error of this thread's stages propagates;
+    otherwise an error of the residual is re-raised here.
     """
-    s = support_set(f, tau)
-    sigma = int(sigma)
-    buffers = _fold_buffers(s.centered.shape, max(sigma, 1))
-    fold: list = []
-    worker = threading.Thread(target=_fold_into, args=(fold, s, sigma, buffers),
-                              name="minkowski-fold")
+    if f.grid != prob.grid:
+        raise ValueError("the field's grid differs from the problem's")
+    s = support_set(f, tau)  # forms the spectrum
+    _ = f.values  # read by both threads: formed once, here
+    scratch = residual_scratch(prob.grid)
+    residual: list = []
+    worker = threading.Thread(target=_residual_into, args=(residual, prob, f, scratch),
+                              name="unit-residual")
     worker.start()
     try:
         fit, s2, modrearr = _report_pass(f, axis, s)
         s1 = _s1_defect(f, axis)
     finally:
         worker.join()
-    if isinstance(fold[0], BaseException):
-        raise fold[0]
+    if isinstance(residual[0], BaseException):
+        raise residual[0]
     return SymmetryReport(
         s1_defect=s1,
         s2_defect=s2,
         modulus_rearranged_defect=modrearr,
         phase=fit,
         connected=fit is not None,
-        minkowski_defect=fold[0],
+        unit_residual=residual[0],
         tau=tau,
     )
 
@@ -736,7 +523,7 @@ def sweep_defects(f: Field, axis: int = 0, tau: float = 1e-8) -> tuple[float, fl
     """``(s2_defect, modulus_rearranged_defect)``, the defects a sweep row writes.
 
     The values and errors of :func:`symmetry_report`, from the same pass,
-    without its s1 and Minkowski work.
+    without its s1 and residual.
     """
     _, s2, modrearr = _report_pass(f, axis, support_set(f, tau))
     return s2, modrearr

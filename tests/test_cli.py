@@ -150,7 +150,7 @@ def test_verify_pipeline_and_noise(classical_cfg, tmp_path, capsys):
     assert run("verify", "--config", classical_cfg, "--field", out / "Q.gnf",
                "--out", out) == 0
     header = (out / "symmetry.csv").read_text().splitlines()[0]
-    assert header == "case,s1,s2,modrearr,connected,minkowski,alpha,beta0,residual"
+    assert header == "case,s1,s2,modrearr,connected,unit_residual,alpha,beta0,residual"
 
     # random-noise field fails the thresholds
     rng = np.random.default_rng(0)
@@ -193,9 +193,11 @@ def test_verify_refuses_a_field_from_another_grid(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")  # the one line is all: no numpy warning before it
 @pytest.mark.parametrize("spoil, reason", [
     ("zero", "support of the zero field is empty"),
     ("nan", "support of a field with non-finite values"),
+    ("inf", "support of a field with non-finite values"),
 ])
 def test_verify_zero_or_non_finite_field_is_one_line_error(tmp_path, capsys, spoil, reason):
     cfg = tmp_path / "c2.cfg"
@@ -206,11 +208,105 @@ def test_verify_zero_or_non_finite_field_is_one_line_error(tmp_path, capsys, spo
         values = np.zeros((32, 32), dtype=complex)
     else:
         values = np.exp(-g.coords(0)[:, None] ** 2 - g.coords(1)[None, :] ** 2).astype(complex)
-        values[3, 5] = np.nan
+        values[3, 5] = np.nan if spoil == "nan" else np.inf
     bw.write_gnf(tmp_path / "f.gnf", bw.Field.from_values(g, values))
     out = tmp_path / "v"
     assert run("verify", "--config", cfg, "--field", tmp_path / "f.gnf", "--out", out) == 1
     assert capsys.readouterr().err == f"verify error: {reason}\n"
+    assert not out.exists()
+
+
+def _line_cfg(tmp_path, v, omega=1.0):
+    """1D s = 1 at speed ``v`` on 1,024 points of [-20 pi, 20 pi)."""
+    path = tmp_path / "line.cfg"
+    path.write_text(f"symbol = fractional; s = 1\nn = 1\nsizes = 1024\nL = {20 * np.pi!r}\n"
+                    f"v = {v}\nomega = {omega}\nsigma = 1\n")
+    return path
+
+
+def _plane_cfg(tmp_path, size):
+    """2D s = 1 at speed 0.3 along axis 0, ``size``^2 points of [-8 pi, 8 pi)^2."""
+    path = tmp_path / f"plane{size}.cfg"
+    path.write_text(f"symbol = fractional; s = 1\nn = 2\nsizes = {size}\nL = {8 * np.pi!r}\n"
+                    "v = 0.3\nomega = 1\nsigma = 1\n")
+    return path
+
+
+def _printed_residual(out: str) -> float:
+    return float(out.split("residual=")[1].split()[0])
+
+
+@pytest.mark.parametrize("v", [0.0, 0.5])
+def test_verify_passes_the_sech_oracle(tmp_path, capsys, v):
+    # Q = sqrt(2 w) sech(sqrt(w) x) e^{i v x / 2} with w = omega - v^2 / 4
+    # solves (-d^2/dx^2 - v . D + omega) Q = |Q|^2 Q in the continuum; the
+    # Minkowski set fold failed it (1.10 at v = 0)
+    g = bw.Grid.make(1024, 20 * np.pi)
+    x = g.coords(0)
+    w = 1.0 - v * v / 4
+    q = np.sqrt(2 * w) / np.cosh(np.sqrt(w) * x) * np.exp(0.5j * v * x)
+    bw.write_gnf(tmp_path / "sech.gnf", bw.Field.from_values(g, q))
+    assert run("verify", "--config", _line_cfg(tmp_path, v), "--field", tmp_path / "sech.gnf",
+               "--out", tmp_path / "v") == 0
+    assert _printed_residual(capsys.readouterr().out) <= 1e-13
+
+
+@pytest.mark.parametrize("size", [128, 256])
+def test_verify_passes_one_problem_at_two_resolutions(tmp_path, capsys, size):
+    # the same physical problem gets the same verdict on either lattice (the
+    # set fold failed the 256^2 state), and verify reads the solve's residual
+    cfg, out = _plane_cfg(tmp_path, size), tmp_path / "run"
+    assert run("solve", "--config", cfg, "--out", out) == 0
+    report = (out / "report.txt").read_text().splitlines()
+    solved = float(next(line for line in report if line.startswith("residual")).split(":")[1])
+    capsys.readouterr()
+    assert run("verify", "--config", cfg, "--field", out / "Q.gnf", "--out", out) == 0
+    assert _printed_residual(capsys.readouterr().out) == pytest.approx(solved, rel=1e-3)
+
+
+@pytest.mark.parametrize("control", ["gauss-0.05", "gauss-0.3", "gauss-1d", "noise"])
+def test_verify_fails_fields_that_solve_nothing(tmp_path, capsys, control):
+    # symmetric fields that are not solutions: their spectra fill the box, so
+    # the set fold passed both 2D Gaussians; the residual gate fails them
+    rng = np.random.default_rng(0)
+    if control.startswith("gauss-0"):
+        cfg, g = _plane_cfg(tmp_path, 128), bw.Grid.make((128, 128), 8 * np.pi)
+        width = float(control.split("-")[1])
+        x0, x1 = g.coord_mesh()
+        values = np.exp(-(x0**2 + x1**2) / (2 * width**2)).astype(complex)
+    else:
+        cfg, g = _line_cfg(tmp_path, 0.0), bw.Grid.make(1024, 20 * np.pi)
+        x = g.coords(0)
+        values = (np.exp(-x**2 / 2).astype(complex) if control == "gauss-1d"
+                  else rng.standard_normal(1024) + 1j * rng.standard_normal(1024))
+    bw.write_gnf(tmp_path / "f.gnf", bw.Field.from_values(g, values))
+    assert run("verify", "--config", cfg, "--field", tmp_path / "f.gnf",
+               "--out", tmp_path / "v") == 4
+    residual = _printed_residual(capsys.readouterr().out)
+    assert residual > 0.5
+    if control == "gauss-1d":
+        assert residual == pytest.approx(0.557, abs=1e-3)
+
+
+def test_verify_gapped_ground_state_is_disconnected(tmp_path, capsys, frac2d_report):
+    # the 128^2 ground state with Q_hat zeroed on 1 < |xi| < 1.5
+    q = frac2d_report.Q
+    radius = np.sqrt(sum(m**2 for m in q.grid.freq_mesh()))
+    gapped = np.where((radius > 1.0) & (radius < 1.5), 0.0, q.spectrum)
+    bw.write_gnf(tmp_path / "gap.gnf", bw.Field.from_spectrum(q.grid, gapped))
+    assert run("verify", "--config", _plane_cfg(tmp_path, 128), "--field", tmp_path / "gap.gnf",
+               "--out", tmp_path / "v") == 3
+    assert capsys.readouterr().err == "verify: spectral support is disconnected\n"
+
+
+def test_verify_enforces_the_problem_hypotheses(tmp_path, capsys):
+    # omega = -Sigma_v exactly: Sigma_v = -v^2 / 4 for s = 1
+    g = bw.Grid.make(1024, 20 * np.pi)
+    bw.write_gnf(tmp_path / "f.gnf", bw.Field.from_values(g, np.exp(-g.coords(0) ** 2)))
+    out = tmp_path / "v"
+    assert run("verify", "--config", _line_cfg(tmp_path, 0.5, omega=0.0625),
+               "--field", tmp_path / "f.gnf", "--out", out) == 1
+    assert capsys.readouterr().err.startswith("config error: requires omega > -Sigma_v")
     assert not out.exists()
 
 
@@ -383,8 +479,6 @@ BAD_VALUES = [
     ("s2_max", "inf", "s2_max must be finite, got inf"),
     ("modrearr_max", "x", "bad number for 'modrearr_max': 'x'"),
     ("modrearr_max", "nan", "modrearr_max must be finite, got nan"),
-    ("minkowski_max", "x", "bad number for 'minkowski_max': 'x'"),
-    ("minkowski_max", "-inf", "minkowski_max must be finite, got -inf"),
     ("jobs", "x", "bad integer for 'jobs': 'x'"),
     ("jobs", "0", "jobs must be >= 1, got 0"),
 ]
@@ -422,6 +516,16 @@ def test_seed_is_an_unknown_key(tmp_path, capsys):
     cfg.write_text(text)
     assert run("solve", "--config", cfg, "--out", tmp_path / "x") == 1
     assert capsys.readouterr().err == f"config error: line {lineno}: unknown key 'seed'\n"
+
+
+def test_minkowski_max_is_an_unknown_key(tmp_path, capsys):
+    # verify gates on the unit residual against tol; the set-fold gate is gone
+    text, lineno = _with_key("minkowski_max", "0.05")
+    cfg = tmp_path / "minkowski.cfg"
+    cfg.write_text(text)
+    assert run("solve", "--config", cfg, "--out", tmp_path / "x") == 1
+    assert capsys.readouterr().err == (
+        f"config error: line {lineno}: unknown key 'minkowski_max'\n")
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -645,7 +749,8 @@ def test_row_report_matches_its_definitions(tmp_path, monkeypatch, case):
              else _thin_field((16, 16), (slice(2, 12), 3)))
         sym = bw.fractional(1.0, f.grid.ndim)
         got = verify.sweep_defects(f, axis=0) + bw.energy_mass(f, sym, 1)
-        rep = bw.symmetry_report(f, axis=0)
+        prob = bw.Problem.make(bw.BoostedSymbol.make(sym, 0.0), 1.0, 1, f.grid)
+        rep = bw.symmetry_report(f, prob, axis=0)
         want = (rep.s2_defect, rep.modulus_rearranged_defect) + _energy_mass_reference(f, sym, 1)
         assert rep.connected
     else:
@@ -673,7 +778,7 @@ def test_row_report_matches_its_definitions(tmp_path, monkeypatch, case):
         speed = tuple(value if i == cfg.axis else 0.0 for i in range(cfg.grid.ndim))
         prob = bw.Problem.make(bw.BoostedSymbol.make(cfg.symbol, speed), cfg.omega, cfg.sigma,
                                cfg.grid)
-        rep = bw.symmetry_report(q, axis=cfg.axis, tau=cfg.tau)
+        rep = bw.symmetry_report(q, prob, axis=cfg.axis, tau=cfg.tau)
         got = row.cells[1:]
         want = ((bw.weinstein(prob, q), bw.unit_residual(prob, q), rep.s2_defect,
                  rep.modulus_rearranged_defect) + _energy_mass_reference(q, cfg.symbol, cfg.sigma))
@@ -801,4 +906,9 @@ def test_help_documents_exit_codes(capsys):
     with pytest.raises(SystemExit):
         run("--help")
     text = capsys.readouterr().out
-    assert "exit codes" in text
+    assert "exit codes" in text and "4 property-suite failure or failed verify gate" in text
+    with pytest.raises(SystemExit):
+        run("verify", "--help")
+    text = " ".join(capsys.readouterr().out.split())
+    for gate in ("s1_max", "s2_max", "modrearr_max", "connected", "unit residual", "tol"):
+        assert gate in text

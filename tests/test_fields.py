@@ -137,7 +137,7 @@ def test_real_dot_is_bit_equal_to_its_einsum(shape):
 
 
 def test_adopted_read_only_arrays_survive_every_operation(
-    classical_problem, classical_report, frac2d_report, tmp_path
+    classical_problem, classical_report, frac2d_problem, frac2d_report, tmp_path
 ):
     # Field adopts its arrays; read-only inputs make any in-place write raise
     def frozen(a):
@@ -158,8 +158,8 @@ def test_adopted_read_only_arrays_survive_every_operation(
     back = bw.canonicalize(moved)
     assert np.max(np.abs(back.values - q.values)) < 1e-12 * np.max(np.abs(q.values))
     q2d = frozen_field(frac2d_report.Q)
-    for f, axis in ((q, 0), (q2d, 1)):
-        assert bw.symmetry_report(f, axis=axis).s2_defect < 1e-10
+    for f, prob, axis in ((q, classical_problem, 0), (q2d, frac2d_problem, 1)):
+        assert bw.symmetry_report(f, prob, axis=axis).s2_defect < 1e-10
         assert np.allclose(bw.norm_l2(f.shifted([0.5] * f.grid.ndim)), bw.norm_l2(f))
         rearranged = bw.fourier_rearrange(f, "modulus")
         assert np.array_equal(rearranged.spectrum, np.abs(f.spectrum))
@@ -170,7 +170,7 @@ def test_adopted_read_only_arrays_survive_every_operation(
     read = bw.read_gnf(path)
     assert not read.values.flags.writeable
     assert np.array_equal(read.values, q2d.values)
-    assert bw.symmetry_report(bw.canonicalize(read), axis=1).s2_defect < 1e-10
+    assert bw.symmetry_report(bw.canonicalize(read), frac2d_problem, axis=1).s2_defect < 1e-10
 
 
 def test_plancherel_random_fields():

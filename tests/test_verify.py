@@ -1,10 +1,9 @@
-import itertools
 import threading
 import time
 
 import numpy as np
 import pytest
-from scipy import fft, ndimage
+from scipy import ndimage
 from scipy.integrate import quad
 
 import boostedwaves as bw
@@ -163,224 +162,6 @@ def test_centered_is_fftshift(shape):
         assert np.array_equal(verify._centered(a), np.fft.fftshift(a))
 
 
-def test_minkowski_defect_full_lattice():
-    s = bw.SupportSet(np.ones(64, dtype=bool))
-    assert bw.minkowski_defect(s, 3) == 0.0
-
-
-def test_minkowski_defect_half_lattice():
-    # the support map is S -> (sigma+1) S + sigma (-S), and H + H - H fills
-    # the box: the half-lattice [0, 32) of 32 points becomes all 64 box points
-    mask_c = np.zeros(64, dtype=bool)
-    mask_c[32:] = True
-    s = bw.SupportSet(np.fft.ifftshift(mask_c))
-    assert bw.minkowski_defect(s, 3) == 1.0
-    # without the boundary bin, [1, 32) still sums to an interval covering the box
-    strict = np.zeros(64, dtype=bool)
-    strict[33:] = True
-    s2 = bw.SupportSet(np.fft.ifftshift(strict))
-    assert bw.minkowski_defect(s2, 3) == 33 / 31
-
-
-def test_minkowski_defect_two_blobs_oracle():
-    mask_c = np.zeros(32, dtype=bool)
-    mask_c[4:7] = True
-    mask_c[26:29] = True
-    s = bw.SupportSet(np.fft.ifftshift(mask_c))
-    pts = [int(p) for p in np.where(mask_c)[0] - 16]
-    for sigma in (1, 2):
-        got = bw.minkowski_defect(s, sigma)
-        # brute-force signed sums on the 32-point lattice: sigma + 1 points
-        # of S minus sigma points of S
-        sums = {sum(c[:sigma + 1]) - sum(c[sigma + 1:])
-                for c in itertools.product(pts, repeat=2 * sigma + 1)}
-        in_box = {z for z in sums if -16 <= z < 16}
-        defect = len(in_box ^ set(pts)) / len(pts)
-        assert got == pytest.approx(defect)
-        assert got > 0.5
-
-
-def _set_sum_defect(mask_c, sigma):
-    """Defect of minkowski_defect by repeated signed lattice dilation, with no FFT.
-
-    A set of centered lattice points is a boolean array plus the point that
-    its index 0 stands for: -N//2 per axis for S, and N//2 - (N - 1) for -S,
-    the mask flipped on every axis.  Adding a set ORs one shifted copy of the
-    sum per point of that set.
-    """
-    half = np.array([n // 2 for n in mask_c.shape])
-    plus = (mask_c, -half)
-    minus = (np.flip(mask_c), half - np.array(mask_c.shape) + 1)
-    sums, origin = plus
-    for term, term_origin in [plus] * sigma + [minus] * sigma:
-        grown = np.zeros(tuple(np.add(sums.shape, term.shape) - 1), dtype=bool)
-        for p in np.argwhere(term):
-            grown[tuple(slice(i, i + n) for i, n in zip(p, sums.shape))] |= sums
-        sums, origin = grown, origin + term_origin
-    corner = -half - origin  # where the box's first point, -N//2 per axis, sits in sums
-    in_box = sums[tuple(slice(c, c + n) for c, n in zip(corner, mask_c.shape))]
-    return np.count_nonzero(in_box ^ mask_c) / np.count_nonzero(mask_c)
-
-
-@pytest.mark.parametrize("shape", [(8,), (16,), (8, 8)])
-@pytest.mark.parametrize("sigma", [1, 2, 3, 5])
-def test_minkowski_defect_matches_set_sum_oracle(shape, sigma):
-    _check_masks(shape, sigma, _set_sum_defect)
-
-
-@pytest.mark.parametrize("shape, sigma", [((8, 8, 8), 2), ((8, 8, 8), 3), ((8, 16), 3),
-                                          ((16, 8), 3), ((16,), 7), ((8, 8, 8), 1),
-                                          ((8, 16), 1), ((8, 16), 2), ((16, 8), 1),
-                                          ((16, 8), 2)])
-def test_minkowski_defect_matches_set_sum_oracle_on_every_axis(shape, sigma):
-    # the pruned forward transform and the box-only last inverse work axis by
-    # axis: 3D, unequal sizes either way round, and a deep fold
-    _check_masks(shape, sigma, _set_sum_defect)
-
-
-def _check_masks(shape, sigma, oracle):
-    # corner bins give the extreme sums, -sigma (N-1) and (sigma+1)(N-1) from
-    # the box's first index: with a period shorter than (sigma+1) N - sigma
-    # they alias onto the box
-    first = (0,) * len(shape)
-    last = tuple(n - 1 for n in shape)
-    centre = tuple(n // 2 for n in shape)
-    rng = np.random.default_rng(sum(shape) + 100 * sigma)
-    masks = [np.ones(shape, dtype=bool)]
-    for bins in ((first, last), (first, centre), (last, centre)):
-        masks.append(np.zeros(shape, dtype=bool))
-        for b in bins:
-            masks[-1][b] = True
-    for density in (0.05, 0.3):
-        masks.append(rng.uniform(size=shape) < density)
-        masks[-1][centre] = True
-    for mask_c in masks:
-        s = bw.SupportSet(np.fft.ifftshift(mask_c))
-        assert bw.minkowski_defect(s, sigma) == oracle(mask_c, sigma), np.argwhere(mask_c)
-
-
-def _reference_minkowski(mask_c, sigma):
-    """The fold thresholded at 1/2 after every factor: S + S, then -S, S, .., -S.
-
-    Full ``rfftn`` / ``irfftn`` transforms on the period-(sigma+1) N lattice,
-    so every intermediate count is a small integer.
-    """
-    period = tuple((sigma + 1) * n for n in mask_c.shape)
-    base = fft.rfftn(mask_c.astype(np.float64), s=period)
-    acc = base * base
-    for fold in range(2, 2 * sigma + 1):
-        summed = fft.irfftn(acc, s=period) > 0.5
-        acc = fft.rfftn(summed.astype(np.float64), s=period)
-        acc *= base.conj() if fold % 2 == 0 else base
-    summed = fft.irfftn(acc, s=period)[tuple(slice(0, n) for n in mask_c.shape)] > 0.5
-    return np.count_nonzero(mask_c != summed) / np.count_nonzero(mask_c)
-
-
-@pytest.fixture(scope="module")
-def frac3d_report():
-    grid = bw.Grid.make((32, 32, 32), 6 * np.pi)
-    report = bw.minimize(bw.Problem.make(
-        bw.BoostedSymbol.make(bw.fractional(1.0, 3), (0.3, 0.0, 0.0)), 1.0, 1, grid))
-    assert report.converged
-    return report
-
-
-@pytest.mark.parametrize("state, sigmas", [("classical_report", (1, 2, 3)),
-                                           ("halfwave_report", (1, 2, 3)),
-                                           ("frac2d_report", (1, 2, 3)),
-                                           ("frac3d_report", (1, 2))],
-                         ids=["1d", "halfwave", "2d", "3d"])
-def test_minkowski_fold_matches_reference_on_ground_states(state, sigmas, request):
-    s = bw.support_set(request.getfixturevalue(state).Q)
-    for sigma in sigmas:
-        assert bw.minkowski_defect(s, sigma) == _reference_minkowski(s.centered, sigma)
-
-
-@pytest.mark.parametrize("shape", [(8,), (16,), (64,), (8, 8), (8, 16), (16, 8), (32, 32),
-                                   (8, 8, 8)])
-@pytest.mark.parametrize("sigma", [1, 2, 3])
-def test_minkowski_fold_matches_reference_on_masks(shape, sigma):
-    _check_masks(shape, sigma, _reference_minkowski)
-
-
-@pytest.mark.parametrize("shape, sigma", [((16,), 7), ((8, 8, 8), 3), ((32, 32), 3)])
-def test_minkowski_fold_matches_reference_where_runs_threshold(shape, sigma, monkeypatch):
-    # the rounding bound splits the fold of the full mask into several runs
-    counted = _CountedFFT()
-    monkeypatch.setattr(verify, "fft", counted)
-    bw.minkowski_defect(bw.SupportSet(np.ones(shape, dtype=bool)), sigma)
-    assert sum(name == "rfft" for name, _ in counted.calls) > 1
-    _check_masks(shape, sigma, _reference_minkowski)
-
-
-@pytest.mark.parametrize("shape, sigma", [((64,), 7), ((256,), 7), ((64, 64), 3)])
-def test_minkowski_fold_of_a_sublattice_stays_on_it(shape, sigma):
-    # Every third lattice point: the sums stay on multiples of 3, so the
-    # defect is 0.  The counts off the sublattice are 0 next to counts of up
-    # to |S|^(2 sigma), which one unthresholded run would round to far more
-    # than 1/2 (a defect near 2).
-    points = np.indices(shape).sum(axis=0) - sum(n // 2 for n in shape)
-    mask_c = points % 3 == 0
-    s = bw.SupportSet(np.fft.ifftshift(mask_c))
-    assert bw.minkowski_defect(s, sigma) == 0.0 == _reference_minkowski(mask_c, sigma)
-
-
-class _CountedFFT:
-    """Stand-in for ``numpy.fft`` that records each call's name and input shape."""
-
-    def __init__(self):
-        self.calls = []
-
-    def __getattr__(self, name):
-        inner = getattr(np.fft, name)
-
-        def counted(x, *args, **kwargs):
-            self.calls.append((name, x.shape))
-            return inner(x, *args, **kwargs)
-        return counted
-
-
-def test_minkowski_fold_sigma_1_is_one_transform_pair(frac2d_report, monkeypatch):
-    # the whole fold is one run: one pruned forward transform of the N mask
-    # rows, whose axis-0 pass runs in place on the zero-padded buffer, and
-    # one inverse that keeps the box rows before its last axis
-    counted = _CountedFFT()
-    monkeypatch.setattr(verify, "fft", counted)
-    s = bw.support_set(frac2d_report.Q)
-    got = bw.minkowski_defect(s, 1)
-    assert counted.calls == [("rfft", (128, 128)), ("fft", (256, 129)),
-                             ("ifft", (256, 129)), ("irfft", (128, 129))]
-    assert got == _reference_minkowski(s.centered, 1)
-
-
-@pytest.mark.parametrize("sigma", [1, 2])
-def test_minkowski_fold_is_the_support_of_the_nonlinearity(sigma):
-    # A spectrum on the bins of [a, b] makes the spectrum of |u|^{2 sigma} u
-    # a convolution of sigma + 1 copies of it with sigma copies of its
-    # reflected conjugate: positive terms only, so its support is the bins of
-    # ((sigma+1) a - sigma b, (sigma+1) b - sigma a), not of (2 sigma + 1) S.
-    g = bw.Grid.make(512, 20.0 * np.pi)  # frequency step 0.05, no aliasing up to 12.8
-    step = g.freq_step(0)
-    a, b = 1.05, 2.95
-    xi = g.freqs(0)
-    on = (xi >= a - step / 2) & (xi <= b + step / 2)
-    spec = np.where(on, 1.0 + np.random.default_rng(sigma).uniform(size=512), 0.0)
-    u = bw.Field.from_spectrum(g, spec.astype(complex))
-    vals = u.values
-    nonlinear = bw.Field.from_values(g, np.abs(vals) ** (2 * sigma) * vals)
-    out = bw.support_set(nonlinear, tau=1e-9)
-    lo, hi = xi[out.mask].min(), xi[out.mask].max()
-    assert abs(lo - ((sigma + 1) * a - sigma * b)) <= step
-    assert abs(hi - ((sigma + 1) * b - sigma * a)) <= step
-    assert np.all(out.mask[(xi >= lo) & (xi <= hi)])  # one interval
-    # read through its sum: S lies in the fold, and the fold fits in the box,
-    # so |fold| = |S| (1 + defect) is the number of bins of the nonlinearity
-    s = bw.support_set(u, tau=1e-9)
-    assert np.array_equal(s.mask, on)
-    fold = s.mask.sum() * (1.0 + bw.minkowski_defect(s, sigma))
-    assert fold == pytest.approx(out.mask.sum(), abs=1e-9)
-
-
 def test_phase_affinity_real_positive_spectrum():
     g = bw.Grid.make(256, 15.0)
     xi = g.freqs(0)
@@ -505,42 +286,51 @@ def test_phase_affinity_rank_deficient_support_is_minimum_norm(spec_c):
     # unique, and the answer stays the per-point least-squares minimum norm
     f = bw.Field.from_spectrum(bw.Grid.make(spec_c.shape, 4.0), np.fft.ifftshift(spec_c))
     fit, alpha, beta = _assert_fit_matches_reference(f, 1e-13)
-    rep = bw.symmetry_report(f)
+    rep = bw.symmetry_report(f, _problem(f.grid))
     assert rep.phase == fit
     assert abs(rep.s2_defect - _reference_s2(f, alpha, beta)) <= 1e-13
 
 
-def test_symmetry_report_rest_state(classical_report):
-    rep = bw.symmetry_report(classical_report.Q, axis=0, sigma=1)
+def _problem(grid):
+    """The problem s = 1, v = 0, omega = 1, sigma = 1 on ``grid``."""
+    return bw.Problem.make(bw.BoostedSymbol.make(bw.fractional(1.0, grid.ndim), 0.0), 1.0, 1,
+                           grid)
+
+
+def test_symmetry_report_rest_state(classical_problem, classical_report):
+    rep = bw.symmetry_report(classical_report.Q, classical_problem, axis=0)
     assert rep.s1_defect == 0.0  # one dimension: transverse symmetries are void
     assert rep.s2_defect <= 1e-6
     assert rep.connected
     assert rep.phase is not None and rep.phase.residual <= 1e-6
+    assert rep.unit_residual <= 1e-10
 
 
 def test_symmetry_report_boosted_gauge_state(classical_report):
     boosted = bw.galilean_gauge(classical_report.Q, (0.5,))
-    rep = bw.symmetry_report(boosted, axis=0, sigma=1)
+    rep = bw.symmetry_report(boosted, _problem(boosted.grid), axis=0)
     assert rep.s2_defect <= 1e-6
 
 
-def test_symmetry_report_detects_broken_symmetry(classical_report, frac2d_report):
-    for q in (classical_report.Q, frac2d_report.Q):
+def test_symmetry_report_detects_broken_symmetry(classical_problem, classical_report,
+                                                 frac2d_problem, frac2d_report):
+    for prob, q in ((classical_problem, classical_report.Q), (frac2d_problem, frac2d_report.Q)):
         mesh = q.grid.coord_mesh()
         r2 = sum(m**2 for m in mesh)
         perturbed = q.values + 0.05 * mesh[0] * np.exp(-r2 / 4.0)  # odd in x_0
-        rep = bw.symmetry_report(bw.Field.from_values(q.grid, perturbed), axis=0, sigma=1)
+        rep = bw.symmetry_report(bw.Field.from_values(q.grid, perturbed), prob, axis=0)
         assert rep.phase is not None  # the fit ran; removing it leaves the defect
         assert rep.s2_defect > 1e-2
+        assert rep.unit_residual > 1e-3
 
 
-def test_symmetry_report_2d_ground_state(frac2d_report):
-    rep = bw.symmetry_report(frac2d_report.Q, axis=0, sigma=1)
+def test_symmetry_report_2d_ground_state(frac2d_problem, frac2d_report):
+    rep = bw.symmetry_report(frac2d_report.Q, frac2d_problem, axis=0)
     assert rep.s1_defect <= 1e-5
     assert rep.s2_defect <= 1e-5
     assert rep.modulus_rearranged_defect <= 1e-5
     assert rep.connected
-    assert rep.minkowski_defect <= 0.05
+    assert rep.unit_residual == bw.unit_residual(frac2d_problem, frac2d_report.Q) <= 1e-10
 
 
 def test_symmetry_report_disconnected_is_flagged_not_raised():
@@ -548,9 +338,15 @@ def test_symmetry_report_disconnected_is_flagged_not_raised():
     xi = g.freqs(0)
     spec = np.where((np.abs(xi) > 2.0) & (np.abs(xi) < 4.0), 1.0, 0.0)
     f = bw.Field.from_spectrum(g, spec.astype(complex))
-    rep = bw.symmetry_report(f, axis=0, sigma=1, tau=1e-3)
+    rep = bw.symmetry_report(f, _problem(g), axis=0, tau=1e-3)
     assert not rep.connected
     assert rep.phase is None
+
+
+def test_symmetry_report_refuses_a_field_on_another_grid(classical_report):
+    other = bw.Grid.make(1024, 10 * np.pi)
+    with pytest.raises(ValueError, match="grid differs"):
+        bw.symmetry_report(classical_report.Q, _problem(other))
 
 
 def test_convolution_support_identity_against_dilation():
@@ -586,10 +382,10 @@ def test_sweep_defects_are_the_reports(classical_report, halfwave_report, frac2d
     gapped = bw.Field.from_spectrum(g, spec)
     for f, axis, tau in ((classical_report.Q, 0, 1e-8), (halfwave_report.Q, 0, 1e-8),
                          (frac2d_report.Q, 1, 1e-8), (gapped, 0, 1e-3)):
-        rep = bw.symmetry_report(f, axis=axis, tau=tau)
+        rep = bw.symmetry_report(f, _problem(f.grid), axis=axis, tau=tau)
         got = verify.sweep_defects(f, axis=axis, tau=tau)
         assert got == (rep.s2_defect, rep.modulus_rearranged_defect)
-    assert not bw.symmetry_report(gapped, tau=1e-3).connected
+    assert not bw.symmetry_report(gapped, _problem(g), tau=1e-3).connected
     zero = bw.Field.from_values(g, np.zeros(64, dtype=complex))
     with pytest.raises(bw.ZeroFieldError, match="zero field"):
         verify.sweep_defects(zero)
@@ -597,10 +393,10 @@ def test_sweep_defects_are_the_reports(classical_report, halfwave_report, frac2d
         verify.sweep_defects(bw.Field.from_values(g, np.full(64, np.nan, dtype=complex)))
 
 
-def test_symmetry_report_goes_through_module_stages(frac2d_report, monkeypatch):
+def test_symmetry_report_goes_through_module_stages(frac2d_problem, frac2d_report, monkeypatch):
     # Per-layer verify tracing wraps these module attributes; one report must
     # look each of them up through the module, exactly once.
-    names = ("support_set", "is_connected", "phase_affinity", "minkowski_defect",
+    names = ("support_set", "is_connected", "phase_affinity", "unit_residual",
              "fourier_rearrange")
     calls = {}
     for name in names:
@@ -608,15 +404,15 @@ def test_symmetry_report_goes_through_module_stages(frac2d_report, monkeypatch):
             calls[_name] = calls.get(_name, 0) + 1
             return _inner(*args, **kwargs)
         monkeypatch.setattr(verify, name, counted)
-    rep = verify.symmetry_report(frac2d_report.Q, axis=0, sigma=1)
+    rep = verify.symmetry_report(frac2d_report.Q, frac2d_problem, axis=0)
     assert rep.connected
     assert calls == dict.fromkeys(names, 1)
 
 
-def _serial_report(f, axis, sigma, tau):
+def _serial_report(f, prob, axis, tau):
     """The report's stages one after another, in the order of the single-thread
     report: support, phase fit, s2, rearrangement, s1 (reflections by
-    ``np.roll(np.flip(..))``), then the fold in buffers of its own."""
+    ``np.roll(np.flip(..))``), then the unit residual."""
     s = verify.support_set(f, tau)
     mag = s.modulus
     try:
@@ -635,7 +431,7 @@ def _serial_report(f, axis, sigma, tau):
             images.append(np.swapaxes(vals, *transverse))
         s1 = max(flat_norm(vals - image) / denom for image in images)
     return verify.SymmetryReport(s1, s2, modrearr, fit, fit is not None,
-                                 verify.minkowski_defect(s, sigma), tau)
+                                 verify.unit_residual(prob, f), tau)
 
 
 def _gapped_field():
@@ -655,13 +451,14 @@ def _swap_broken_3d_field():
 
 
 @pytest.mark.parametrize("case", ["ground_2d", "gapped", "swap_3d"])
-def test_symmetry_report_is_its_serial_stages(case, frac2d_report):
+def test_symmetry_report_is_its_serial_stages(case, frac2d_problem, frac2d_report):
     # the two-thread report equals its stages run one after another, bit for bit
     f, axis, tau = {"ground_2d": (frac2d_report.Q, 0, 1e-8),
                     "gapped": (_gapped_field(), 0, 1e-3),
                     "swap_3d": (_swap_broken_3d_field(), 0, 1e-8)}[case]
-    rep = bw.symmetry_report(f, axis=axis, sigma=1, tau=tau)
-    assert rep == _serial_report(f, axis, 1, tau)
+    prob = frac2d_problem if case == "ground_2d" else _problem(f.grid)
+    rep = bw.symmetry_report(f, prob, axis=axis, tau=tau)
+    assert rep == _serial_report(f, prob, axis, tau)
     if case == "gapped":
         assert rep.phase is None
     if case == "swap_3d":
@@ -671,26 +468,27 @@ def test_symmetry_report_is_its_serial_stages(case, frac2d_report):
             assert flat_norm(f.values - refl) <= 1e-12 * flat_norm(f.values)
 
 
-def test_symmetry_report_raises_the_fold_error_from_its_worker(frac2d_report, monkeypatch):
+def test_symmetry_report_raises_the_residual_error_from_its_worker(frac2d_problem, frac2d_report,
+                                                                   monkeypatch):
     threads = []
-    real = verify.minkowski_defect
 
-    def fold(*args, **kwargs):
+    def failing_residual(*args, **kwargs):
         threads.append(threading.current_thread())
-        return real(*args, **kwargs)
+        raise ValueError("residual failed")
 
-    monkeypatch.setattr(verify, "minkowski_defect", fold)
-    with pytest.raises(ValueError, match="sigma must be >= 1"):
-        bw.symmetry_report(frac2d_report.Q, sigma=0)
+    monkeypatch.setattr(verify, "unit_residual", failing_residual)
+    with pytest.raises(ValueError, match="residual failed"):
+        bw.symmetry_report(frac2d_report.Q, frac2d_problem)
     assert len(threads) == 1 and threads[0] is not threading.current_thread()
     assert not threads[0].is_alive()
 
 
-def test_symmetry_report_joins_its_worker_before_raising(frac2d_report, monkeypatch):
+def test_symmetry_report_joins_its_worker_before_raising(frac2d_problem, frac2d_report,
+                                                         monkeypatch):
     finished = []
-    real = verify.minkowski_defect
+    real = verify.unit_residual
 
-    def slow_fold(*args, **kwargs):
+    def slow_residual(*args, **kwargs):
         time.sleep(0.05)
         value = real(*args, **kwargs)
         finished.append(threading.current_thread())
@@ -699,8 +497,8 @@ def test_symmetry_report_joins_its_worker_before_raising(frac2d_report, monkeypa
     def failing_fit(*args, **kwargs):
         raise RuntimeError("phase fit failed")
 
-    monkeypatch.setattr(verify, "minkowski_defect", slow_fold)
+    monkeypatch.setattr(verify, "unit_residual", slow_residual)
     monkeypatch.setattr(verify, "phase_affinity", failing_fit)
     with pytest.raises(RuntimeError, match="phase fit failed"):
-        bw.symmetry_report(frac2d_report.Q)
+        bw.symmetry_report(frac2d_report.Q, frac2d_problem)
     assert len(finished) == 1 and not finished[0].is_alive()
