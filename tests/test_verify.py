@@ -1,3 +1,4 @@
+import itertools
 import threading
 import time
 
@@ -7,6 +8,7 @@ from scipy import ndimage
 from scipy.integrate import quad
 
 import boostedwaves as bw
+import boostedwaves.suites as suites
 from boostedwaves import verify
 from boostedwaves.fields import flat_norm
 
@@ -161,6 +163,162 @@ def test_centered_is_fftshift(shape):
     for a in (values, values.real, values.real > 0):
         assert np.array_equal(verify._centered(a), np.fft.fftshift(a))
 
+
+# For sigma in N the spectrum of |u|^{2 sigma} u is a convolution of sigma + 1
+# copies of u_hat with sigma copies of its reflected conjugate, so a support S
+# goes to the fold (sigma+1) S + sigma (-S).  The convolution suite reads a
+# Minkowski sum off suites._convolve_full of the indicators; the tests below
+# fold supports through that route and hold it to an FFT-free set sum.
+
+def _fold_defect(mask_c, sigma, add):
+    """|F ^ S| / |S| for the fold F of the centered mask S, cut to the box.
+
+    ``add(a, b)`` is the Minkowski sum of two boolean arrays, of shape
+    a.shape + b.shape - 1.  A set of centered lattice points is a boolean
+    array plus the point that its index 0 stands for: -N//2 per axis for S,
+    and N//2 - (N - 1) for -S, the mask flipped on every axis.
+    """
+    half = np.array([n // 2 for n in mask_c.shape])
+    plus = (mask_c, -half)
+    minus = (np.flip(mask_c), half - np.array(mask_c.shape) + 1)
+    sums, origin = plus
+    for term, term_origin in [plus] * sigma + [minus] * sigma:
+        sums, origin = add(sums, term), origin + term_origin
+    corner = -half - origin  # where the box's first point, -N//2 per axis, sits in sums
+    in_box = sums[tuple(slice(c, c + n) for c, n in zip(corner, mask_c.shape))]
+    return np.count_nonzero(in_box ^ mask_c) / np.count_nonzero(mask_c)
+
+
+def _set_sum(a, b):
+    """Minkowski sum with no FFT: one shifted copy of a ORed in per point of b."""
+    grown = np.zeros(tuple(np.add(a.shape, b.shape) - 1), dtype=bool)
+    for p in np.argwhere(b):
+        grown[tuple(slice(i, i + n) for i, n in zip(p, a.shape))] |= a
+    return grown
+
+
+def _suite_sum(a, b):
+    """Minkowski sum as the convolution suite takes it: full convolution of the
+    indicators, above 1/2."""
+    return suites._convolve_full(a.astype(np.float64), b.astype(np.float64)) > 0.5
+
+
+def _suite_defect(s, sigma):
+    return _fold_defect(s.centered, sigma, _suite_sum)
+
+
+def test_minkowski_defect_full_lattice():
+    s = bw.SupportSet(np.ones(64, dtype=bool))
+    assert _suite_defect(s, 3) == 0.0
+
+
+def test_minkowski_defect_half_lattice():
+    # the support map is S -> (sigma+1) S + sigma (-S), and H + H - H fills
+    # the box: the half-lattice [0, 32) of 32 points becomes all 64 box points
+    mask_c = np.zeros(64, dtype=bool)
+    mask_c[32:] = True
+    s = bw.SupportSet(np.fft.ifftshift(mask_c))
+    assert _suite_defect(s, 3) == 1.0
+    # without the boundary bin, [1, 32) still sums to an interval covering the box
+    strict = np.zeros(64, dtype=bool)
+    strict[33:] = True
+    s2 = bw.SupportSet(np.fft.ifftshift(strict))
+    assert _suite_defect(s2, 3) == 33 / 31
+
+
+def test_minkowski_defect_two_blobs_oracle():
+    mask_c = np.zeros(32, dtype=bool)
+    mask_c[4:7] = True
+    mask_c[26:29] = True
+    s = bw.SupportSet(np.fft.ifftshift(mask_c))
+    pts = [int(p) for p in np.where(mask_c)[0] - 16]
+    for sigma in (1, 2):
+        got = _suite_defect(s, sigma)
+        # brute-force signed sums on the 32-point lattice: sigma + 1 points
+        # of S minus sigma points of S
+        sums = {sum(c[:sigma + 1]) - sum(c[sigma + 1:])
+                for c in itertools.product(pts, repeat=2 * sigma + 1)}
+        in_box = {z for z in sums if -16 <= z < 16}
+        defect = len(in_box ^ set(pts)) / len(pts)
+        assert got == pytest.approx(defect)
+        assert got > 0.5
+
+
+def _check_masks(shape, sigma):
+    # corner bins give the extreme sums, -sigma (N-1) and (sigma+1)(N-1) from
+    # the box's first index, far outside a padding shorter than the fold
+    first = (0,) * len(shape)
+    last = tuple(n - 1 for n in shape)
+    centre = tuple(n // 2 for n in shape)
+    rng = np.random.default_rng(sum(shape) + 100 * sigma)
+    masks = [np.ones(shape, dtype=bool)]
+    for bins in ((first, last), (first, centre), (last, centre)):
+        masks.append(np.zeros(shape, dtype=bool))
+        for b in bins:
+            masks[-1][b] = True
+    for density in (0.05, 0.3):
+        masks.append(rng.uniform(size=shape) < density)
+        masks[-1][centre] = True
+    for mask_c in masks:
+        s = bw.SupportSet(np.fft.ifftshift(mask_c))
+        want = _fold_defect(mask_c, sigma, _set_sum)
+        assert _suite_defect(s, sigma) == want, np.argwhere(mask_c)
+
+
+@pytest.mark.parametrize("shape", [(8,), (16,), (8, 8)])
+@pytest.mark.parametrize("sigma", [1, 2, 3, 5])
+def test_minkowski_defect_matches_set_sum_oracle(shape, sigma):
+    _check_masks(shape, sigma)
+
+
+@pytest.mark.parametrize("shape, sigma", [((8, 8, 8), 2), ((8, 8, 8), 3), ((8, 16), 3),
+                                          ((16, 8), 3), ((16,), 7), ((8, 8, 8), 1),
+                                          ((8, 16), 1), ((8, 16), 2), ((16, 8), 1),
+                                          ((16, 8), 2)])
+def test_minkowski_defect_matches_set_sum_oracle_on_every_axis(shape, sigma):
+    # the padded real transforms work axis by axis: 3D, unequal sizes either
+    # way round, and a deep fold
+    _check_masks(shape, sigma)
+
+
+@pytest.mark.parametrize("shape, sigma", [((64,), 7), ((256,), 7), ((64, 64), 3)])
+def test_minkowski_fold_of_a_sublattice_stays_on_it(shape, sigma):
+    # Every third lattice point: the sums stay on multiples of 3, so the
+    # defect is 0.  Each convolution leaves exact zeros off the sublattice
+    # next to counts of up to |S| (1,365 points at 64 x 64), which rounding
+    # must keep below 1/2.
+    points = np.indices(shape).sum(axis=0) - sum(n // 2 for n in shape)
+    mask_c = points % 3 == 0
+    s = bw.SupportSet(np.fft.ifftshift(mask_c))
+    assert _suite_defect(s, sigma) == 0.0
+
+
+@pytest.mark.parametrize("sigma", [1, 2])
+def test_minkowski_fold_is_the_support_of_the_nonlinearity(sigma):
+    # A spectrum on the bins of [a, b] makes the spectrum of |u|^{2 sigma} u
+    # a convolution of sigma + 1 copies of it with sigma copies of its
+    # reflected conjugate: positive terms only, so its support is the bins of
+    # ((sigma+1) a - sigma b, (sigma+1) b - sigma a), not of (2 sigma + 1) S.
+    g = bw.Grid.make(512, 20.0 * np.pi)  # frequency step 0.05, no aliasing up to 12.8
+    step = g.freq_step(0)
+    a, b = 1.05, 2.95
+    xi = g.freqs(0)
+    on = (xi >= a - step / 2) & (xi <= b + step / 2)
+    spec = np.where(on, 1.0 + np.random.default_rng(sigma).uniform(size=512), 0.0)
+    u = bw.Field.from_spectrum(g, spec.astype(complex))
+    vals = u.values
+    nonlinear = bw.Field.from_values(g, np.abs(vals) ** (2 * sigma) * vals)
+    out = bw.support_set(nonlinear, tau=1e-9)
+    lo, hi = xi[out.mask].min(), xi[out.mask].max()
+    assert abs(lo - ((sigma + 1) * a - sigma * b)) <= step
+    assert abs(hi - ((sigma + 1) * b - sigma * a)) <= step
+    assert np.all(out.mask[(xi >= lo) & (xi <= hi)])  # one interval
+    # read through its sum: S lies in the fold, and the fold fits in the box,
+    # so |fold| = |S| (1 + defect) is the number of bins of the nonlinearity
+    s = bw.support_set(u, tau=1e-9)
+    assert np.array_equal(s.mask, on)
+    fold = s.mask.sum() * (1.0 + _suite_defect(s, sigma))
+    assert fold == pytest.approx(out.mask.sum(), abs=1e-9)
 
 def test_phase_affinity_real_positive_spectrum():
     g = bw.Grid.make(256, 15.0)
