@@ -20,9 +20,9 @@ Allgower & Georg, *Introduction to Numerical Continuation Methods*, ch. 2).
 A row whose two predecessors in the chain converged starts from the secant
 predictor 2 Q_{k-1} - Q_{k-2}, a row with one from Q_{k-1}.  A chain head, and
 a row after one that failed or did not converge, starts cold from the
-Gaussian set by ``init_width`` and ``init_phase``; in a sweep those keys set
-only these cold starts.  ``--jobs`` solves whole chains in parallel.  The
-split depends only on the row index, so ``sweep.csv`` does not depend on
+Gaussian of width ``init_width`` (:func:`solver.minimize`); in a sweep that
+key sets only these cold starts.  ``--jobs`` solves whole chains in parallel.
+The split depends only on the row index, so ``sweep.csv`` does not depend on
 ``--jobs``.  The chains are threads, and rows of 1,024 points hold the GIL
 for most of each solve: on a 2-core machine ``--jobs 2`` measured slower
 than ``--jobs 1`` on the 17-row half-wave sweep of ``bench/workloads.py``.
@@ -35,10 +35,10 @@ defects, energy and mass come from one pass over the returned state
 Exit codes: 0 success, 1 configuration or I/O error, 2 solver did not
 converge, 3 disconnected spectral support, 4 property-suite failure
 (``props``) or a failed gate (``verify``).  ``verify`` builds the config's
-problem, so its hypotheses are enforced as in ``solve``, and passes when s1,
-s2 and the rearrangement defect are within ``s1_max``, ``s2_max`` and
-``modrearr_max``, the support is connected, and the unit residual of the
-profile equation is within ``tol``.
+problem, so its hypotheses are enforced as in ``solve``, and passes when the
+support is connected, s1, s2 and the rearrangement defect are within
+``verify.DEFECT_MAX`` (1e-5), and the unit residual of the profile equation is
+within ``tol`` (:meth:`verify.SymmetryReport.passes`).
 
 ``main`` fixes two glibc heap thresholds once per process (see
 :func:`_fix_heap_thresholds`), so that repeated in-process calls reuse the
@@ -65,7 +65,7 @@ from .rearrange import REARRANGE_MODES, fourier_rearrange
 from .solver import Problem, SolveOptions, SolveReport, minimize
 from .suites import SUITES, run_suite
 from .symbols import KINDS, BoostedSymbol, Symbol, dispersion_floor
-from .verify import sweep_defects, symmetry_report
+from .verify import DEFECT_MAX, sweep_defects, symmetry_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -93,8 +93,7 @@ class RunConfig(SimpleNamespace):
     ``sizes`` and ``L`` are held as the ``grid`` they describe."""
 
     def solve_options(self) -> SolveOptions:
-        return SolveOptions(tol=self.tol, max_iter=self.max_iter,
-                            init_width=self.init_width, init_phase=self.init_phase)
+        return SolveOptions(tol=self.tol, max_iter=self.max_iter, init_width=self.init_width)
 
 
 def _read_pairs(path) -> dict[str, tuple[str, int]]:
@@ -193,10 +192,9 @@ class Key:
 
     ``parse(name, text, n)`` reads the key's text and raises ValueError with a
     message when it is malformed.  ``default`` is the text used when the key is
-    absent: ``REQUIRED`` when it must be given, None when an absent key means
-    None.  ``valid(x, n)`` accepts the parsed value, or each component of a
-    vector; ``rule``, formatted with the key's name and value, says why a value
-    it refuses is wrong.
+    absent, ``REQUIRED`` when it must be given.  ``valid(x, n)`` accepts the
+    parsed value, or each component of a vector; ``rule``, formatted with the
+    key's name and value, says why a value it refuses is wrong.
     """
 
     parse: Callable[[str, str, int], object]
@@ -220,13 +218,7 @@ KEYS = {
     "tol": Key(_float, "1e-10", *_POSITIVE),
     "max_iter": Key(_int, "5000", *_COUNT),
     "init_width": Key(_float, "1", *_POSITIVE),
-    "init_phase": Key(_vector(float), None, *_FINITE),
     "axis": Key(_int, "0", lambda axis, n: 0 <= axis < n, "axis out of range"),
-    "tau": Key(_float, "1e-8", lambda tau, _: 0.0 < tau < 1.0,
-               "tau must lie in (0, 1), got {value}"),
-    "s1_max": Key(_float, "1e-5", *_FINITE),
-    "s2_max": Key(_float, "1e-5", *_FINITE),
-    "modrearr_max": Key(_float, "1e-5", *_FINITE),
     "out": Key(lambda name, text, n: text, "out"),
     "jobs": Key(_int, "1", *_COUNT),
 }
@@ -252,9 +244,6 @@ def load_config(path, **flags) -> RunConfig:
             text, line = pairs[name]
         elif key.default is REQUIRED:
             raise ConfigError(f"missing required key {name!r}")
-        elif key.default is None:
-            values[name] = None
-            continue
         else:
             text, line = key.default, None
         try:
@@ -313,10 +302,10 @@ def _write_report_txt(path, cfg: RunConfig, prob: Problem, report: SolveReport):
     Path(path).write_text(text)
 
 
-def _symmetry_csv_row(case: str, rep, ndim: int) -> str:
-    beta = rep.phase.beta if rep.phase else (math.nan,) * ndim
-    alpha = rep.phase.alpha if rep.phase else math.nan
-    residual = rep.phase.residual if rep.phase else math.nan
+def _symmetry_csv(path, case: str, rep, ndim: int):
+    beta_cols = ",".join(f"beta{i}" for i in range(ndim))
+    header = f"case,s1,s2,modrearr,connected,unit_residual,alpha,{beta_cols},residual"
+    fit = rep.phase
     cells = [
         case,
         _fmt(rep.s1_defect),
@@ -324,17 +313,11 @@ def _symmetry_csv_row(case: str, rep, ndim: int) -> str:
         _fmt(rep.modulus_rearranged_defect),
         "1" if rep.connected else "0",
         _fmt(rep.unit_residual),
-        _fmt(alpha),
+        _fmt(fit.alpha if fit else math.nan),
+        *(_fmt(b) for b in (fit.beta if fit else (math.nan,) * ndim)),
+        _fmt(fit.residual if fit else math.nan),
     ]
-    cells.extend(_fmt(b) for b in beta)
-    cells.append(_fmt(residual))
-    return ",".join(cells)
-
-
-def _symmetry_csv(path, case: str, rep, ndim: int):
-    beta_cols = ",".join(f"beta{i}" for i in range(ndim))
-    header = f"case,s1,s2,modrearr,connected,unit_residual,alpha,{beta_cols},residual"
-    Path(path).write_text(header + "\n" + _symmetry_csv_row(case, rep, ndim) + "\n")
+    Path(path).write_text(header + "\n" + ",".join(cells) + "\n")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -372,7 +355,7 @@ def cmd_verify(args) -> int:
               f"{_grid_text(cfg.grid)}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        rep = symmetry_report(f, prob, axis=cfg.axis, tau=cfg.tau)
+        rep = symmetry_report(f, prob, axis=cfg.axis)
     except ValueError as exc:  # the zero field, or non-finite values
         print(f"verify error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -382,16 +365,10 @@ def cmd_verify(args) -> int:
     if not rep.connected:
         print("verify: spectral support is disconnected", file=sys.stderr)
         return EXIT_DISCONNECTED
-    ok = (
-        rep.s1_defect <= cfg.s1_max
-        and rep.s2_defect <= cfg.s2_max
-        and rep.modulus_rearranged_defect <= cfg.modrearr_max
-        and rep.unit_residual <= cfg.tol
-    )
     print(f"verify: s1={rep.s1_defect:.3e} s2={rep.s2_defect:.3e} "
           f"modrearr={rep.modulus_rearranged_defect:.3e} "
           f"residual={rep.unit_residual:.3e} connected={rep.connected}")
-    return EXIT_OK if ok else EXIT_PROPERTY
+    return EXIT_OK if rep.passes(cfg.tol) else EXIT_PROPERTY
 
 
 def cmd_rearrange(args) -> int:
@@ -428,7 +405,7 @@ def _sweep_value(cfg: RunConfig, param: str, value: float,
     try:
         prob = make_problem(local)
         report = minimize(prob, init=init, opts=local.solve_options())
-        s2, modrearr = sweep_defects(report.Q, axis=local.axis, tau=local.tau)
+        s2, modrearr = sweep_defects(report.Q, axis=local.axis)
         e, m = energy_mass(report.Q, local.symbol, local.sigma)
     except ValueError as exc:  # HypothesisViolatedError, ZeroFieldError, ...
         return _SweepRow((value,) + (math.nan,) * 6, f"{type(exc).__name__}: {exc}"), None
@@ -553,11 +530,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = configured("verify", ("out",),
                    help="symmetry report for a GNF1 field on the config's grid",
-                   description="Exit 0 when s1, s2 and modrearr are within s1_max, "
-                               "s2_max and modrearr_max, the spectral support is connected, "
-                               "and the unit residual of the config's profile equation is "
-                               "within tol; exit 3 when the support is disconnected, and 4 "
-                               "when another of these gates fails.")
+                   description="Exit 0 when the spectral support is connected, s1, s2 "
+                               f"and modrearr are at most {DEFECT_MAX:g}, and the unit "
+                               "residual of the config's profile equation is within tol; "
+                               "exit 3 when the support is disconnected, and 4 when "
+                               "another of these gates fails.")
     p.add_argument("--field", required=True, help="input GNF1 field file")
     p.set_defaults(handler=cmd_verify)
 
@@ -574,9 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
                     f"{SWEEP_CHAIN} rows. A row starts from the secant predictor "
                     "2 Q_(k-1) - Q_(k-2) of its two converged predecessors in the chain, "
                     "or from Q_(k-1) when only one converged; a chain head, and a row after "
-                    "a failed or unconverged one, starts cold from init_width/init_phase, "
-                    "which set only these cold starts. --jobs solves chains in parallel; "
-                    "sweep.csv does not depend on it.",
+                    "a failed or unconverged one, starts cold from the Gaussian of width "
+                    "init_width, which sets only these cold starts. --jobs solves chains "
+                    "in parallel; sweep.csv does not depend on it.",
     )
     p.add_argument("--param", choices=("v", "omega"), required=True,
                    help="the config key each row sets (v: its component along the "

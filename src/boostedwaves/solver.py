@@ -148,7 +148,6 @@ class SolveOptions:
     tol: float = 1e-10
     max_iter: int = 5000
     init_width: float = 1.0
-    init_phase: tuple[float, ...] | None = None  # None: v/2 along the boost
 
 
 @dataclass
@@ -217,21 +216,15 @@ def weinstein(prob: Problem, u: Field, weight: np.ndarray | None = None) -> floa
     return _state(prob, u.spectrum, u.values, weight)[0]
 
 
-def _nonlinear_spectrum(grid: Grid, nl_mod: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Spectrum of |u|^(2 sigma) u, given |u|^(2 sigma), with the Nyquist bins zeroed."""
-    return fields._phys_to_spec(grid, nl_mod * vals, band_limited=True)
+def _nonlinearity(grid: Grid, nl_mod: np.ndarray, vals: np.ndarray, work=None,
+                  out=None) -> np.ndarray:
+    """Spectrum of |u|^(2 sigma) u, given |u|^(2 sigma) in ``nl_mod`` and u in
+    ``vals``, with the Nyquist bins zeroed.
 
-
-def _nonlinearity(prob: Problem, u: Field, nl_mod: np.ndarray, work: np.ndarray,
-                  out: np.ndarray) -> np.ndarray:
-    """Spectrum of |u|^(2 sigma) u, with the Nyquist bins zeroed, in ``out``.
-
-    ``nl_mod`` (real) and ``work`` (complex) are overwritten on the way.
+    The product is formed in ``work`` and the spectrum in ``out``, each a new
+    array when it is None.
     """
-    vals = u.values
-    np.abs(vals, out=nl_mod)
-    nl_mod **= 2 * prob.sigma
-    return fields._phys_to_spec(prob.grid, np.multiply(nl_mod, vals, out=work),
+    return fields._phys_to_spec(grid, np.multiply(nl_mod, vals, out=work),
                                 band_limited=True, out=out)
 
 
@@ -250,7 +243,10 @@ def _residual_parts(prob: Problem, u: Field, weight: np.ndarray, scratch=None):
     ``scratch`` (:func:`residual_scratch`), new buffers when it is None.
     """
     nl_mod, lhs, nl_spec, miss = residual_scratch(prob.grid) if scratch is None else scratch
-    _nonlinearity(prob, u, nl_mod, lhs, nl_spec)
+    vals = u.values
+    np.abs(vals, out=nl_mod)
+    nl_mod **= 2 * prob.sigma
+    _nonlinearity(prob.grid, nl_mod, vals, lhs, nl_spec)
     np.multiply(weight, u.spectrum, out=lhs)
     lhs_norm = flat_norm(lhs)
     if lhs_norm == 0.0:
@@ -346,21 +342,18 @@ def minimize(prob: Problem, init: Field | None = None,
     module docstring).  The trace records per iteration whether the Anderson
     candidate was accepted and how many halvings the fallback needed.
 
-    ``init`` defaults to a unit-width Gaussian carrying the phase
-    exp(i v.x / 2), which keeps the iteration off the real-spectrum subspace
-    when the minimizer has nontrivial phase.  Returns a report whether or not
-    the iteration converged; non-convergence is flagged, not raised.  The
-    report counts as converged only when the returned, canonicalized state
-    also has its residual within ``tol``.
+    ``init`` defaults to a Gaussian of width ``opts.init_width`` carrying the
+    phase exp(i v.x / 2), which keeps the iteration off the real-spectrum
+    subspace when the minimizer has nontrivial phase.  Returns a report
+    whether or not the iteration converged; non-convergence is flagged, not
+    raised.  The report counts as converged only when the returned,
+    canonicalized state also has its residual within ``tol``.
     """
     opts = opts or SolveOptions()
     grid = prob.grid
     if init is None:
-        beta = opts.init_phase
-        if beta is None:
-            v = np.asarray(prob.bsym.velocity)
-            beta = 0.5 * v if np.linalg.norm(v) > 0 else None
-        init = gaussian_init(grid, opts.init_width, beta)
+        v = np.asarray(prob.bsym.velocity)
+        init = gaussian_init(grid, opts.init_width, 0.5 * v if v.any() else None)
 
     weight = prob.weight()
     inv_weight = 1.0 / weight
@@ -395,7 +388,7 @@ def minimize(prob: Problem, init: Field | None = None,
 
     for k in range(1, opts.max_iter + 1):
         iterations = k
-        nl_spec = _nonlinear_spectrum(grid, nl_mod, vals)
+        nl_spec = _nonlinearity(grid, nl_mod, vals)
 
         # The unit residual ||w u^ - N^|| / ||w u^||, formed in the state's w u^,
         # which is dropped before the candidate is formed.

@@ -18,7 +18,6 @@ from .symbols import BoostedSymbol, fractional, half_wave, sqrt_klein_gordon
 @dataclass
 class SuiteResult:
     name: str
-    trials: int
     checks: int = 0
     violations: list[str] = field(default_factory=list)
 
@@ -60,7 +59,7 @@ def rearrange_suite(seed: int = 1, trials: int = 200,
     and L^p monotonicity for the transverse spectral rearrangement."""
     grid = grid or Grid.make((32, 32), 4.0)
     rng = np.random.default_rng(seed)
-    out = SuiteResult("rearrange", trials)
+    out = SuiteResult("rearrange")
     omega = 1.0
     boosted = [BoostedSymbol.make(sym, 0.3) for sym in _suite_symbols(grid.ndim)]
     axis = 0
@@ -143,7 +142,7 @@ def convolution_suite(seed: int = 2, trials: int = 200,
                       mask_trials: int = 100) -> SuiteResult:
     """Multi-convolution-at-zero monotonicity plus the convolution support identity."""
     rng = np.random.default_rng(seed)
-    out = SuiteResult("convolution", trials)
+    out = SuiteResult("convolution")
     coords = [np.arange(n) - n // 2 for n in shape]
 
     for t in range(trials):

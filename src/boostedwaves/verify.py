@@ -376,6 +376,9 @@ def phase_affinity(f: Field, s: SupportSet | None = None, tau: float = 1e-8) -> 
     return PhaseFit(math.remainder(alpha, TAU), tuple(float(b) for b in beta), residual)
 
 
+DEFECT_MAX = 1e-5  # gate of s1, s2 and the rearrangement defect in a verdict
+
+
 @dataclass
 class SymmetryReport:
     """Quantitative defects for the ground-state symmetry properties.
@@ -394,7 +397,18 @@ class SymmetryReport:
     phase: PhaseFit | None
     connected: bool
     unit_residual: float
-    tau: float
+
+    def passes(self, tol: float) -> bool:
+        """The verdict: a connected support, s1, s2 and the rearrangement
+        defect at most :data:`DEFECT_MAX`, and the unit residual at most
+        ``tol``.  A NaN defect or residual fails."""
+        return (
+            self.connected
+            and self.s1_defect <= DEFECT_MAX
+            and self.s2_defect <= DEFECT_MAX
+            and self.modulus_rearranged_defect <= DEFECT_MAX
+            and self.unit_residual <= tol
+        )
 
 
 def _s1_defect(f: Field, axis: int) -> float:
@@ -515,7 +529,6 @@ def symmetry_report(f: Field, prob: Problem, axis: int = 0, tau: float = 1e-8) -
         phase=fit,
         connected=fit is not None,
         unit_residual=residual[0],
-        tau=tau,
     )
 
 

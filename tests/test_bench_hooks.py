@@ -1,9 +1,12 @@
-"""The benchmark's per-layer trace wraps package functions by name.
+"""The benchmark drives the package by name: hooks, and generated configs.
 
 ``bench/tracing.py`` reports a hook whose target is gone as absent instead of
-failing, so a rename in the package would silently blind the trace.  This test
-imports the tracing module (without writing bytecode next to it) and checks
-that every hook target and the rearrangement plan cache resolve.
+failing, so a rename in the package would silently blind the trace.  The first
+test imports the tracing module (without writing bytecode next to it) and
+checks that every hook target and the rearrangement plan cache resolve.  The
+second loads the config of every workload in ``bench/workloads.py``, so a
+config key the benchmark writes cannot be deleted without a failing test; the
+benchmark would only show such a cut as ops that all fail.
 
 ``verify.minkowski_defect`` is gone with the Minkowski set fold, and the
 benchmark still hooks it; the benchmark's own change re-points that hook (to
@@ -14,24 +17,42 @@ import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
+from boostedwaves import cli
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def test_every_trace_hook_resolves(monkeypatch):
+@pytest.fixture
+def bench_path(monkeypatch):
+    """``bench/`` importable by module name, with no bytecode written next to it."""
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     for name in ("tracing", "workloads"):
         monkeypatch.delitem(sys.modules, name, raising=False)
+    yield
+    for name in ("tracing", "workloads"):
+        sys.modules.pop(name, None)
+
+
+def test_every_trace_hook_resolves(bench_path):
     tracing = importlib.import_module("tracing")
-    try:
-        for mod, attr, _span in tracing.HOOKS:
-            if (mod, attr) == ("verify", "minkowski_defect"):
-                continue
-            target = getattr(importlib.import_module(f"boostedwaves.{mod}"), attr, None)
-            assert callable(target), f"boostedwaves.{mod}.{attr}"
-        mod, attr = tracing.PLAN_CACHE
-        assert hasattr(getattr(importlib.import_module(f"boostedwaves.{mod}"), attr), "cache_info")
-        assert tracing.Tracer().absent == ["verify.minkowski_defect"]
-    finally:
-        for name in ("tracing", "workloads"):
-            sys.modules.pop(name, None)
+    for mod, attr, _span in tracing.HOOKS:
+        if (mod, attr) == ("verify", "minkowski_defect"):
+            continue
+        target = getattr(importlib.import_module(f"boostedwaves.{mod}"), attr, None)
+        assert callable(target), f"boostedwaves.{mod}.{attr}"
+    mod, attr = tracing.PLAN_CACHE
+    assert hasattr(getattr(importlib.import_module(f"boostedwaves.{mod}"), attr), "cache_info")
+    assert tracing.Tracer().absent == ["verify.minkowski_defect"]
+
+
+def test_every_workload_config_loads(bench_path, tmp_path):
+    workloads = importlib.import_module("workloads")
+    assert workloads.WORKLOADS
+    for name, workload in workloads.WORKLOADS.items():
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(workload.case.config_text(1.0))
+        cfg = cli.load_config(path)
+        assert cfg.grid.ndim == workload.case.ndim, name

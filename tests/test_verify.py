@@ -1,6 +1,7 @@
 import itertools
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -491,6 +492,20 @@ def test_symmetry_report_2d_ground_state(frac2d_problem, frac2d_report):
     assert rep.unit_residual == bw.unit_residual(frac2d_problem, frac2d_report.Q) <= 1e-10
 
 
+@pytest.mark.parametrize("defect", ["s1_defect", "s2_defect", "modulus_rearranged_defect"])
+def test_report_passes_at_its_gates(defect):
+    # each gate is inclusive: a defect equal to DEFECT_MAX passes, the next
+    # float above fails; so does a residual above tol, or a disconnected support
+    tol = 1e-10
+    rep = verify.SymmetryReport(0.0, 0.0, 0.0, None, True, tol)
+    assert rep.passes(tol)
+    assert replace(rep, **{defect: verify.DEFECT_MAX}).passes(tol)
+    assert not replace(rep, **{defect: np.nextafter(verify.DEFECT_MAX, 1.0)}).passes(tol)
+    assert not replace(rep, **{defect: np.nan}).passes(tol)
+    assert not replace(rep, connected=False).passes(tol)
+    assert not replace(rep, unit_residual=np.nextafter(tol, 1.0)).passes(tol)
+
+
 def test_symmetry_report_disconnected_is_flagged_not_raised():
     g = bw.Grid.make(128, 10.0)
     xi = g.freqs(0)
@@ -589,7 +604,7 @@ def _serial_report(f, prob, axis, tau):
             images.append(np.swapaxes(vals, *transverse))
         s1 = max(flat_norm(vals - image) / denom for image in images)
     return verify.SymmetryReport(s1, s2, modrearr, fit, fit is not None,
-                                 verify.unit_residual(prob, f), tau)
+                                 verify.unit_residual(prob, f))
 
 
 def _gapped_field():
