@@ -11,6 +11,10 @@ FFT-ordered frequency lattice produces the alternating arrangement (0, +dxi,
 Spectral rearrangements replace the spectrum of a field by a rearrangement of
 its modulus: "full" rearranges over all frequency axes, "axial" rearranges
 each slice transverse to a chosen axis, "modulus" just drops the phase.
+:func:`rearrange_modulus` rearranges a modulus already taken, in buffers its
+caller may own; :func:`fourier_rearrange` and the rearrangement defect of a
+symmetry report (``verify``) both go through it, so they sort the same
+values in the same way.
 """
 
 from __future__ import annotations
@@ -33,17 +37,27 @@ def _distance_order(coord_axes, axis: int | None) -> np.ndarray:
     return np.argsort(dist2.ravel(), kind="stable")
 
 
-def _sort_assign(values: np.ndarray, order: np.ndarray, axis: int | None) -> np.ndarray:
+def _sort_assign(values: np.ndarray, order: np.ndarray, axis: int | None,
+                 work: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Each slice transverse to ``axis`` sorted descending onto the flat
     positions ``order`` of :func:`_distance_order`; for None the whole array
-    is one slice."""
+    is one slice.
+
+    The slices are copied into ``work``, sorted there in place, and assigned
+    reversed into ``out``; both are C-contiguous arrays of ``values.size``
+    elements of its dtype, new ones when None.  The result is ``out`` viewed
+    in the layout of ``values``.
+    """
     moved = values[np.newaxis] if axis is None else np.moveaxis(values, axis, 0)
-    flat = moved.reshape(moved.shape[0], -1)
-    out = np.empty_like(flat)
-    out[:, order] = np.sort(flat, axis=1)[:, ::-1]
+    work = np.empty(moved.shape, values.dtype) if work is None else work.reshape(moved.shape)
+    out = np.empty(moved.shape, values.dtype) if out is None else out.reshape(moved.shape)
+    np.copyto(work, moved)
+    rows = work.reshape(moved.shape[0], -1)
+    rows.sort(axis=1)
+    out.reshape(rows.shape)[:, order] = rows[:, ::-1]
     if axis is None:
         return out.reshape(values.shape)
-    return np.moveaxis(out.reshape(moved.shape), 0, axis)
+    return np.moveaxis(out, 0, axis)
 
 
 def steiner_array(values, coord_axes, axis: int = 0) -> np.ndarray:
@@ -69,6 +83,14 @@ def _plan(grid: Grid, axis: int | None) -> np.ndarray:
     return order
 
 
+def rearrange_modulus(grid: Grid, mag: np.ndarray, axis: int | None,
+                      work: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """The modulus ``mag`` on ``grid``'s frequency lattice (FFT order),
+    rearranged transverse to ``axis`` (None: over the whole lattice), in the
+    buffers ``work`` and ``out`` of :func:`_sort_assign`."""
+    return _sort_assign(mag, _plan(grid, axis), axis, work, out)
+
+
 REARRANGE_MODES = ("full", "axial", "modulus")
 
 
@@ -89,6 +111,5 @@ def fourier_rearrange(f: Field, mode: str, axis: int = 0) -> Field:
             raise ValueError(f"axis {axis} is out of range for a {f.grid.ndim}D field")
     mag = np.abs(f.spectrum)
     if mode != "modulus":
-        kept = axis if mode == "axial" else None
-        mag = _sort_assign(mag, _plan(f.grid, kept), kept)
+        mag = rearrange_modulus(f.grid, mag, axis if mode == "axial" else None)
     return Field.from_spectrum(f.grid, mag)

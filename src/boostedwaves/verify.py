@@ -12,46 +12,62 @@ the support's ``modulus``.  So a report (:func:`symmetry_report`, and
 :func:`sweep_defects` for a sweep row) makes one pass over the spectrum, and
 the modulus weighs the phase fit, the s2 norm and the rearrangement defect.
 
-:func:`symmetry_report` runs on two threads.  It checks the paper's
-statement in two halves that share only the field: the affine phase and
-Steiner symmetry of |Q_hat| (phase fit, s2, rearrangement defect, s1), and
-the equation itself, the unit residual of (P_v(D) + omega) Q =
-|Q|^{2 sigma} Q (:func:`solver.unit_residual`: the nonlinearity, its
-forward transform and three norms).  So once the support is cut, one worker
-thread takes the residual while the calling thread makes the other half.
-Both halves spend their time in numpy's pocketfft transforms and ufunc
-loops, which release the GIL on lattice-sized arrays, so on two cores they
-overlap.  On the 256^2 ground state (2-core machine, one BLAS thread), the
-fastest of 300 residuals took 1.6 ms, of the phase fit, s2 and the
-rearrangement defect together 2.9 ms, and of s1 0.3 ms; the fastest report
-took 3.8 to 4.7 ms on two threads and 5.2 to 5.4 ms on one.
+:func:`symmetry_report` runs on two threads, split along the data its stages
+read.  The calling thread forms the field's values, allocates the four
+buffers of a residual (:func:`solver.residual_scratch`: one real and three
+complex lattice-sized arrays) and starts one worker thread, all before it
+cuts the support.  The worker first takes s1, which reads only the values,
+into the first complex buffer.  It then waits on a ``threading.Event``,
+which the calling thread sets, in a ``finally``, once :func:`support_set`
+has formed the spectrum and |Q_hat|; if the cut refused the field, the
+worker stops there.  Next the worker takes the unit residual of
+(P_v(D) + omega) Q = |Q|^{2 sigma} Q (:func:`solver.unit_residual`, in all
+four buffers), and last the rearrangement defect: it sorts the support's
+``modulus`` in the real buffer, assigns it into the first complex buffer and
+forms the difference in the second (:func:`_modulus_rearranged_defect`).
+Meanwhile the calling thread makes only the support cut, the phase fit and
+s2.  Both threads spend their time in numpy's pocketfft transforms, sorts and
+ufunc loops, which release the GIL on lattice-sized arrays, so on two cores
+they overlap.  On the 256^2 ground state (2-core machine, one BLAS thread,
+three processes), the fastest of 300 calls took 0.10 to 0.12 ms for the
+support cut, 1.5 to 1.8 ms for the phase fit and 0.22 to 0.26 ms for s2 on
+the calling thread, and 0.18 to 0.20 ms for s1, 1.3 to 1.5 ms for the
+residual and 0.41 to 0.48 ms for the rearrangement defect on the worker.
+The fastest report took 3.0 to 3.3 ms, against 4.0 to 4.7 ms when the
+worker took only the residual.
 
 No call on either side of the overlap may hand a lattice-sized operand to
 BLAS (``np.vdot``, ``np.dot``, ``@``, ``np.linalg``): OpenBLAS threads such a
-call over every core, and the two halves then compete for them.  With the
+call over every core, and the two threads then compete for them.  With the
 phase-fit residual taken by ``np.vdot``, the fastest of 300 reports on the
 256^2 ground state took 6.6 to 7.0 ms, against 4.0 to 4.7 ms with one BLAS
 thread; norms go through :func:`fields.flat_norm`, and the unit residual's
 inner products through :func:`fields.real_dot`.  The moment contractions of
 the phase fit (:func:`_moments`) are such products, of the lattice with a
-three-column basis: at 256^2 the report took the same time with one BLAS
-thread as with OpenBLAS's default, at 512^2 it took less.
+three-column basis: at 512^2 the fastest of 100 reports took 16.9 to 17.1 ms
+with OpenBLAS's default threads and 16.6 to 17.7 ms with one.
 
-The worker allocates no lattice-sized array: the calling thread allocates
-the residual's buffers (:func:`solver.residual_scratch`) before it starts
-the worker and frees them after the join, and the problem's weight and the
-grid's tables are built before any report.  So the calling thread's heap
-takes the same layout in every report, and a repeated report maps no fresh
-pages (``cli._fix_heap_thresholds``).  When the worker allocated its own
-temporaries in the calling thread's heap (glibc capped at one arena), 13 of
-60 repeated 256^2 reports (ten fresh processes, six each after a first one)
-mapped 130 to 1,030 fresh pages.
+The worker allocates no lattice-sized array: every temporary of its three
+stages lives in the calling thread's four buffers, which are free once the
+residual has returned, and the problem's weight and the grid's tables are
+built before any report.  So the calling thread's heap takes the same
+layout in every report, and a repeated report maps no fresh pages
+(``cli._fix_heap_thresholds``), whichever axis it rearranges about.  When
+the worker allocated its own temporaries in the calling thread's heap (glibc
+capped at one arena), 13 of 60 repeated 256^2 reports (ten fresh processes,
+six each after a first one) mapped 130 to 1,030 fresh pages.  The worker's
+small temporaries go to its own glibc arena: after 300 256^2 ``verify``
+runs in one process it had grown to 144 KiB, against 148 KiB when the worker
+took only the residual (see :func:`_s1_defect` for the 256 KiB that a
+strided subtraction added).
 
 Starting and joining a thread costs 40 to 70 us, and on small lattices the
 two threads cost more than their overlap saves: the fastest of 3,000 1D
-reports of 1,024 points took 0.16 to 0.20 ms on one thread and 0.28 to
-0.35 ms on two.  There is no switch by size; the one code path serves every
-lattice, and no measured workload makes small reports.
+reports of 1,024 points took 0.17 to 0.18 ms with the stages run one after
+another and 0.32 to 0.44 ms on two threads (0.29 to 0.35 ms when the worker
+took only the residual, with no handoff).  There is no switch by size; the
+one code path serves every lattice, and no measured workload makes small
+reports.
 """
 
 from __future__ import annotations
@@ -66,7 +82,7 @@ import numpy as np
 
 from .errors import DisconnectedSupportError, ZeroFieldError
 from .fields import TAU, Field, flat_norm, solve_small
-from .rearrange import fourier_rearrange
+from .rearrange import rearrange_modulus
 from .solver import Problem, residual_scratch, unit_residual
 
 
@@ -411,13 +427,17 @@ class SymmetryReport:
         )
 
 
-def _s1_defect(f: Field, axis: int) -> float:
+def _s1_defect(f: Field, axis: int, diff: np.ndarray | None = None) -> float:
     """Worst relative change of Q under a transverse reflection or axis swap.
 
     The periodic reflection about the centered origin along axis t maps index
-    i to -i mod N: bin 0 stays and bins 1 .. N-1 reverse, so Q minus its
-    reflection is 0 at i = 0 and v[i] - v[N - i] above, formed by two slices
-    in one buffer.
+    i to -i mod N: bin 0 stays and bins 1 .. N-1 reverse.  The reflection is
+    copied into ``diff``, a complex lattice-sized buffer (a new one when
+    None), by two slice assignments, and Q minus it is formed there by one
+    subtraction of whole arrays.  A subtraction over the row slices themselves
+    is strided, so numpy runs it through an iterator with two 128 KiB
+    buffers: on the 256^2 lattice it took 0.17 ms against 0.11 ms, and on
+    the report's worker thread its buffers grew that thread's heap by 256 KiB.
     """
     grid = f.grid
     if grid.ndim == 1:
@@ -426,12 +446,13 @@ def _s1_defect(f: Field, axis: int) -> float:
     denom = flat_norm(vals)
     worst = 0.0
     transverse = [i for i in range(grid.ndim) if i != axis]
-    diff = np.empty_like(vals)
+    if diff is None:
+        diff = np.empty_like(vals)
     for t in transverse:
         lead = (slice(None),) * t
-        diff[lead + (0,)] = 0.0
-        np.subtract(vals[lead + (slice(1, None),)], vals[lead + (slice(None, 0, -1),)],
-                    out=diff[lead + (slice(1, None),)])
+        diff[lead + (0,)] = vals[lead + (0,)]
+        diff[lead + (slice(1, None),)] = vals[lead + (slice(None, 0, -1),)]
+        np.subtract(vals, diff, out=diff)
         worst = max(worst, flat_norm(diff) / denom)
     if len(transverse) == 2:
         t0, t1 = transverse
@@ -459,29 +480,61 @@ def _s2_defect(f: Field, fit: PhaseFit | None, mag: np.ndarray) -> float:
     return 2.0 * flat_norm(spec.imag) / flat_norm(mag)
 
 
-def _modulus_rearranged_defect(f: Field, axis: int, mag: np.ndarray) -> float:
+def _floats(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading floats of the C-contiguous buffer ``buf``, shaped ``shape``."""
+    return buf.reshape(-1).view(np.float64)[:math.prod(shape)].reshape(shape)
+
+
+def _modulus_rearranged_defect(f: Field, axis: int, mag: np.ndarray, scratch=None) -> float:
+    """||mag - R mag|| / ||mag|| for |Q_hat| = ``mag`` and its transverse
+    rearrangement R mag about ``axis`` (:func:`rearrange.rearrange_modulus`).
+
+    With ``scratch`` (:func:`solver.residual_scratch`), R sorts in the real
+    buffer and assigns into the first complex one, and the difference goes to
+    the second; without it, into new arrays.  The difference is formed
+    C-contiguous in the lattice's layout, whatever the axis, so its norm sums
+    in one order.
+    """
     if f.grid.ndim == 1:
         # the transverse operator is void in one dimension
         return 0.0
-    rearranged = np.abs(fourier_rearrange(f, "axial", axis=axis).spectrum)
-    return flat_norm(mag - rearranged) / flat_norm(mag)
+    if scratch is None:
+        work = out = None
+        diff = np.empty_like(mag)
+    else:
+        work, out, diff = (_floats(buf, mag.shape) for buf in scratch[:3])
+    rearranged = rearrange_modulus(f.grid, mag, axis, work, out)
+    return flat_norm(np.subtract(mag, rearranged, out=diff)) / flat_norm(mag)
 
 
-def _report_pass(f: Field, axis: int, s: SupportSet):
-    """The phase fit, s2 and rearrangement defects of one report, weighed by
-    the support's |Q_hat|."""
+def _phase_fit(f: Field, s: SupportSet) -> PhaseFit | None:
+    """The phase fit on the support ``s``, None where it is disconnected."""
     try:
-        fit = phase_affinity(f, s)  # labels the support once, for both answers
+        return phase_affinity(f, s)  # labels the support once, for both answers
     except DisconnectedSupportError:
-        fit = None
-    return fit, _s2_defect(f, fit, s.modulus), _modulus_rearranged_defect(f, axis, s.modulus)
+        return None
 
 
-def _residual_into(out: list, prob: Problem, f: Field, scratch) -> None:
-    """The report's worker: appends ``unit_residual(prob, f, scratch)`` to
-    ``out``, or the exception it raised, for the calling thread to re-raise."""
+def _worker_stages(out: list, prob: Problem, f: Field, axis: int, cut: list,
+                   handoff: threading.Event, scratch) -> None:
+    """The report's worker: s1, then, once ``handoff`` is set, the unit
+    residual and the rearrangement defect of the support in ``cut``.
+
+    Appends ``(s1, residual, modrearr)`` to ``out``, or the exception it
+    raised, for the calling thread to re-raise; nothing when ``cut`` is empty
+    (the support was refused).  Every lattice-sized temporary lives in
+    ``scratch``: s1's difference in its first complex buffer, before the
+    residual takes all four, and the rearrangement in three of them after.
+    """
     try:
-        out.append(unit_residual(prob, f, scratch))
+        # a NaN or infinite field is refused by the support cut, not here
+        with np.errstate(invalid="ignore", over="ignore"):
+            s1 = _s1_defect(f, axis, scratch[1])
+        handoff.wait()
+        if not cut:
+            return
+        residual = unit_residual(prob, f, scratch)
+        out.append((s1, residual, _modulus_rearranged_defect(f, axis, cut[0].modulus, scratch)))
     except BaseException as exc:
         out.append(exc)
 
@@ -496,47 +549,52 @@ def symmetry_report(f: Field, prob: Problem, axis: int = 0, tau: float = 1e-8) -
     ``prob.grid`` or with a NaN or infinite value raises ``ValueError``, and
     the zero field :class:`ZeroFieldError`.
 
-    The unit residual runs on a worker thread while this thread makes the
-    phase fit, s2, the rearrangement defect and s1 (see the module
-    docstring); the values are those of the stages run one after another.
-    Before the worker starts, this thread forms the field's values and
-    spectrum, which both threads read, and allocates the residual's buffers,
-    which it frees only after the join; the problem's weight and the grid's
-    tables are built with the problem.  The worker is joined before the
-    report returns or raises.  An error of this thread's stages propagates;
-    otherwise an error of the residual is re-raised here.
+    The stages run on two threads (see the module docstring); the values are
+    those of the stages run one after another.  The worker is joined before
+    the report returns or raises.  An error of this thread's stages
+    propagates; otherwise an error of the worker's is re-raised here.
     """
     if f.grid != prob.grid:
         raise ValueError("the field's grid differs from the problem's")
-    s = support_set(f, tau)  # forms the spectrum
-    _ = f.values  # read by both threads: formed once, here
+    with np.errstate(invalid="ignore", over="ignore"):  # the support cut refuses non-finite fields
+        _ = f.values  # read by both threads: formed once, here
     scratch = residual_scratch(prob.grid)
-    residual: list = []
-    worker = threading.Thread(target=_residual_into, args=(residual, prob, f, scratch),
+    cut: list = []
+    handoff = threading.Event()
+    done: list = []
+    worker = threading.Thread(target=_worker_stages,
+                              args=(done, prob, f, axis, cut, handoff, scratch),
                               name="unit-residual")
     worker.start()
     try:
-        fit, s2, modrearr = _report_pass(f, axis, s)
-        s1 = _s1_defect(f, axis)
+        try:
+            cut.append(support_set(f, tau))  # forms the spectrum
+        finally:
+            handoff.set()
+        s = cut[0]
+        fit = _phase_fit(f, s)
+        s2 = _s2_defect(f, fit, s.modulus)
     finally:
         worker.join()
-    if isinstance(residual[0], BaseException):
-        raise residual[0]
+    if isinstance(done[0], BaseException):
+        raise done[0]
+    s1, residual, modrearr = done[0]
     return SymmetryReport(
         s1_defect=s1,
         s2_defect=s2,
         modulus_rearranged_defect=modrearr,
         phase=fit,
         connected=fit is not None,
-        unit_residual=residual[0],
+        unit_residual=residual,
     )
 
 
 def sweep_defects(f: Field, axis: int = 0, tau: float = 1e-8) -> tuple[float, float]:
     """``(s2_defect, modulus_rearranged_defect)``, the defects a sweep row writes.
 
-    The values and errors of :func:`symmetry_report`, from the same pass,
-    without its s1 and residual.
+    The values and errors of :func:`symmetry_report`, from the same stages
+    on one thread, without its s1 and residual.
     """
-    _, s2, modrearr = _report_pass(f, axis, support_set(f, tau))
-    return s2, modrearr
+    s = support_set(f, tau)
+    return (_s2_defect(f, _phase_fit(f, s), s.modulus),
+            _modulus_rearranged_defect(f, axis, s.modulus))

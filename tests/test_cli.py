@@ -200,6 +200,30 @@ def test_verify_zero_or_non_finite_field_is_one_line_error(tmp_path, capsys, spo
     assert not out.exists()
 
 
+def test_verify_infinite_field_prints_one_line_in_a_fresh_process(tmp_path):
+    # The report's worker takes s1 of the values before the support cut
+    # refuses them; a reflection along axis 1 swaps the two infinite values,
+    # so s1 meets inf - inf.  Under pytest a worker's warnings are recorded,
+    # not printed, so only a fresh interpreter shows that stderr holds the
+    # one line and no numpy warning.
+    cfg = tmp_path / "c2.cfg"
+    cfg.write_text("symbol = fractional; s = 1.0\nn = 2\nsizes = 32\nL = 8.0\n"
+                   "omega = 1.0\nsigma = 1\n")
+    g = bw.Grid.make((32, 32), 8.0)
+    values = np.exp(-g.coords(0)[:, None] ** 2 - g.coords(1)[None, :] ** 2).astype(complex)
+    values[3, [5, -5]] = np.inf
+    bw.write_gnf(tmp_path / "f.gnf", bw.Field.from_values(g, values))
+    code = (
+        "import sys\n"
+        "from boostedwaves import cli\n"
+        "cfg, field, out = sys.argv[1:]\n"
+        "print(cli.main(['verify', '--config', cfg, '--field', field, '--out', out]))\n"
+    )
+    proc = _run_python(code, cfg, tmp_path / "f.gnf", tmp_path / "v")
+    assert proc.stdout.splitlines()[-1] == "1"
+    assert proc.stderr == "verify error: support of a field with non-finite values\n"
+
+
 def _line_cfg(tmp_path, v, omega=1.0):
     """1D s = 1 at speed ``v`` on 1,024 points of [-20 pi, 20 pi)."""
     path = tmp_path / "line.cfg"
@@ -569,9 +593,12 @@ def test_repeated_verify_maps_no_fresh_pages(tmp_path):
     # With the heap thresholds fixed, a second report of a 256^2 ground state
     # reuses the pages of the first one's temporaries.  A fresh process that
     # only verifies maps about 2,200 fresh pages per report without them.
+    # About axis 1 the report's worker sorts a moved copy of |Q_hat| in its
+    # borrowed buffers; about axis 0 an unmoved one.
+    text = ("symbol = fractional; s = 1\nn = 2\nsizes = 256\nL = 25.132741228718345\n"
+            "v = 0.3\nomega = 1\nsigma = 1\n")
     cfg = tmp_path / "frac2d.cfg"
-    cfg.write_text("symbol = fractional; s = 1\nn = 2\nsizes = 256\nL = 25.132741228718345\n"
-                   "v = 0.3\nomega = 1\nsigma = 1\n")
+    cfg.write_text(text)
     out = tmp_path / "run"
     assert run("solve", "--config", cfg, "--out", out) == 0
     code = (
@@ -584,8 +611,11 @@ def test_repeated_verify_maps_no_fresh_pages(tmp_path):
         "cli.main(verify)\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
     )
-    proc = _run_python(code, cfg, out)
-    assert int(proc.stdout.splitlines()[-1]) <= 50
+    for axis in (0, 1):
+        axis_cfg = tmp_path / f"frac2d-axis{axis}.cfg"
+        axis_cfg.write_text(text + f"axis = {axis}\n")
+        proc = _run_python(code, axis_cfg, out)
+        assert int(proc.stdout.splitlines()[-1]) <= 50, axis
 
 
 def _half_wave_cfg(tmp_path, size):

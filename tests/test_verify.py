@@ -1,6 +1,8 @@
 import itertools
+import sys
 import threading
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -570,7 +572,7 @@ def test_symmetry_report_goes_through_module_stages(frac2d_problem, frac2d_repor
     # Per-layer verify tracing wraps these module attributes; one report must
     # look each of them up through the module, exactly once.
     names = ("support_set", "is_connected", "phase_affinity", "unit_residual",
-             "fourier_rearrange")
+             "rearrange_modulus")
     calls = {}
     for name in names:
         def counted(*args, _name=name, _inner=getattr(verify, name), **kwargs):
@@ -675,3 +677,101 @@ def test_symmetry_report_joins_its_worker_before_raising(frac2d_problem, frac2d_
     with pytest.raises(RuntimeError, match="phase fit failed"):
         bw.symmetry_report(frac2d_report.Q, frac2d_problem)
     assert len(finished) == 1 and not finished[0].is_alive()
+
+
+def _spoiled_plane(spoil):
+    """A 32^2 Gaussian on [-8, 8)^2, zeroed, with one NaN value, or with two
+    infinite values that a reflection along axis 1 swaps, so s1 meets inf - inf
+    (``inf-spectrum``: one infinite bin of its spectrum, no values formed)."""
+    g = bw.Grid.make((32, 32), 8.0)
+    x0, x1 = g.coord_mesh()
+    values = np.exp(-x0**2 - x1**2).astype(complex)
+    if spoil == "inf-spectrum":
+        spec = np.fft.fft2(values)
+        spec[3, 5] = np.inf
+        return bw.Field.from_spectrum(g, spec)
+    if spoil == "zero":
+        values[:] = 0.0
+    elif spoil == "nan":
+        values[3, 5] = np.nan
+    else:
+        values[3, [5, -5]] = np.inf
+    return bw.Field.from_values(g, values)
+
+
+@pytest.mark.parametrize("spoil, error, reason", [
+    ("zero", bw.ZeroFieldError, "support of the zero field is empty"),
+    ("nan", ValueError, "support of a field with non-finite values"),
+    ("inf", ValueError, "support of a field with non-finite values"),
+    ("inf-spectrum", ValueError, "support of a field with non-finite values"),
+])
+def test_symmetry_report_refuses_a_field_and_stops_its_worker(spoil, error, reason):
+    # The worker starts before the support cut and takes s1 of the spoiled
+    # values; when the cut refuses the field, the worker stops at the handoff.
+    # The report raises the cut's error, warns of nothing (warnings of every
+    # thread are recorded here), ends, and leaves no worker alive.
+    f = _spoiled_plane(spoil)
+    raised = []
+
+    def report():
+        try:
+            bw.symmetry_report(f, _problem(f.grid))
+        except BaseException as exc:
+            raised.append(exc)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        caller = threading.Thread(target=report, daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert [(type(exc), str(exc)) for exc in raised] == [(error, reason)]
+    assert [str(w.message) for w in caught] == []
+    assert not [t for t in threading.enumerate() if t.name == "unit-residual"]
+
+
+def test_concurrent_reports_under_fast_switching():
+    # More calling threads than cores, each with its own worker, and a thread
+    # switch every microsecond: every report still equals its serial stages,
+    # so a worker reads s1's values and the support only once they are formed.
+    f = _swap_broken_3d_field()
+    prob = _problem(f.grid)
+    expected = _serial_report(f, prob, 0, 1e-8)
+    reports = []
+
+    def caller():
+        for _ in range(3):
+            reports.append(bw.symmetry_report(bw.Field.from_values(f.grid, f.values), prob))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller) for _ in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert reports == [expected] * 12
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (8, 32), (8, 16, 32), (32, 16, 8)])
+def test_rearrangement_defect_is_the_fourier_rearrangements(shape):
+    # A report sorts the support's |Q_hat| in the worker's borrowed buffers; its
+    # defect, and a sweep row's, is that of fourier_rearrange's field, bit for
+    # bit, on every axis (the difference summed in the lattice's own layout).
+    g = bw.Grid.make(shape, 6.0)
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    mesh = g.coord_mesh()
+    bump = np.exp(-sum((k + 1) * x**2 for k, x in enumerate(mesh)) / 4.0)
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    f = bw.Field.from_values(g, bump * (1.0 + 0.1 * noise))
+    mag = np.abs(f.spectrum)
+    for axis in range(len(shape)):
+        rearranged = np.abs(bw.fourier_rearrange(f, "axial", axis=axis).spectrum)
+        oracle = flat_norm(mag - rearranged) / flat_norm(mag)
+        rep = bw.symmetry_report(f, _problem(g), axis=axis)
+        assert rep.modulus_rearranged_defect == oracle > 1e-3, axis
+        assert verify.sweep_defects(f, axis=axis)[1] == oracle, axis
