@@ -14,18 +14,18 @@ factory builds the symbol.
 All CSV output uses a fixed column order and 17-significant-digit floats, so
 the same config reproduces byte-identical files.
 
-``sweep`` walks its values in consecutive chains of ``SWEEP_CHAIN`` rows and
-continues each solve from its neighbours (natural-parameter continuation,
-Allgower & Georg, *Introduction to Numerical Continuation Methods*, ch. 2).
-A row whose two predecessors in the chain converged starts from the secant
-predictor 2 Q_{k-1} - Q_{k-2}, a row with one from Q_{k-1}.  A chain head, and
-a row after one that failed or did not converge, starts cold from the
-Gaussian of width ``init_width`` (:func:`solver.minimize`); in a sweep that
-key sets only these cold starts.  ``--jobs`` solves whole chains in parallel.
-The split depends only on the row index, so ``sweep.csv`` does not depend on
-``--jobs``.  The chains are threads, and rows of 1,024 points hold the GIL
-for most of each solve: on a 2-core machine ``--jobs 2`` measured slower
-than ``--jobs 1`` on the 17-row half-wave sweep of ``bench/workloads.py``.
+``sweep`` solves its rows in order as one continuation (natural-parameter
+continuation, Allgower & Georg, *Introduction to Numerical Continuation
+Methods*, ch. 2).  The values are equally spaced, so a row starts from the
+Lagrange extrapolant of its last converged predecessors:
+3 Q_{k-1} - 3 Q_{k-2} + Q_{k-3} with three, the secant 2 Q_{k-1} - Q_{k-2}
+with two, Q_{k-1} with one.  Row 0, and a row after one that failed or did
+not converge, starts cold from the Gaussian of width ``init_width``
+(:func:`solver.minimize`); in a sweep that key sets only these cold starts.
+The ``jobs`` key and ``--jobs`` are still parsed and checked, but nothing
+reads them: rows of 1,024 points hold the GIL for most of each solve, and on
+a 2-core machine parallel chains with their cold heads measured no faster
+than one chain on any lattice of ``bench/workloads.py``.
 ``--param v`` sets the speed along the config's ``axis``, the
 symmetry axis of the row's defects, and the other components to 0.  A row's
 J and residual are the solve's own (see :func:`solver.minimize`), and its
@@ -72,8 +72,6 @@ EXIT_CONFIG = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_DISCONNECTED = 3
 EXIT_PROPERTY = 4
-
-SWEEP_CHAIN = 6  # sweep rows per continuation chain
 
 _EXIT_DOC = (
     "exit codes: 0 ok; 1 config, field or I/O error; 2 solver did not converge; "
@@ -417,19 +415,16 @@ def _sweep_value(cfg: RunConfig, param: str, value: float,
     return _SweepRow(cells, failure, report.iterations), None
 
 
-def _sweep_chain(cfg: RunConfig, param: str, values) -> list[_SweepRow]:
-    """One continuation chain: each row starts from its converged predecessors."""
-    rows: list[_SweepRow] = []
-    done: list[Field] = []  # the last one or two states, converged in a row
-    for value in values:
-        if len(done) == 2:  # secant predictor 2 Q_{k-1} - Q_{k-2}
-            init = Field.from_spectrum(cfg.grid, 2.0 * done[1].spectrum - done[0].spectrum)
-        else:
-            init = done[0] if done else None
-        row, q = _sweep_value(cfg, param, float(value), init)
-        done = (done + [q])[-2:] if q is not None else []
-        rows.append(row)
-    return rows
+def _predictor(grid: Grid, done: list[Field]) -> Field | None:
+    """Start of the next row: the extrapolant through the converged states
+    ``done`` of the last one to three rows, oldest first; None (cold) when
+    there are none."""
+    if len(done) == 3:
+        return Field.from_spectrum(
+            grid, 3.0 * (done[2].spectrum - done[1].spectrum) + done[0].spectrum)
+    if len(done) == 2:
+        return Field.from_spectrum(grid, 2.0 * done[1].spectrum - done[0].spectrum)
+    return done[0] if done else None
 
 
 def cmd_sweep(args) -> int:
@@ -443,19 +438,12 @@ def cmd_sweep(args) -> int:
         raise ConfigError("empty sweep range")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ConfigError(f"sweep range bounds must be finite, got {args.range!r}")
-    values = np.linspace(start, stop, count)
-    chains = [values[i:i + SWEEP_CHAIN] for i in range(0, count, SWEEP_CHAIN)]
-
-    def solve_chain(chain):
-        return _sweep_chain(cfg, args.param, chain)
-
-    if cfg.jobs > 1:
-        import concurrent.futures  # here only: it imports logging, ~4 ms of every start-up
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = [row for chain in pool.map(solve_chain, chains) for row in chain]
-    else:
-        rows = [row for chain in chains for row in solve_chain(chain)]
+    rows: list[_SweepRow] = []
+    done: list[Field] = []  # the last one to three states, converged in a row
+    for value in np.linspace(start, stop, count):
+        row, q = _sweep_value(cfg, args.param, float(value), _predictor(cfg.grid, done))
+        done = (done + [q])[-3:] if q is not None else []
+        rows.append(row)
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -512,8 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     flag_help = {
         "out": "output directory",
         "tol": "solver tolerance",
-        "jobs": "sweep chains solved in parallel (>= 1; the chains hold the GIL on "
-                "1,024-point rows, where 2 measured slower than 1)",
+        "jobs": "accepted and checked (>= 1) but unused: a sweep solves its rows "
+                "in order on one thread",
     }
 
     def configured(name, flags=(), **kwargs):
@@ -547,13 +535,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = configured(
         "sweep", ("out", "tol", "jobs"), help="parameter sweep writing sweep.csv",
-        description="Solve one row per value of --range, in consecutive chains of "
-                    f"{SWEEP_CHAIN} rows. A row starts from the secant predictor "
-                    "2 Q_(k-1) - Q_(k-2) of its two converged predecessors in the chain, "
-                    "or from Q_(k-1) when only one converged; a chain head, and a row after "
-                    "a failed or unconverged one, starts cold from the Gaussian of width "
-                    "init_width, which sets only these cold starts. --jobs solves chains "
-                    "in parallel; sweep.csv does not depend on it.",
+        description="Solve one row per value of --range, in order. A row starts from "
+                    "the extrapolant 3 Q_(k-1) - 3 Q_(k-2) + Q_(k-3) of its three "
+                    "converged predecessors, the secant 2 Q_(k-1) - Q_(k-2) of two, or "
+                    "Q_(k-1) of one; row 0, and a row after a failed or unconverged one, "
+                    "starts cold from the Gaussian of width init_width, which sets only "
+                    "these cold starts.",
     )
     p.add_argument("--param", choices=("v", "omega"), required=True,
                    help="the config key each row sets (v: its component along the "
@@ -613,11 +600,8 @@ def _fix_heap_thresholds() -> None:
     interleaved in one heap: in 2 of 40 fresh processes the second 256^2
     report mapped 132 fresh pages, against 0 of 40 uncapped, and the
     ``verify`` benchmark peaked at 61.3 to 61.6 MB resident capped and 60.4
-    to 60.7 MB uncapped (seven 8 s runs each).  The cap saves memory where
-    several threads allocate lattice temporaries: an 8-row 128^2 sweep with
-    ``--jobs 2`` peaked at 44.9 to 46.1 MB capped and 47.5 to 48.3 MB
-    uncapped (four runs each).  Where the C library has no ``mallopt`` (not
-    glibc), nothing is set.
+    to 60.7 MB uncapped (seven 8 s runs each).  Where the C library has no
+    ``mallopt`` (not glibc), nothing is set.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -51,6 +51,7 @@ returns; build a new array instead.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -449,12 +450,31 @@ def write_gnf(path, f: Field) -> None:
 
 
 def read_gnf(path) -> Field:
+    """The field of a GNF1 file.  Its values are read straight into an aligned,
+    read-only array: a view of the file's bytes at the header's length would
+    be unaligned, and numpy runs unaligned operands through slower loops."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    sep = blob.find(b"\n\n")
-    if sep < 0:
-        raise GnfFormatError("missing blank line terminating the header", offset=len(blob))
-    header = blob[: sep + 1]
+        blob = fh.read(4096)  # the whole header of every file write_gnf writes
+        if b"\n\n" not in blob:
+            blob += fh.read()
+        sep = blob.find(b"\n\n")
+        if sep < 0:
+            raise GnfFormatError("missing blank line terminating the header", offset=len(blob))
+        grid = _gnf_grid(blob[: sep + 1])
+        payload = os.fstat(fh.fileno()).st_size - (sep + 2)
+        expected = 16 * math.prod(grid.sizes)
+        if payload == expected:
+            values = np.empty(grid.sizes, dtype="<c16")
+            fh.seek(sep + 2)
+            payload = fh.readinto(values)  # short if the file was cut meanwhile
+    if payload != expected:
+        raise GnfFormatError(f"payload has {payload} bytes, expected {expected}", offset=sep + 2)
+    values.flags.writeable = False
+    return Field.from_values(grid, values)
+
+
+def _gnf_grid(header: bytes) -> Grid:
+    """The grid a GNF1 header describes; error offsets count from the file's start."""
     try:
         lines = header.decode("ascii").splitlines()
     except UnicodeDecodeError as exc:
@@ -506,12 +526,4 @@ def read_gnf(path) -> Field:
         raise GnfFormatError(str(exc), offset=sz_off) from exc
     if len(sizes) != ndim:
         raise GnfFormatError("n does not match the sizes list", offset=n_off)
-
-    data = blob[sep + 2 :]
-    expected = 16 * int(np.prod(sizes))
-    if len(data) != expected:
-        raise GnfFormatError(
-            f"payload has {len(data)} bytes, expected {expected}", offset=sep + 2
-        )
-    values = np.frombuffer(data, dtype="<c16").reshape(sizes)
-    return Field.from_values(grid, values)
+    return grid

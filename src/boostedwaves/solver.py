@@ -236,11 +236,13 @@ def residual_scratch(grid: Grid) -> tuple[np.ndarray, ...]:
 
 
 def _residual_parts(prob: Problem, u: Field, weight: np.ndarray, scratch=None):
-    """Relative defects of (P_v + omega) Q = kappa |Q|^(2 sigma) Q.
+    """Unit residual of (P_v + omega) Q = |Q|^(2 sigma) Q, relative to
+    ||(P_v + omega) Q||, and that norm.
 
-    Returns (optimal-kappa residual, kappa, unit-kappa residual), all relative
-    to ||(P_v + omega) Q||.  Every lattice-sized temporary lives in
-    ``scratch`` (:func:`residual_scratch`), new buffers when it is None.
+    Every lattice-sized temporary lives in ``scratch``
+    (:func:`residual_scratch`), new buffers when it is None; the call leaves
+    (P_v + omega) Q^ in its second buffer and the nonlinearity's spectrum in
+    its third.
     """
     nl_mod, lhs, nl_spec, miss = residual_scratch(prob.grid) if scratch is None else scratch
     vals = u.values
@@ -251,20 +253,20 @@ def _residual_parts(prob: Problem, u: Field, weight: np.ndarray, scratch=None):
     lhs_norm = flat_norm(lhs)
     if lhs_norm == 0.0:
         raise ZeroFieldError("residual of the zero field")
-    nl_norm2 = real_dot(nl_spec, nl_spec)
-    if nl_norm2 == 0.0:
-        return 1.0, 0.0, 1.0
-    kappa = real_dot(nl_spec, lhs) / nl_norm2
-    np.multiply(kappa, nl_spec, out=miss)  # both defects in this one buffer
-    res_opt = flat_norm(np.subtract(lhs, miss, out=miss)) / lhs_norm
-    res_unit = flat_norm(np.subtract(lhs, nl_spec, out=miss)) / lhs_norm
-    return res_opt, kappa, res_unit
+    return flat_norm(np.subtract(lhs, nl_spec, out=miss)) / lhs_norm, lhs_norm
 
 
 def profile_residual(prob: Problem, Q: Field) -> float:
-    """Least-squares-optimal relative residual of the profile equation."""
-    res_opt, _, _ = _residual_parts(prob, Q, prob.weight())
-    return res_opt
+    """Least-squares-optimal relative residual of the profile equation: the
+    defect of (P_v + omega) Q = kappa |Q|^(2 sigma) Q at the best kappa."""
+    scratch = residual_scratch(prob.grid)
+    _, lhs_norm = _residual_parts(prob, Q, prob.weight(), scratch)
+    _, lhs, nl_spec, miss = scratch
+    nl_norm2 = real_dot(nl_spec, nl_spec)
+    if nl_norm2 == 0.0:
+        return 1.0
+    np.multiply(real_dot(nl_spec, lhs) / nl_norm2, nl_spec, out=miss)
+    return flat_norm(np.subtract(lhs, miss, out=miss)) / lhs_norm
 
 
 def unit_residual(prob: Problem, Q: Field, scratch=None) -> float:
@@ -273,8 +275,7 @@ def unit_residual(prob: Problem, Q: Field, scratch=None) -> float:
     With ``scratch`` (:func:`residual_scratch` on ``prob.grid``) given, the
     call allocates no lattice-sized array.
     """
-    _, _, res_unit = _residual_parts(prob, Q, prob.weight(), scratch)
-    return res_unit
+    return _residual_parts(prob, Q, prob.weight(), scratch)[0]
 
 
 def centroid(f: Field) -> np.ndarray:
@@ -461,7 +462,7 @@ def minimize(prob: Problem, init: Field | None = None,
         j_final, res_final = j_cur, res_unit
     else:
         # converged judges q, as canonicalize resamples an off-centre state
-        _, _, res_final = _residual_parts(prob, q, weight)
+        res_final, _ = _residual_parts(prob, q, weight)
         j_final = weinstein(prob, q, weight)
     return SolveReport(
         Q=q,

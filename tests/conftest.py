@@ -8,8 +8,8 @@ import boostedwaves as bw
 
 @pytest.fixture(autouse=True)
 def no_thread_left_behind():
-    # A symmetry report joins its fold worker and `sweep --jobs 2` shuts its
-    # pool down before returning; no test may end with a thread it started.
+    # A symmetry report joins its worker before returning; no test may end
+    # with a thread it started.
     before = set(threading.enumerate())
     yield
     left = [t.name for t in threading.enumerate() if t not in before]

@@ -6,7 +6,10 @@ test imports the tracing module (without writing bytecode next to it) and
 checks that every hook target and the rearrangement plan cache resolve.  The
 second loads the config of every workload in ``bench/workloads.py``, so a
 config key the benchmark writes cannot be deleted without a failing test; the
-benchmark would only show such a cut as ops that all fail.
+benchmark would only show such a cut as ops that all fail.  The third sweeps
+the sweep-1d workload's config and bounds its iteration count, which does not
+depend on the machine's speed, so a lost warm start fails a test instead of
+showing only as a slower op.
 
 ``verify.minkowski_defect`` is gone with the Minkowski set fold, and
 ``verify.fourier_rearrange`` since a report sorts the support's modulus
@@ -16,6 +19,7 @@ own change re-points them (to ``verify.unit_residual`` and
 """
 
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -59,3 +63,18 @@ def test_every_workload_config_loads(bench_path, tmp_path):
         path.write_text(workload.case.config_text(1.0))
         cfg = cli.load_config(path)
         assert cfg.grid.ndim == workload.case.ndim, name
+
+
+def test_sweep_1d_continuation_stays_warm(bench_path, tmp_path, capsys):
+    # 219 iterations with the cold chain heads at rows 6 and 12, 194 with
+    # one chain from row 0 and the three-row extrapolant
+    workloads = importlib.import_module("workloads")
+    path = tmp_path / "sweep-1d.cfg"
+    path.write_text(workloads.WORKLOADS["sweep-1d"].case.config_text(1.0))
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep"),
+                     "--param", "v", "--range", workloads.SWEEP_RANGE]) == 0
+    rows = len(workloads.SWEEP_J)
+    summary = re.search(r"sweep: (\d+)/(\d+) rows converged, (\d+) iterations",
+                        capsys.readouterr().out)
+    assert summary and summary.group(1, 2) == (str(rows), str(rows))
+    assert int(summary.group(3)) <= 200

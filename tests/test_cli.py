@@ -410,9 +410,8 @@ def test_sweep_range_negative_start_as_separate_word(classical_cfg, tmp_path):
 
 
 def test_sweep_jobs_deterministic(classical_cfg, tmp_path):
-    # two full continuation chains and a short tail: the split must not
-    # depend on --jobs, and a rerun must repeat the bytes
-    rows = 2 * cli.SWEEP_CHAIN + 3
+    # sweep.csv must not depend on --jobs, and a rerun must repeat the bytes
+    rows = 15
     outs = [tmp_path / f"s{i}" for i in range(3)]
     for out, jobs in zip(outs, ("2", "1", "1")):
         assert run("sweep", "--config", classical_cfg, "--param", "omega",
@@ -570,9 +569,9 @@ def test_cli_and_1d_runs_leave_scipy_unloaded(classical_cfg, tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-def test_one_job_sweep_leaves_the_thread_pool_unloaded(classical_cfg, tmp_path):
+def test_sweep_leaves_the_thread_pool_unloaded(classical_cfg, tmp_path):
     # concurrent.futures, and logging with it, cost ~4 ms of every start-up;
-    # only a sweep with --jobs > 1 imports them
+    # a sweep solves its rows on one thread, whatever --jobs says
     code = (
         "import sys\n"
         "from boostedwaves import cli\n"
@@ -585,7 +584,7 @@ def test_one_job_sweep_leaves_the_thread_pool_unloaded(classical_cfg, tmp_path):
     )
     proc = _run_python(code, classical_cfg, tmp_path / "run")
     loaded = [line for line in proc.stdout.splitlines() if line.startswith("[")]
-    assert loaded == ["[]", "['concurrent.futures', 'logging']"]
+    assert loaded == ["[]", "[]"]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap thresholds are glibc's")
@@ -643,11 +642,11 @@ def traced_minimize(monkeypatch):
 
 
 @pytest.mark.parametrize("param, span, cold_rows", [
-    # v-sweep: rows 0 and 6 head the two chains
-    ("v", "0:0.6:7", [0, 6]),
-    # Sigma_v = 0: omega = -0.5, -0.25, 0 fail in the first chain, and
-    # omega = 0.25 after them must start cold
-    ("omega", "-0.5:1:7", [3, 6]),
+    # v-sweep: only row 0 starts cold
+    ("v", "0:0.6:7", [0]),
+    # Sigma_v = 0: omega = -0.5, -0.25, 0 fail, and omega = 0.25 after them
+    # must start cold
+    ("omega", "-0.5:1:7", [3]),
 ])
 def test_sweep_continuation_matches_cold_solves(tmp_path, capsys, traced_minimize,
                                                 param, span, cold_rows):
@@ -671,7 +670,7 @@ def test_sweep_continuation_matches_cold_solves(tmp_path, capsys, traced_minimiz
         assert report.converged and rows[i][2] <= cfg.tol
         warm_total += report.iterations
         cold_total += cold.iterations
-    if param == "v":  # four rows continue from a secant predictor
+    if param == "v":  # six rows continue from their predecessors
         assert warm_total < cold_total
     summary = f"{len(solved)}/7 rows converged, {warm_total} iterations -> "
     assert summary in capsys.readouterr().out
@@ -789,13 +788,13 @@ def test_row_report_matches_its_definitions(tmp_path, monkeypatch, case):
 # The benchmark's sweep-1d op: iterations and transforms per row.  The
 # iterations were measured before the transform pair and the row report were
 # trimmed for speed.  A row of k iterations makes 2k transforms (one to start,
-# two per step, one for the last nonlinearity); the three cold rows add one for
-# a rejected Anderson candidate and one for the spectrum of their rolled final
+# two per step, one for the last nonlinearity); the cold row 0 adds one for a
+# rejected Anderson candidate and one for the spectrum of its rolled final
 # state.  The report keeps the loop's J and residual, so it no longer
-# transforms the state back nor its nonlinearity again: two per row fewer than
-# the 40, 28, 26, .. (478 in all) before.
-SWEEP_1D_ITERATIONS = (18, 13, 12, 12, 12, 12, 20, 14, 12, 11, 11, 11, 18, 11, 11, 11, 10)
-SWEEP_1D_TRANSFORMS = (38, 26, 24, 24, 24, 24, 42, 28, 24, 22, 22, 22, 38, 22, 22, 22, 20)
+# transforms the state back nor its nonlinearity again.  Rows 3 on start from
+# the three-row extrapolant.
+SWEEP_1D_ITERATIONS = (18, 13, 12, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11, 10, 10, 10)
+SWEEP_1D_TRANSFORMS = (38, 26, 24, 22, 22, 22, 22, 22, 22, 22, 22, 22, 22, 22, 20, 20, 20)
 
 
 def test_sweep_1d_work_is_pinned(tmp_path, monkeypatch):
@@ -829,7 +828,7 @@ def test_sweep_1d_work_is_pinned(tmp_path, monkeypatch):
                "--out", tmp_path / "sweep") == 0
     assert tuple(it for it, _ in rows) == SWEEP_1D_ITERATIONS
     assert tuple(n for _, n in rows) == SWEEP_1D_TRANSFORMS
-    assert (sum(SWEEP_1D_ITERATIONS), transforms[0]) == (219, 444)
+    assert (sum(SWEEP_1D_ITERATIONS), transforms[0]) == (194, 390)
 
 
 @pytest.mark.parametrize("outcome", ["unconverged", "raises"])
@@ -853,6 +852,33 @@ def test_sweep_restarts_cold_after_failed_row(classical_cfg, tmp_path, monkeypat
     captured = capsys.readouterr()
     assert "sweep: 4/5 rows converged" in captured.out
     assert "sweep: row v=0.25 failed: " in captured.err
+
+
+def test_sweep_row_starts_from_the_extrapolant_of_its_predecessors(
+        classical_cfg, tmp_path, monkeypatch, traced_minimize):
+    # Row 1 starts from Q_0, row 2 from the secant 2 Q_1 - Q_0, and rows 3 and
+    # 4 from 3 Q_(k-1) - 3 Q_(k-2) + Q_(k-3), bit for bit.  Row 4 does not
+    # converge, so row 5 starts cold and row 6 from Q_5 alone.
+    inits = []
+    traced = cli.minimize
+
+    def fifth_fails(prob, init=None, opts=None):
+        inits.append(init)
+        report = traced(prob, init=init, opts=opts)
+        return replace(report, converged=False) if len(inits) == 5 else report
+
+    monkeypatch.setattr(cli, "minimize", fifth_fails)
+    assert run("sweep", "--config", classical_cfg, "--param", "v", "--range", "0:0.6:7",
+               "--out", tmp_path / "sweep") == 0
+    q = [report.Q.spectrum for _, _, report in traced_minimize]
+    want = [None, q[0], 2.0 * q[1] - q[0], 3.0 * (q[2] - q[1]) + q[0],
+            3.0 * (q[3] - q[2]) + q[1], None, q[5]]
+    assert len(inits) == len(want) == 7
+    for row, (init, spec) in enumerate(zip(inits, want)):
+        if spec is None:
+            assert init is None, row
+        else:
+            assert init.spectrum.tobytes() == spec.tobytes(), row
 
 
 @pytest.mark.parametrize("spoil, reason", [

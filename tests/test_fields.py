@@ -164,11 +164,11 @@ def test_adopted_read_only_arrays_survive_every_operation(
         rearranged = bw.fourier_rearrange(f, "modulus")
         assert np.array_equal(rearranged.spectrum, np.abs(f.spectrum))
 
-    # read_gnf hands Field a read-only frombuffer view of the file
+    # read_gnf hands Field a read-only array, aligned whatever the header's length
     path = tmp_path / "q.gnf"
     bw.write_gnf(path, q2d)
     read = bw.read_gnf(path)
-    assert not read.values.flags.writeable
+    assert not read.values.flags.writeable and read.values.flags.aligned
     assert np.array_equal(read.values, q2d.values)
     assert bw.symmetry_report(bw.canonicalize(read), frac2d_problem, axis=1).s2_defect < 1e-10
 
@@ -326,3 +326,27 @@ def test_gnf_rejects_corruption(tmp_path, grid_1d, sech_field):
     with pytest.raises(bw.GnfFormatError) as err:
         bw.read_gnf(path)
     assert err.value.offset is not None
+
+
+def test_gnf_header_past_the_first_read(tmp_path, sech_field):
+    # The reader takes the header from the first 4,096 bytes of the file and reads
+    # on when the blank line is not among them.  Header keys it does not use
+    # are skipped, so a long one moves the payload past that first read.
+    path = tmp_path / "f.gnf"
+    bw.write_gnf(path, sech_field)
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(b"\n\n", b"\nnote=" + b"x" * 5000 + b"\n\n", 1))
+    read = bw.read_gnf(path)
+    assert read.values.tobytes() == sech_field.values.tobytes()
+    assert read.values.flags.aligned and not read.values.flags.writeable
+
+    no_blank = blob.replace(b"\n\n", b"\n", 1)
+    path.write_bytes(no_blank)
+    with pytest.raises(bw.GnfFormatError, match="missing blank line") as err:
+        bw.read_gnf(path)
+    assert err.value.offset == len(no_blank)
+
+    path.write_bytes(blob[:-8])
+    with pytest.raises(bw.GnfFormatError, match=f"payload has {16 * 1024 - 8} bytes") as err:
+        bw.read_gnf(path)
+    assert err.value.offset == blob.index(b"\n\n") + 2
