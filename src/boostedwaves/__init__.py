@@ -30,7 +30,6 @@ from .solver import (
     centroid,
     gaussian_init,
     minimize,
-    profile_residual,
     sigma_star,
     unit_residual,
     weinstein,
@@ -41,7 +40,6 @@ from .symbols import (
     biharmonic,
     dispersion_floor,
     fractional,
-    galilean_gauge,
     half_wave,
     sqrt_klein_gordon,
 )

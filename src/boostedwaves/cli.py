@@ -1,4 +1,4 @@
-"""Command-line front end: solve, verify, rearrange, sweep, props, sigma.
+"""Command-line front end: solve, verify, rearrange, sweep.
 
 Configuration is plain ``key = value`` text with optional ``[section]``
 headers.  The table ``KEYS`` holds every key with its parser, its default (or
@@ -33,12 +33,12 @@ defects, energy and mass come from one pass over the returned state
 (:func:`verify.sweep_defects`, :func:`fields.energy_mass`).
 
 Exit codes: 0 success, 1 configuration or I/O error, 2 solver did not
-converge, 3 disconnected spectral support, 4 property-suite failure
-(``props``) or a failed gate (``verify``).  ``verify`` builds the config's
-problem, so its hypotheses are enforced as in ``solve``, and passes when the
-support is connected, s1, s2 and the rearrangement defect are within
-``verify.DEFECT_MAX`` (1e-5), and the unit residual of the profile equation is
-within ``tol`` (:meth:`verify.SymmetryReport.passes`).
+converge, 3 disconnected spectral support, 4 a failed ``verify`` gate.
+``verify`` builds the config's problem, so its hypotheses are enforced as in
+``solve``, and passes when the support is connected, s1, s2 and the
+rearrangement defect are within ``verify.DEFECT_MAX`` (1e-5), and the unit
+residual of the profile equation is within ``tol``
+(:meth:`verify.SymmetryReport.passes`).
 
 ``main`` fixes two glibc heap thresholds once per process (see
 :func:`_fix_heap_thresholds`), so that repeated in-process calls reuse the
@@ -63,19 +63,18 @@ from .errors import ConfigError, DisconnectedSupportError, GnfFormatError, Hypot
 from .fields import Field, Grid, energy_mass, read_gnf, write_gnf
 from .rearrange import REARRANGE_MODES, fourier_rearrange
 from .solver import Problem, SolveOptions, SolveReport, minimize
-from .suites import SUITES, run_suite
-from .symbols import KINDS, BoostedSymbol, Symbol, dispersion_floor
+from .symbols import KINDS, BoostedSymbol, Symbol
 from .verify import DEFECT_MAX, sweep_defects, symmetry_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_DISCONNECTED = 3
-EXIT_PROPERTY = 4
+EXIT_GATE_FAILED = 4
 
 _EXIT_DOC = (
     "exit codes: 0 ok; 1 config, field or I/O error; 2 solver did not converge; "
-    "3 disconnected spectral support; 4 property-suite failure or failed verify gate"
+    "3 disconnected spectral support; 4 failed verify gate"
 )
 
 
@@ -366,7 +365,7 @@ def cmd_verify(args) -> int:
     print(f"verify: s1={rep.s1_defect:.3e} s2={rep.s2_defect:.3e} "
           f"modrearr={rep.modulus_rearranged_defect:.3e} "
           f"residual={rep.unit_residual:.3e} connected={rep.connected}")
-    return EXIT_OK if rep.passes(cfg.tol) else EXIT_PROPERTY
+    return EXIT_OK if rep.passes(cfg.tol) else EXIT_GATE_FAILED
 
 
 def cmd_rearrange(args) -> int:
@@ -461,32 +460,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if converged >= 1 else EXIT_NOT_CONVERGED
 
 
-def cmd_props(args) -> int:
-    result = run_suite(args.suite, args.seed, args.trials)
-    for line in result.violations:
-        print(f"FAIL {line}")
-    status = "ok" if result.passed else "FAILED"
-    print(f"props[{result.name}]: {result.checks} checks, "
-          f"{len(result.violations)} violations ({status})")
-    return EXIT_OK if result.passed else EXIT_PROPERTY
-
-
-def cmd_sigma(args) -> int:
-    cfg = _config(args)
-    bsym = BoostedSymbol(cfg.symbol, cfg.v)
-    print(_fmt(dispersion_floor(bsym)))
-    return EXIT_OK
-
-
-def _trials(text: str) -> int:
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-
-
 @functools.cache  # once per process: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -504,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "in order on one thread",
     }
 
-    def configured(name, flags=(), **kwargs):
+    def configured(name, flags, **kwargs):
         """A subcommand that reads --config; each of ``flags`` replaces that config key."""
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--config", required=True, help="run configuration file")
@@ -548,16 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", required=True,
                    help="start:stop:count; the start may be negative (--range -0.5:1:4)")
     p.set_defaults(handler=cmd_sweep)
-
-    p = sub.add_parser("props", help="run a randomized invariant suite")
-    p.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p.add_argument("--seed", type=int, default=1, help="seed of the suite's random draws")
-    p.add_argument("--trials", type=_trials, default=None,
-                   help="random draws per check, >= 1 (default: the suite's own)")
-    p.set_defaults(handler=cmd_props)
-
-    p = configured("sigma", help="print the dispersion floor Sigma_v")
-    p.set_defaults(handler=cmd_sigma)
 
     return parser
 

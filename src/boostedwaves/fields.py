@@ -156,7 +156,8 @@ class Grid:
         return self._nyquist
 
     # Per-grid tables, computed on first use.  Read-only because grids (and
-    # with them these arrays) are shared by the threads of a parallel sweep.
+    # with them these arrays) are shared with the worker thread of a symmetry
+    # report (verify.symmetry_report).
 
     @cached_property
     def _volumes(self) -> tuple[float, float]:
@@ -414,9 +415,9 @@ def energy_mass(f: Field, sym, sigma: int) -> tuple[float, float]:
     gives the kinetic term, and one |u|^2 pass both the mass and the
     potential term.
     """
-    sigma = int(sigma)
-    if sigma < 1:
+    if not (sigma >= 1 and float(sigma).is_integer()):
         raise ValueError("sigma must be a positive integer")
+    sigma = int(sigma)
     grid = f.grid
     kinetic = real_dot(_abs_squared(f.spectrum), sym.on_grid(grid)) * grid.freq_cell_volume()
     mod2 = _abs_squared(f.values)

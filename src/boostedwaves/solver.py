@@ -76,7 +76,7 @@ import numpy as np
 
 from .errors import HypothesisViolatedError, ZeroFieldError
 from . import fields
-from .fields import Field, Grid, flat_norm, real_dot, solve_small
+from .fields import Field, Grid, flat_norm, solve_small
 from .symbols import BoostedSymbol, dispersion_floor
 
 ANDERSON_DEPTH = 5  # differences of past iterates mixed into each step
@@ -119,9 +119,9 @@ class Problem:
         base = bsym.base
         if grid.ndim != base.ndim:
             raise ValueError("grid and symbol dimensions differ")
-        sigma = int(sigma)
-        if sigma < 1:
+        if not (sigma >= 1 and float(sigma).is_integer()):
             raise ValueError("sigma must be a positive integer")
+        sigma = int(sigma)
         crit = sigma_star(base.order, base.ndim)
         if sigma >= crit:
             raise HypothesisViolatedError(
@@ -235,14 +235,12 @@ def residual_scratch(grid: Grid) -> tuple[np.ndarray, ...]:
                                            for _ in range(3))
 
 
-def _residual_parts(prob: Problem, u: Field, weight: np.ndarray, scratch=None):
+def _residual_parts(prob: Problem, u: Field, weight: np.ndarray, scratch=None) -> float:
     """Unit residual of (P_v + omega) Q = |Q|^(2 sigma) Q, relative to
-    ||(P_v + omega) Q||, and that norm.
+    ||(P_v + omega) Q||.
 
     Every lattice-sized temporary lives in ``scratch``
-    (:func:`residual_scratch`), new buffers when it is None; the call leaves
-    (P_v + omega) Q^ in its second buffer and the nonlinearity's spectrum in
-    its third.
+    (:func:`residual_scratch`), new buffers when it is None.
     """
     nl_mod, lhs, nl_spec, miss = residual_scratch(prob.grid) if scratch is None else scratch
     vals = u.values
@@ -253,20 +251,7 @@ def _residual_parts(prob: Problem, u: Field, weight: np.ndarray, scratch=None):
     lhs_norm = flat_norm(lhs)
     if lhs_norm == 0.0:
         raise ZeroFieldError("residual of the zero field")
-    return flat_norm(np.subtract(lhs, nl_spec, out=miss)) / lhs_norm, lhs_norm
-
-
-def profile_residual(prob: Problem, Q: Field) -> float:
-    """Least-squares-optimal relative residual of the profile equation: the
-    defect of (P_v + omega) Q = kappa |Q|^(2 sigma) Q at the best kappa."""
-    scratch = residual_scratch(prob.grid)
-    _, lhs_norm = _residual_parts(prob, Q, prob.weight(), scratch)
-    _, lhs, nl_spec, miss = scratch
-    nl_norm2 = real_dot(nl_spec, nl_spec)
-    if nl_norm2 == 0.0:
-        return 1.0
-    np.multiply(real_dot(nl_spec, lhs) / nl_norm2, nl_spec, out=miss)
-    return flat_norm(np.subtract(lhs, miss, out=miss)) / lhs_norm
+    return flat_norm(np.subtract(lhs, nl_spec, out=miss)) / lhs_norm
 
 
 def unit_residual(prob: Problem, Q: Field, scratch=None) -> float:
@@ -275,7 +260,7 @@ def unit_residual(prob: Problem, Q: Field, scratch=None) -> float:
     With ``scratch`` (:func:`residual_scratch` on ``prob.grid``) given, the
     call allocates no lattice-sized array.
     """
-    return _residual_parts(prob, Q, prob.weight(), scratch)[0]
+    return _residual_parts(prob, Q, prob.weight(), scratch)
 
 
 def centroid(f: Field) -> np.ndarray:
@@ -462,7 +447,7 @@ def minimize(prob: Problem, init: Field | None = None,
         j_final, res_final = j_cur, res_unit
     else:
         # converged judges q, as canonicalize resamples an off-centre state
-        res_final, _ = _residual_parts(prob, q, weight)
+        res_final = _residual_parts(prob, q, weight)
         j_final = weinstein(prob, q, weight)
     return SolveReport(
         Q=q,

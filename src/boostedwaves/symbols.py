@@ -27,7 +27,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import HypothesisViolatedError
-from .fields import Field
 
 
 @dataclass(frozen=True)
@@ -45,8 +44,11 @@ class Symbol:
             raise ValueError(f"unknown symbol kind {self.kind!r}")
         if not 1 <= self.ndim <= 3:
             raise ValueError("symbol dimension must be 1, 2, or 3")
-        if self.order <= 0:
-            raise ValueError("order s must be positive")
+        for name, value in self.params:
+            if not math.isfinite(value):
+                raise ValueError(f"symbol parameter {name!r} must be finite, got {value}")
+        if not 0.0 < self.order < math.inf:
+            raise ValueError(f"order s must be positive and finite, got {self.order}")
 
     def param(self, name):
         return dict(self.params)[name]
@@ -235,14 +237,3 @@ def dispersion_floor(bsym: BoostedSymbol) -> float:
             "s = 1/2 requires |v| < 1 for a finite dispersion floor"
         )
     return KINDS[base.kind].floor(base, speed)
-
-
-def galilean_gauge(f: Field, velocity) -> Field:
-    """Multiply by the boost phase exp(i v.x / 2); unitary on L2."""
-    v = np.atleast_1d(np.asarray(velocity, dtype=float))
-    if v.shape != (f.grid.ndim,):
-        raise ValueError("velocity dimension mismatch")
-    phase = np.zeros(f.grid.sizes)
-    for axis, mesh in enumerate(f.grid.coord_mesh()):
-        phase = phase + 0.5 * v[axis] * mesh
-    return Field.from_values(f.grid, f.values * np.exp(1j * phase))

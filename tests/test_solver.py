@@ -4,6 +4,7 @@ from scipy.integrate import quad
 
 import boostedwaves as bw
 from boostedwaves import fields
+from references import galilean_gauge, profile_residual
 
 
 def test_sigma_star_threshold():
@@ -27,6 +28,21 @@ def test_problem_validation(grid_1d):
     # half-wave at |v| >= 1 rejected
     with pytest.raises(bw.HypothesisViolatedError):
         bw.Problem.make(bw.BoostedSymbol.make(bw.half_wave(1), 1.0), 1.0, 1, grid_1d)
+
+
+@pytest.mark.parametrize("sigma", [1.5, 1.9, 0.5, 0, np.nan, np.inf])
+def test_non_integer_sigma_is_refused(grid_1d, gauss_field, sigma):
+    sym = bw.fractional(1.0, 1)
+    bsym = bw.BoostedSymbol.make(sym, 0.0)
+    with pytest.raises(ValueError, match="sigma must be a positive integer"):
+        bw.Problem.make(bsym, 1.0, sigma, grid_1d)
+    with pytest.raises(ValueError, match="sigma must be a positive integer"):
+        bw.energy_mass(gauss_field, sym, sigma)
+
+
+def test_integral_float_sigma_is_an_int(grid_1d):
+    prob = bw.Problem.make(bw.BoostedSymbol.make(bw.fractional(1.0, 1), 0.0), 1.0, 2.0, grid_1d)
+    assert prob.sigma == 2 and type(prob.sigma) is int
 
 
 def test_weinstein_scaling_invariance(classical_problem, gauss_field):
@@ -100,8 +116,8 @@ def test_minimize_boosted_matches_gauged_rest(grid_1d, classical_report):
     rep_b = bw.minimize(prob_b)
     assert rep_b.converged
     assert rep_b.J_value == pytest.approx(classical_report.J_value, rel=1e-6)
-    gauged = bw.galilean_gauge(classical_report.Q, (v,))
-    assert bw.profile_residual(prob_b, gauged) <= 1e-6
+    gauged = galilean_gauge(classical_report.Q, (v,))
+    assert profile_residual(prob_b, gauged) <= 1e-6
     diff = np.abs(rep_b.Q.values) - np.abs(classical_report.Q.values)
     rel = np.sqrt(np.sum(diff**2) * grid_1d.cell_volume()) / bw.norm_l2(rep_b.Q)
     assert rel <= 1e-6
@@ -110,15 +126,15 @@ def test_minimize_boosted_matches_gauged_rest(grid_1d, classical_report):
 def test_profile_residual_sech_is_solution(classical_problem, sech_field):
     # substitution identity: -Q'' + Q - Q^3 = 0 for Q = sqrt(2) sech
     assert bw.unit_residual(classical_problem, sech_field) <= 1e-8
-    assert bw.profile_residual(classical_problem, sech_field) <= 1e-8
+    assert profile_residual(classical_problem, sech_field) <= 1e-8
 
 
 def test_profile_residual_generic_field_is_large(classical_problem, gauss_field):
-    assert bw.profile_residual(classical_problem, gauss_field) > 0.05
+    assert profile_residual(classical_problem, gauss_field) > 0.05
 
 
 def test_profile_residual_of_converged_output(classical_problem, classical_report):
-    assert bw.profile_residual(classical_problem, classical_report.Q) <= 1e-10
+    assert profile_residual(classical_problem, classical_report.Q) <= 1e-10
 
 
 def test_quotient_translation_invariance(classical_problem, classical_report):
@@ -159,7 +175,7 @@ def test_halfwave_solve(halfwave_problem, halfwave_report):
     rep = halfwave_report
     assert rep.converged
     assert rep.residual <= 1e-10
-    assert bw.profile_residual(halfwave_problem, rep.Q) <= 1e-10
+    assert profile_residual(halfwave_problem, rep.Q) <= 1e-10
     # Every step but the first has a history, so a plain step after it is a
     # rejected Anderson candidate: the safeguard's fallback runs here.
     steps = rep.trace[1:-1]

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from scipy import ndimage
 from scipy.integrate import quad
+from scipy.signal import fftconvolve
 
 import boostedwaves as bw
-import boostedwaves.suites as suites
 from boostedwaves import verify
 from boostedwaves.fields import flat_norm
+from references import galilean_gauge
 
 
 def test_support_set_gaussian_radius():
@@ -169,9 +170,10 @@ def test_centered_is_fftshift(shape):
 
 # For sigma in N the spectrum of |u|^{2 sigma} u is a convolution of sigma + 1
 # copies of u_hat with sigma copies of its reflected conjugate, so a support S
-# goes to the fold (sigma+1) S + sigma (-S).  The convolution suite reads a
-# Minkowski sum off suites._convolve_full of the indicators; the tests below
-# fold supports through that route and hold it to an FFT-free set sum.
+# goes to the fold (sigma+1) S + sigma (-S).  The convolution suite
+# (test_suites.py) reads a Minkowski sum off scipy's fftconvolve of the
+# indicators; the tests below fold supports through that route and hold it to
+# an FFT-free set sum.
 
 def _fold_defect(mask_c, sigma, add):
     """|F ^ S| / |S| for the fold F of the centered mask S, cut to the box.
@@ -203,7 +205,7 @@ def _set_sum(a, b):
 def _suite_sum(a, b):
     """Minkowski sum as the convolution suite takes it: full convolution of the
     indicators, above 1/2."""
-    return suites._convolve_full(a.astype(np.float64), b.astype(np.float64)) > 0.5
+    return fftconvolve(a.astype(np.float64), b.astype(np.float64)) > 0.5
 
 
 def _suite_defect(s, sigma):
@@ -468,7 +470,7 @@ def test_symmetry_report_rest_state(classical_problem, classical_report):
 
 
 def test_symmetry_report_boosted_gauge_state(classical_report):
-    boosted = bw.galilean_gauge(classical_report.Q, (0.5,))
+    boosted = galilean_gauge(classical_report.Q, (0.5,))
     rep = bw.symmetry_report(boosted, _problem(boosted.grid), axis=0)
     assert rep.s2_defect <= 1e-6
 
