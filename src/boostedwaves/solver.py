@@ -235,18 +235,31 @@ def residual_scratch(grid: Grid) -> tuple[np.ndarray, ...]:
                                            for _ in range(3))
 
 
-def _residual_parts(prob: Problem, u: Field, weight: np.ndarray, scratch=None) -> float:
-    """Unit residual of (P_v + omega) Q = |Q|^(2 sigma) Q, relative to
-    ||(P_v + omega) Q||.
+def _nonlinear_spectrum(prob: Problem, u: Field, scratch) -> np.ndarray:
+    """The values half of a unit residual: the spectrum of |u|^(2 sigma) u.
 
-    Every lattice-sized temporary lives in ``scratch``
-    (:func:`residual_scratch`), new buffers when it is None.
+    |u|^(2 sigma) goes to the real buffer of ``scratch``
+    (:func:`residual_scratch`), the product to its first complex buffer and
+    the spectrum to its second, which is returned.  It reads only the
+    values, not the spectrum.
     """
-    nl_mod, lhs, nl_spec, miss = residual_scratch(prob.grid) if scratch is None else scratch
+    nl_mod, work, nl_spec, _ = scratch
     vals = u.values
     np.abs(vals, out=nl_mod)
     nl_mod **= 2 * prob.sigma
-    _nonlinearity(prob.grid, nl_mod, vals, lhs, nl_spec)
+    return _nonlinearity(prob.grid, nl_mod, vals, work, nl_spec)
+
+
+def _residual_parts(prob: Problem, u: Field, weight: np.ndarray, nl_spec: np.ndarray,
+                    scratch) -> float:
+    """The spectral half of a unit residual: ||w u^ - N^|| / ||w u^|| for the
+    weight w = P_v + omega (:meth:`Problem.weight`) and the nonlinearity's
+    spectrum ``nl_spec`` (:func:`_nonlinear_spectrum`).
+
+    w u^ goes to the first complex buffer of ``scratch`` and the difference to
+    its third; ``nl_spec`` is only read.
+    """
+    _, lhs, _, miss = scratch
     np.multiply(weight, u.spectrum, out=lhs)
     lhs_norm = flat_norm(lhs)
     if lhs_norm == 0.0:
@@ -254,13 +267,22 @@ def _residual_parts(prob: Problem, u: Field, weight: np.ndarray, scratch=None) -
     return flat_norm(np.subtract(lhs, nl_spec, out=miss)) / lhs_norm
 
 
-def unit_residual(prob: Problem, Q: Field, scratch=None) -> float:
-    """Relative residual of the rescaled (kappa = 1) profile equation.
+def unit_residual(prob: Problem, Q: Field, scratch=None, nl_spec=None) -> float:
+    """Relative residual of the rescaled (kappa = 1) profile equation
+    (P_v + omega) Q = |Q|^(2 sigma) Q: the values half
+    (:func:`_nonlinear_spectrum`), then the spectral half
+    (:func:`_residual_parts`).
 
-    With ``scratch`` (:func:`residual_scratch` on ``prob.grid``) given, the
-    call allocates no lattice-sized array.
+    ``nl_spec`` is the values half's result when the caller has formed it
+    already, in the second complex buffer of ``scratch``.  With ``scratch``
+    (:func:`residual_scratch` on ``prob.grid``) given, the call allocates no
+    lattice-sized array.
     """
-    return _residual_parts(prob, Q, prob.weight(), scratch)
+    if scratch is None:
+        scratch = residual_scratch(prob.grid)
+    if nl_spec is None:
+        nl_spec = _nonlinear_spectrum(prob, Q, scratch)
+    return _residual_parts(prob, Q, prob.weight(), nl_spec, scratch)
 
 
 def centroid(f: Field) -> np.ndarray:
@@ -447,7 +469,7 @@ def minimize(prob: Problem, init: Field | None = None,
         j_final, res_final = j_cur, res_unit
     else:
         # converged judges q, as canonicalize resamples an off-centre state
-        res_final = _residual_parts(prob, q, weight)
+        res_final = unit_residual(prob, q)
         j_final = weinstein(prob, q, weight)
     return SolveReport(
         Q=q,

@@ -16,25 +16,34 @@ the modulus weighs the phase fit, the s2 norm and the rearrangement defect.
 read.  The calling thread forms the field's values, allocates the four
 buffers of a residual (:func:`solver.residual_scratch`: one real and three
 complex lattice-sized arrays) and starts one worker thread, all before it
-cuts the support.  The worker first takes s1, which reads only the values,
-into the first complex buffer.  It then waits on a ``threading.Event``,
-which the calling thread sets, in a ``finally``, once :func:`support_set`
-has formed the spectrum and |Q_hat|; if the cut refused the field, the
-worker stops there.  Next the worker takes the unit residual of
-(P_v(D) + omega) Q = |Q|^{2 sigma} Q (:func:`solver.unit_residual`, in all
-four buffers), and last the rearrangement defect: it sorts the support's
-``modulus`` in the real buffer, assigns it into the first complex buffer and
-forms the difference in the second (:func:`_modulus_rearranged_defect`).
-Meanwhile the calling thread makes only the support cut, the phase fit and
-s2.  Both threads spend their time in numpy's pocketfft transforms, sorts and
-ufunc loops, which release the GIL on lattice-sized arrays, so on two cores
-they overlap.  On the 256^2 ground state (2-core machine, one BLAS thread,
-three processes), the fastest of 300 calls took 0.10 to 0.12 ms for the
-support cut, 1.5 to 1.8 ms for the phase fit and 0.22 to 0.26 ms for s2 on
-the calling thread, and 0.18 to 0.20 ms for s1, 1.3 to 1.5 ms for the
-residual and 0.41 to 0.48 ms for the rearrangement defect on the worker.
-The fastest report took 3.0 to 3.3 ms, against 4.0 to 4.7 ms when the
-worker took only the residual.
+cuts the support.  The worker first takes what reads only the values: s1,
+into the first complex buffer, then the values half of the unit residual of
+(P_v(D) + omega) Q = |Q|^{2 sigma} Q, the spectrum of |Q|^{2 sigma} Q
+(:func:`solver._nonlinear_spectrum`, in the real and the first two complex
+buffers).  It then waits on a ``threading.Event``, which the calling thread
+sets, in a ``finally``, once :func:`support_set` has formed the spectrum and
+|Q_hat|; if the cut refused the field, the worker stops there.  After the
+handoff the worker forms only the spectral half of the residual, (P_v +
+omega) Q_hat and the two norms (:func:`solver.unit_residual`, given the
+nonlinearity's spectrum), and last the rearrangement defect: it sorts the
+support's ``modulus`` in the real buffer, assigns it into the first complex
+buffer and forms the difference in the second
+(:func:`_modulus_rearranged_defect`).  Meanwhile the calling thread makes
+only the support cut, the phase fit and s2.  Both threads spend their time in
+numpy's pocketfft transforms, sorts and ufunc loops, which release the GIL on
+lattice-sized arrays, so on two cores they overlap.  On the 256^2 ground
+state (2-core machine, one BLAS thread, each stage timed inside the report,
+mean of the fastest 10 % of 400 reports, three processes) the calling thread
+took 1.3 to 1.5 ms for the support cut, 2.0 to 2.1 ms for the phase fit and
+0.47 to 0.50 ms for s2; the worker took 0.41 to 0.44 ms for s1, 1.5 to 1.6 ms
+for the nonlinearity's spectrum, 0.53 to 0.61 ms for the spectral half of
+the residual and 0.88 to 0.92 ms for the rearrangement defect.  The two
+lanes ended 3.5 to 3.8 ms and 4.0 to 4.3 ms into the report, and the worker
+no longer waited at the handoff.  When the worker transformed the
+nonlinearity only after the handoff, and the phase fit read its slope guess
+from every neighbour pair of the lattice, the same reports took 4.3 to
+5.0 ms: 2.5 to 2.9 ms for the phase fit and 1.9 to 2.3 ms for the residual,
+which could start only once the support was cut.
 
 No call on either side of the overlap may hand a lattice-sized operand to
 BLAS (``np.vdot``, ``np.dot``, ``@``, ``np.linalg``): OpenBLAS threads such a
@@ -47,7 +56,7 @@ the phase fit (:func:`_moments`) are such products, of the lattice with a
 three-column basis: at 512^2 the fastest of 100 reports took 16.9 to 17.1 ms
 with OpenBLAS's default threads and 16.6 to 17.7 ms with one.
 
-The worker allocates no lattice-sized array: every temporary of its three
+The worker allocates no lattice-sized array: every temporary of its four
 stages lives in the calling thread's four buffers, which are free once the
 residual has returned, and the problem's weight and the grid's tables are
 built before any report.  So the calling thread's heap takes the same
@@ -65,9 +74,10 @@ Starting and joining a thread costs 40 to 70 us, and on small lattices the
 two threads cost more than their overlap saves: the fastest of 3,000 1D
 reports of 1,024 points took 0.17 to 0.18 ms with the stages run one after
 another and 0.32 to 0.44 ms on two threads (0.29 to 0.35 ms when the worker
-took only the residual, with no handoff).  There is no switch by size; the
-one code path serves every lattice, and no measured workload makes small
-reports.
+took only the residual, with no handoff; 0.30 to 0.40 ms both before and
+after the nonlinearity moved ahead of the handoff).  There is no switch by
+size; the one code path serves every lattice, and no measured workload makes
+small reports.
 """
 
 from __future__ import annotations
@@ -83,7 +93,7 @@ import numpy as np
 from .errors import DisconnectedSupportError, ZeroFieldError
 from .fields import TAU, Field, flat_norm, solve_small
 from .rearrange import rearrange_modulus
-from .solver import Problem, residual_scratch, unit_residual
+from .solver import Problem, _nonlinear_spectrum, residual_scratch, unit_residual
 
 
 @dataclass
@@ -308,16 +318,30 @@ def _gram_index(ndim: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ..
 def phase_affinity(f: Field, s: SupportSet | None = None, tau: float = 1e-8) -> PhaseFit:
     """Fit arg Q_hat ~ alpha + beta . xi over the connected support.
 
-    A slope guess beta0 is read from the neighbour increments: along each axis
-    j, over the pairs whose two bins are in the support, the |prod|-weighted
+    A slope guess beta0 is read from the neighbour increments on the n axis
+    lines through the maximum-modulus bin xi*: along each axis j, over the
+    pairs of that line whose two bins are in the support, the |prod|-weighted
     mean of arg prod with prod = Q_hat(xi + e_j) conj Q_hat(xi), divided by
     the frequency step (the phase-difference frequency estimator of Kay, IEEE
     Trans. ASSP 37, 1989).  Here arg prod is the wrapped difference of
     arg Q_hat between the two bins, and |prod| = |Q_hat(xi + e_j)| |Q_hat(xi)|
     with |Q_hat| set to 0 off the support.  The phase is then unwrapped by
-    wrapping it around the affine guess anchored at the maximum-modulus bin
-    xi*: y = guess + wrap(arg Q_hat - guess) with guess = p + beta0 . xi and
+    wrapping it around the affine guess anchored at xi*:
+    y = guess + wrap(arg Q_hat - guess) with guess = p + beta0 . xi and
     p = arg Q_hat(xi*) - beta0 . xi*.
+
+    The guess only places the 2 pi cuts of that unwrap.  Under an affine
+    phase every pair of the lattice has the same wrapped increment, so the
+    pairs of the peak's lines give the guess that all pairs would, up to
+    rounding, and alpha, beta and the residual below change only by
+    rounding; in one dimension the line is the lattice.  The lines cost n
+    products of one line each, where all pairs cost n lattice-sized ones: at
+    256^2 the fit took 1.31 to 1.37 ms against 1.92 to 1.96 ms (one BLAS
+    thread, heap thresholds fixed as the CLI fixes them, fastest of 15 x 100
+    calls, three processes each).  A phase that is not affine may give other
+    cuts, hence another fit, than a guess over every pair would; its
+    spectrum is far from real after either fit is removed, so its s2 defect,
+    and its verdict, stay "fail".
 
     Finally y is fitted by weighted least squares with weights |Q_hat|^2 on
     the support and 0 off it.  The fit solves the (n+1) x (n+1) moment (Gram)
@@ -327,14 +351,16 @@ def phase_affinity(f: Field, s: SupportSet | None = None, tau: float = 1e-8) -> 
     has one.  Where the support holds two adjacent bins along every axis j,
     an affine function vanishing on it has no xi_j term for any j, so it is
     zero: the Gram matrix is nonsingular and LAPACK ``gesv`` solves it
-    (:func:`fields.solve_small`).  Where the support is one bin thick along
-    an axis (a single bin, or a line), that xi_j is constant on it, the Gram
-    matrix is singular and the fit is not unique.  ``lstsq`` on the Gram
-    matrix then returns the minimum-norm answer, the same as a least-squares
-    solve of the per-point system: the pseudo-inverse solution of G x = A^T b
-    with G = A^T A is A^+ b.  Rounding leaves the zero singular values of G
-    below about one ulp of the largest (measured on single bins, lines and
-    planes of up to 512 bins), under the cut of ``lstsq`` at (n+1) ulp.
+    (:func:`fields.solve_small`).  Such a pair is looked for on the peak's
+    line, and over the whole mask only where that line has none.  Where the
+    support is one bin thick along an axis (a single bin, or a line), that
+    xi_j is constant on it, the Gram matrix is singular and the fit is not
+    unique.  ``lstsq`` on the Gram matrix then returns the minimum-norm
+    answer, the same as a least-squares solve of the per-point system: the
+    pseudo-inverse solution of G x = A^T b with G = A^T A is A^+ b.  Rounding
+    leaves the zero singular values of G below about one ulp of the largest
+    (measured on single bins, lines and planes of up to 512 bins), under the
+    cut of ``lstsq`` at (n+1) ulp.
 
     Raises :class:`DisconnectedSupportError` when the mask has several
     components.
@@ -352,21 +378,23 @@ def phase_affinity(f: Field, s: SupportSet | None = None, tau: float = 1e-8) -> 
     mag *= s.centered  # |Q_hat| on the support, 0 off it
     coords, bases = _phase_lattice(grid)
 
+    start = np.unravel_index(int(np.argmax(mag)), mag.shape)
     beta0 = np.zeros(ndim)
     thick = True  # two adjacent support bins along every axis
     for axis in range(ndim):
-        lo = (slice(None),) * axis + (slice(None, -1),)
-        hi = (slice(None),) * axis + (slice(1, None),)
-        size = mag[hi] * mag[lo]
+        line = start[:axis] + (slice(None),) + start[axis + 1:]  # through xi*
+        mag_l, raw_l = mag[line], raw[line]
+        size = mag_l[1:] * mag_l[:-1]
         total = float(size.sum())
         if total > 0.0:
-            turn = _wrap_angle(raw[hi] - raw[lo])
+            turn = _wrap_angle(raw_l[1:] - raw_l[:-1])
             turn *= size
             beta0[axis] = float(turn.sum()) / (total * grid.freq_step(axis))
-        else:  # the support is one bin thick along this axis
-            thick = False
+        else:  # no pair on the peak's line: look for one anywhere along the axis
+            lo = (slice(None),) * axis + (slice(None, -1),)
+            hi = (slice(None),) * axis + (slice(1, None),)
+            thick = thick and bool(np.logical_and(s.centered[lo], s.centered[hi]).any())
 
-    start = np.unravel_index(int(np.argmax(mag)), mag.shape)
     at_start = [float(c.ravel()[i]) for c, i in zip(coords, start)]
     anchor = float(raw[start]) - float(np.dot(beta0, at_start))
     guess = anchor + beta0[0] * coords[0]
@@ -517,7 +545,8 @@ def _phase_fit(f: Field, s: SupportSet) -> PhaseFit | None:
 
 def _worker_stages(out: list, prob: Problem, f: Field, axis: int, cut: list,
                    handoff: threading.Event, scratch) -> None:
-    """The report's worker: s1, then, once ``handoff`` is set, the unit
+    """The report's worker: s1 and the nonlinearity's spectrum, which read
+    only the values, then, once ``handoff`` is set, the rest of the unit
     residual and the rearrangement defect of the support in ``cut``.
 
     Appends ``(s1, residual, modrearr)`` to ``out``, or the exception it
@@ -527,13 +556,15 @@ def _worker_stages(out: list, prob: Problem, f: Field, axis: int, cut: list,
     residual takes all four, and the rearrangement in three of them after.
     """
     try:
-        # a NaN or infinite field is refused by the support cut, not here
+        # a NaN or infinite field is refused by the support cut, not here,
+        # and its values reach both stages before the cut
         with np.errstate(invalid="ignore", over="ignore"):
             s1 = _s1_defect(f, axis, scratch[1])
+            nl_spec = _nonlinear_spectrum(prob, f, scratch)
         handoff.wait()
         if not cut:
             return
-        residual = unit_residual(prob, f, scratch)
+        residual = unit_residual(prob, f, scratch, nl_spec)
         out.append((s1, residual, _modulus_rearranged_defect(f, axis, cut[0].modulus, scratch)))
     except BaseException as exc:
         out.append(exc)

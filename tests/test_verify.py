@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
 import boostedwaves as bw
-from boostedwaves import verify
+from boostedwaves import solver, verify
 from boostedwaves.fields import flat_norm
 from references import galilean_gauge
 
@@ -365,29 +365,30 @@ def test_phase_affinity_requires_connected_support():
 
 def _reference_phase_fit(f, s):
     """Per-point fit: (alpha, beta, residual) from the support bins gathered
-    one by one, unwrapped around the neighbour-increment slope guess, and an
-    N x (n+1) weighted ``lstsq`` (the minimum-norm answer where the system is
-    rank deficient)."""
+    one by one, unwrapped around the neighbour-increment slope guess read on
+    the axis lines through the peak bin, and an N x (n+1) weighted ``lstsq``
+    (the minimum-norm answer where the system is rank deficient)."""
     grid = f.grid
     spec_c = np.fft.fftshift(f.spectrum)
     mask_c = np.fft.fftshift(s.mask)
     ndim = mask_c.ndim
-    beta0 = np.zeros(ndim)
-    for axis in range(ndim):
-        lo = (slice(None),) * axis + (slice(None, -1),)
-        hi = (slice(None),) * axis + (slice(1, None),)
-        both = mask_c[lo] & mask_c[hi]
-        prod = spec_c[hi][both] * np.conj(spec_c[lo][both])
-        size = np.abs(prod)
-        if size.sum() > 0.0:
-            beta0[axis] = np.sum(size * np.angle(prod)) / (size.sum() * grid.freq_step(axis))
     pts = np.argwhere(mask_c)
     steps = np.array([grid.freq_step(axis) for axis in range(ndim)])
     coords = (pts - np.array(grid.sizes) // 2) * steps
     vals = spec_c[tuple(pts.T)]
     raw, mag = np.angle(vals), np.abs(vals)
-    guess = coords @ beta0
     start = int(np.argmax(mag))
+    beta0 = np.zeros(ndim)
+    for axis in range(ndim):
+        # the support pairs (p, p + e_axis) on the line through the peak
+        others = [a for a in range(ndim) if a != axis]
+        on_line = np.all(pts[:, others] == pts[start, others], axis=1)
+        line = {int(p[axis]): v for p, v in zip(pts[on_line], vals[on_line])}
+        prod = np.array([line[k + 1] * np.conj(line[k]) for k in line if k + 1 in line])
+        size = np.abs(prod)
+        if size.sum() > 0.0:
+            beta0[axis] = np.sum(size * np.angle(prod)) / (size.sum() * grid.freq_step(axis))
+    guess = coords @ beta0
     guess += raw[start] - guess[start]
     y = guess + (raw - guess + np.pi) % (2.0 * np.pi) - np.pi
     design = np.hstack([np.ones((len(pts), 1)), coords])
@@ -452,6 +453,22 @@ def test_phase_affinity_rank_deficient_support_is_minimum_norm(spec_c):
     rep = bw.symmetry_report(f, _problem(f.grid))
     assert rep.phase == fit
     assert abs(rep.s2_defect - _reference_s2(f, alpha, beta)) <= 1e-13
+
+
+def test_phase_affinity_reads_its_slope_guess_on_the_peak_lines():
+    # The phase is affine on the two axis lines through the peak bin (17, 14)
+    # and far from affine off them, where the increments along axis 0 grow
+    # with (k1 - 14)^2: a slope guess averaged over the whole lattice cuts
+    # the unwrap elsewhere and gives another fit.  Such a phase fails the
+    # verdict either way.
+    k0, k1 = np.indices((32, 32))
+    d0, d1 = k0 - 17, k1 - 14
+    spec_c = np.exp(-(d0**2 + d1**2) / 18.0 + 1j * (0.5 + 0.8 * d0 - 1.1 * d1 + 0.3 * d0 * d1**2))
+    f = bw.Field.from_spectrum(bw.Grid.make((32, 32), 4.0), np.fft.ifftshift(spec_c))
+    fit, _, _ = _assert_fit_matches_reference(f, 1e-13)
+    rep = bw.symmetry_report(f, _problem(f.grid))
+    assert rep.phase == fit and rep.connected
+    assert rep.s2_defect > 0.1 and not rep.passes(1e-8)
 
 
 def _problem(grid):
@@ -679,6 +696,34 @@ def test_symmetry_report_joins_its_worker_before_raising(frac2d_problem, frac2d_
     with pytest.raises(RuntimeError, match="phase fit failed"):
         bw.symmetry_report(frac2d_report.Q, frac2d_problem)
     assert len(finished) == 1 and not finished[0].is_alive()
+
+
+def test_symmetry_report_transforms_the_nonlinearity_during_the_support_cut(
+        frac2d_problem, frac2d_report, monkeypatch):
+    # The worker transforms |Q|^(2 sigma) Q before the handoff: the support
+    # cut, made to wait for that transform on another thread, is released by
+    # it, and the report still equals its serial stages.
+    f, prob = frac2d_report.Q, frac2d_problem
+    expected = _serial_report(f, prob, 0, 1e-8)
+    caller = threading.current_thread()
+    transformed = threading.Event()
+    waited = []
+    real_cut, real_nonlinearity = verify.support_set, solver._nonlinearity
+
+    def nonlinearity(*args, **kwargs):
+        if threading.current_thread() is not caller:
+            transformed.set()
+        return real_nonlinearity(*args, **kwargs)
+
+    def waiting_cut(*args, **kwargs):
+        waited.append(transformed.wait(timeout=10))
+        return real_cut(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_nonlinearity", nonlinearity)
+    monkeypatch.setattr(verify, "support_set", waiting_cut)
+    rep = verify.symmetry_report(f, prob)
+    assert waited == [True]
+    assert rep == expected
 
 
 def _spoiled_plane(spoil):
