@@ -1,7 +1,16 @@
 """Pseudospectral toolkit for boosted ground states of dispersion-generalized
 NLS equations: spectral fields, Fourier multipliers, rearrangement operators,
 a stabilized fixed-point solver, and symmetry verification, including the
-residual of the profile equation."""
+residual of the profile equation.
+
+Only the command-line entry :func:`boostedwaves.cli.main` fixes glibc's heap
+thresholds.  Called in-process outside it, :func:`minimize`,
+:func:`symmetry_report` and :func:`phase_affinity` map temporaries above
+128 KiB afresh and fault their pages in on each call until glibc happens to
+raise its threshold, and a 256^2 symmetry report of a field read from a file
+runs at about half speed.  A script that calls them repeatedly gets the CLI's
+speed by calling ``boostedwaves.cli._fix_heap_thresholds()`` once first (on
+glibc; elsewhere it does nothing)."""
 
 from .errors import (
     ConfigError,

@@ -17,11 +17,18 @@ the same config reproduces byte-identical files.
 ``sweep`` solves its rows in order as one continuation (natural-parameter
 continuation, Allgower & Georg, *Introduction to Numerical Continuation
 Methods*, ch. 2).  The values are equally spaced, so a row starts from the
-Lagrange extrapolant of its last converged predecessors:
-3 Q_{k-1} - 3 Q_{k-2} + Q_{k-3} with three, the secant 2 Q_{k-1} - Q_{k-2}
-with two, Q_{k-1} with one.  Row 0, and a row after one that failed or did
-not converge, starts cold from the Gaussian of width ``init_width``
-(:func:`solver.minimize`); in a sweep that key sets only these cold starts.
+Newton backward-difference extrapolant Q + ∇Q + ... + ∇^p Q of its newest
+converged predecessor Q, which is the Lagrange extrapolant through the last
+p + 1 rows.  As in variable-order multistep codes (Shampine & Gordon,
+*Computer Solution of Ordinary Differential Equations*, 1975) the order comes
+from the differences: ∇Q is always taken, and p grows while each difference
+is smaller in norm than the one before, up to ``PREDICTOR_ROWS`` (8) rows.
+A sweep keeps that newest row of the difference table, up to eight spectra
+(32 MiB at 64^3, where the three states of the fixed three-row extrapolant
+held 24 MiB).  Row 0, and a row after one that failed or did not converge,
+starts cold from the Gaussian of width ``init_width``
+(:func:`solver.minimize`), and the table restarts with the next converged
+row; in a sweep that key sets only these cold starts.
 The ``jobs`` key and ``--jobs`` are still parsed and checked, but nothing
 reads them: rows of 1,024 points hold the GIL for most of each solve, and on
 a 2-core machine parallel chains with their cold heads measured no faster
@@ -60,7 +67,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DisconnectedSupportError, GnfFormatError, HypothesisViolatedError
-from .fields import Field, Grid, energy_mass, read_gnf, write_gnf
+from .fields import Field, Grid, energy_mass, flat_norm, read_gnf, write_gnf
 from .rearrange import REARRANGE_MODES, fourier_rearrange
 from .solver import Problem, SolveOptions, SolveReport, minimize
 from .symbols import KINDS, BoostedSymbol, Symbol
@@ -414,16 +421,51 @@ def _sweep_value(cfg: RunConfig, param: str, value: float,
     return _SweepRow(cells, failure, report.iterations), None
 
 
-def _predictor(grid: Grid, done: list[Field]) -> Field | None:
-    """Start of the next row: the extrapolant through the converged states
-    ``done`` of the last one to three rows, oldest first; None (cold) when
-    there are none."""
-    if len(done) == 3:
-        return Field.from_spectrum(
-            grid, 3.0 * (done[2].spectrum - done[1].spectrum) + done[0].spectrum)
-    if len(done) == 2:
-        return Field.from_spectrum(grid, 2.0 * done[1].spectrum - done[0].spectrum)
-    return done[0] if done else None
+# Converged rows a sweep row's start is extrapolated from, at most: the table
+# holds Q and its backward differences of orders 1 to 7.
+PREDICTOR_ROWS = 8
+
+
+def _push_row(table: list[np.ndarray], q: np.ndarray) -> list[np.ndarray]:
+    """The difference table after the converged spectrum ``q``.
+
+    ``table`` is the newest row of the backward-difference table,
+    Q_(k-1), ∇Q_(k-1), ..., and the result is q, ∇q = q - Q_(k-1),
+    ∇^2 q = ∇q - ∇Q_(k-1), ..., cut at ``PREDICTOR_ROWS`` entries: one
+    subtraction per order.  Each old difference is overwritten by the new one
+    of the next order; ``q`` and the old Q_(k-1), the arrays of solved states,
+    are never written.
+    """
+    row = [q]
+    for j, old in enumerate(table[:PREDICTOR_ROWS - 1]):
+        row.append(np.subtract(row[-1], old, out=old if j else None))
+    return row
+
+
+def _predictor(grid: Grid, table: list[np.ndarray]) -> Field | None:
+    """Start of the next row from the difference table of its converged
+    predecessors (:func:`_push_row`); None (cold) when the table is empty.
+
+    The start is the Newton backward-difference extrapolant
+    Q + ∇Q + ... + ∇^p Q of the newest row Q, summed from order p down.  ∇Q
+    is always taken once two rows exist, and p then grows while each
+    difference is smaller in norm than the one before, so at most
+    ``PREDICTOR_ROWS`` rows are used.  The rows are equally spaced, so this is
+    the Lagrange extrapolant through the last p + 1 of them; p = 2 gives
+    3 Q_(k-1) - 3 Q_(k-2) + Q_(k-3) up to rounding.  Where the differences
+    grow, as across a coarse step, the order stays low.  The table holds up to
+    eight spectra: 32 MiB at 64^3, against 24 MiB for the values and spectra
+    of the three states a three-row extrapolant keeps.
+    """
+    if len(table) < 2:
+        return Field.from_spectrum(grid, table[0]) if table else None
+    p, size = 1, flat_norm(table[1])
+    while p + 1 < len(table) and (nxt := flat_norm(table[p + 1])) < size:
+        p, size = p + 1, nxt
+    start = table[p] + table[p - 1]
+    for diff in reversed(table[:p - 1]):
+        start += diff
+    return Field.from_spectrum(grid, start)
 
 
 def cmd_sweep(args) -> int:
@@ -438,10 +480,10 @@ def cmd_sweep(args) -> int:
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ConfigError(f"sweep range bounds must be finite, got {args.range!r}")
     rows: list[_SweepRow] = []
-    done: list[Field] = []  # the last one to three states, converged in a row
+    table: list[np.ndarray] = []  # difference table of the rows converged in a row
     for value in np.linspace(start, stop, count):
-        row, q = _sweep_value(cfg, args.param, float(value), _predictor(cfg.grid, done))
-        done = (done + [q])[-3:] if q is not None else []
+        row, q = _sweep_value(cfg, args.param, float(value), _predictor(cfg.grid, table))
+        table = _push_row(table, q.spectrum) if q is not None else []
         rows.append(row)
 
     out = Path(cfg.out)
@@ -509,11 +551,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = configured(
         "sweep", ("out", "tol", "jobs"), help="parameter sweep writing sweep.csv",
         description="Solve one row per value of --range, in order. A row starts from "
-                    "the extrapolant 3 Q_(k-1) - 3 Q_(k-2) + Q_(k-3) of its three "
-                    "converged predecessors, the secant 2 Q_(k-1) - Q_(k-2) of two, or "
-                    "Q_(k-1) of one; row 0, and a row after a failed or unconverged one, "
-                    "starts cold from the Gaussian of width init_width, which sets only "
-                    "these cold starts.",
+                    "the Newton extrapolant Q + dQ + ... + d^p Q of the backward "
+                    "differences of its last converged rows (Q_(k-1) alone after one): "
+                    "dQ is always taken, and the order p grows while each difference "
+                    "is smaller in norm than the one before, over at most "
+                    f"{PREDICTOR_ROWS} rows, whose spectra the sweep holds. Row 0, and "
+                    "a row after a failed or unconverged one, starts cold from the "
+                    "Gaussian of width init_width, which sets only these cold starts.",
     )
     p.add_argument("--param", choices=("v", "omega"), required=True,
                    help="the config key each row sets (v: its component along the "
@@ -565,6 +609,15 @@ def _fix_heap_thresholds() -> None:
     ``verify`` benchmark peaked at 61.3 to 61.6 MB resident capped and 60.4
     to 60.7 MB uncapped (seven 8 s runs each).  Where the C library has no
     ``mallopt`` (not glibc), nothing is set.
+
+    Only :func:`main` calls this.  A Python caller of :func:`solver.minimize`,
+    :func:`verify.symmetry_report` or :func:`verify.phase_affinity` outside
+    ``main`` runs under glibc's defaults unless it calls this once itself.  In
+    a process that read a 256^2 ground state from its GNF1 file, the fastest
+    of 20 reports took 4.3 to 6.4 ms under the defaults and 2.4 to 2.8 ms with
+    these thresholds, and ``phase_affinity`` 2.6 to 2.9 ms against 1.5 to
+    1.9 ms (2-CPU machine, one BLAS thread).  After an in-process 256^2 solve
+    the defaults had already risen, and the two matched.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

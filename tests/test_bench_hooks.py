@@ -67,7 +67,8 @@ def test_every_workload_config_loads(bench_path, tmp_path):
 
 def test_sweep_1d_continuation_stays_warm(bench_path, tmp_path, capsys):
     # 219 iterations with the cold chain heads at rows 6 and 12, 194 with
-    # one chain from row 0 and the three-row extrapolant
+    # one chain from row 0 and the three-row extrapolant, 166 with the
+    # variable-order extrapolant of up to eight rows
     workloads = importlib.import_module("workloads")
     path = tmp_path / "sweep-1d.cfg"
     path.write_text(workloads.WORKLOADS["sweep-1d"].case.config_text(1.0))
@@ -77,4 +78,4 @@ def test_sweep_1d_continuation_stays_warm(bench_path, tmp_path, capsys):
     summary = re.search(r"sweep: (\d+)/(\d+) rows converged, (\d+) iterations",
                         capsys.readouterr().out)
     assert summary and summary.group(1, 2) == (str(rows), str(rows))
-    assert int(summary.group(3)) <= 200
+    assert int(summary.group(3)) <= 170

@@ -1,5 +1,6 @@
 import os
 import platform
+import re
 import subprocess
 import sys
 import warnings
@@ -801,22 +802,23 @@ def test_row_report_matches_its_definitions(tmp_path, monkeypatch, case):
     assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
-# The benchmark's sweep-1d op: iterations and transforms per row.  The
-# iterations were measured before the transform pair and the row report were
-# trimmed for speed.  A row of k iterations makes 2k transforms (one to start,
-# two per step, one for the last nonlinearity); the cold row 0 adds one for a
-# rejected Anderson candidate and one for the spectrum of its rolled final
-# state.  The report keeps the loop's J and residual, so it no longer
-# transforms the state back nor its nonlinearity again.  Rows 3 on start from
-# the three-row extrapolant.
-SWEEP_1D_ITERATIONS = (18, 13, 12, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11, 10, 10, 10)
-SWEEP_1D_TRANSFORMS = (38, 26, 24, 22, 22, 22, 22, 22, 22, 22, 22, 22, 22, 22, 20, 20, 20)
+# The benchmark's sweep-1d op: iterations and transforms per row.  A row of k
+# iterations makes 2k transforms (one to start, two per step, one for the last
+# nonlinearity); the cold row 0 adds one for a rejected Anderson candidate and
+# one for the spectrum of its rolled final state.  The report keeps the loop's
+# J and residual, so it no longer transforms the state back nor its
+# nonlinearity again.  Row k starts from the Newton extrapolant of up to eight
+# converged rows, of the order their differences allow: 166 iterations,
+# against 194 from the three-row extrapolant.
+SWEEP_1D_ITERATIONS = (18, 13, 12, 11, 10, 10, 9, 9, 8, 8, 8, 8, 8, 8, 9, 9, 8)
+SWEEP_1D_TRANSFORMS = (38, 26, 24, 22, 20, 20, 18, 18, 16, 16, 16, 16, 16, 16, 18, 18, 16)
 
 
 def test_sweep_1d_work_is_pinned(tmp_path, monkeypatch):
-    # A faster row must come from cheaper calls, not from fewer of them: every
-    # row keeps its iteration count and its number of n-D transforms, counted
-    # on the module pair that the solver and Field call.
+    # Every row keeps its iteration count, which only the start of the row
+    # sets, and its number of n-D transforms, counted on the module pair that
+    # the solver and Field call: a faster iteration must come from cheaper
+    # calls, and fewer iterations from a better start.
     transforms = [0]
 
     def counted(pair_half):
@@ -844,7 +846,29 @@ def test_sweep_1d_work_is_pinned(tmp_path, monkeypatch):
                "--out", tmp_path / "sweep") == 0
     assert tuple(it for it, _ in rows) == SWEEP_1D_ITERATIONS
     assert tuple(n for _, n in rows) == SWEEP_1D_TRANSFORMS
-    assert (sum(SWEEP_1D_ITERATIONS), transforms[0]) == (194, 390)
+    assert (sum(SWEEP_1D_ITERATIONS), transforms[0]) == (166, 334)
+
+
+@pytest.mark.parametrize("symbol, v, sigma, span, most", [
+    ("half_wave", 0.3, 1, "0.2:5:9", 103),
+    ("fractional; s = 1", 0.5, 2, "0.1:10:12", 112),
+])
+def test_coarse_sweep_takes_no_more_iterations_than_three_rows(tmp_path, capsys, symbol, v,
+                                                               sigma, span, most):
+    # Coarse omega sweeps on 1,024 points, bounded by their totals from the
+    # three-row extrapolant.  Extrapolating from all of the last eight rows
+    # at a fixed order took 112 and 125 iterations here.
+    path = tmp_path / "coarse.cfg"
+    path.write_text(_half_wave_cfg(tmp_path, 1024).read_text()
+                    .replace("half_wave", symbol).replace("v = 0.0", f"v = {v}")
+                    .replace("sigma = 1", f"sigma = {sigma}"))
+    assert run("sweep", "--config", path, "--param", "omega", "--range", span,
+               "--out", tmp_path / "sweep") == 0
+    rows = int(span.rsplit(":", 1)[1])
+    summary = re.search(r"sweep: (\d+)/(\d+) rows converged, (\d+) iterations",
+                        capsys.readouterr().out)
+    assert summary and summary.group(1, 2) == (str(rows), str(rows))
+    assert int(summary.group(3)) <= most
 
 
 @pytest.mark.parametrize("outcome", ["unconverged", "raises"])
@@ -870,31 +894,115 @@ def test_sweep_restarts_cold_after_failed_row(classical_cfg, tmp_path, monkeypat
     assert "sweep: row v=0.25 failed: " in captured.err
 
 
-def test_sweep_row_starts_from_the_extrapolant_of_its_predecessors(
+def _table_starts(spectra):
+    """The start of the row after each of ``spectra``, converged in a row,
+    formed here from the definitions: the backward differences by recursion,
+    ∇^j Q_k = ∇^(j-1) Q_k - ∇^(j-1) Q_(k-1), below order eight; the order p,
+    at least 1, raised while the next difference is smaller in norm; the
+    Newton sum Q_k + ∇Q_k + ... + ∇^p Q_k from order p down."""
+    starts, table = [], []
+    for q in spectra:
+        new = [q]
+        for j in range(min(len(table), cli.PREDICTOR_ROWS - 1)):
+            new.append(new[j] - table[j])
+        table = new
+        if len(table) == 1:
+            starts.append(q)
+            continue
+        p = 1
+        while p + 1 < len(table) and np.linalg.norm(table[p + 1]) < np.linalg.norm(table[p]):
+            p += 1
+        start = table[p]
+        for j in range(p - 1, -1, -1):
+            start = start + table[j]
+        starts.append(start)
+    return starts
+
+
+def _predicted(spectra):
+    """The module's start after each of ``spectra``, fed in order."""
+    grid = bw.Grid.make(spectra[0].shape, 4.0)
+    table, starts = [], []
+    for q in spectra:
+        table = cli._push_row(table, q)
+        starts.append(cli._predictor(grid, table).spectrum)
+    return starts
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_predictor_continues_polynomial_rows(degree):
+    # Spectra of degree d in the row index k, the coefficient of k^j scaled by
+    # 0.1^j so that the differences fall with their order: once d + 1 rows
+    # are in, the start is the next row.
+    rng = np.random.default_rng(100 + degree)
+    coef = [0.1 ** j * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
+            for j in range(degree + 1)]
+    rows = [sum(c * float(k) ** j for j, c in enumerate(coef)) for k in range(13)]
+    starts = _predicted(rows[:-1])
+    for k in range(degree + 1, 13):
+        err = np.linalg.norm(starts[k - 1] - rows[k]) / np.linalg.norm(rows[k])
+        assert err <= 1e-12, (k, err)
+
+
+def test_predictor_takes_the_secant_when_differences_grow():
+    # Alternating rows: every difference is twice the one before in norm, so
+    # the start is the secant 2 Q_(k-1) - Q_(k-2), not a wilder extrapolant.
+    rng = np.random.default_rng(7)
+    a, b = (rng.standard_normal(16) + 1j * rng.standard_normal(16) for _ in range(2))
+    rows = [a if k % 2 == 0 else b for k in range(10)]
+    starts = _predicted(rows)
+    assert starts[0] is rows[0]
+    for k in range(1, 10):
+        np.testing.assert_allclose(starts[k], 2.0 * rows[k] - rows[k - 1], rtol=0, atol=1e-14)
+
+
+def test_sweep_rebuilds_the_difference_table_after_a_failed_row(
         classical_cfg, tmp_path, monkeypatch, traced_minimize):
-    # Row 1 starts from Q_0, row 2 from the secant 2 Q_1 - Q_0, and rows 3 and
-    # 4 from 3 Q_(k-1) - 3 Q_(k-2) + Q_(k-3), bit for bit.  Row 4 does not
-    # converge, so row 5 starts cold and row 6 from Q_5 alone.
+    # Rows 1 to 5 start from the table of rows 0 to 4.  Row 5 does not
+    # converge, so row 6 starts cold, row 7 from Q_6 and rows 8 and 9 from the
+    # table rebuilt from Q_6 on, each bit for bit.
     inits = []
     traced = cli.minimize
 
-    def fifth_fails(prob, init=None, opts=None):
+    def sixth_fails(prob, init=None, opts=None):
         inits.append(init)
         report = traced(prob, init=init, opts=opts)
-        return replace(report, converged=False) if len(inits) == 5 else report
+        return replace(report, converged=False) if len(inits) == 6 else report
 
-    monkeypatch.setattr(cli, "minimize", fifth_fails)
-    assert run("sweep", "--config", classical_cfg, "--param", "v", "--range", "0:0.6:7",
+    monkeypatch.setattr(cli, "minimize", sixth_fails)
+    assert run("sweep", "--config", classical_cfg, "--param", "v", "--range", "0:0.9:10",
                "--out", tmp_path / "sweep") == 0
     q = [report.Q.spectrum for _, _, report in traced_minimize]
-    want = [None, q[0], 2.0 * q[1] - q[0], 3.0 * (q[2] - q[1]) + q[0],
-            3.0 * (q[3] - q[2]) + q[1], None, q[5]]
-    assert len(inits) == len(want) == 7
+    want = [None] + _table_starts(q[:5]) + [None] + _table_starts(q[6:9])
+    assert len(inits) == len(want) == 10
     for row, (init, spec) in enumerate(zip(inits, want)):
         if spec is None:
             assert init is None, row
         else:
             assert init.spectrum.tobytes() == spec.tobytes(), row
+
+
+def test_sweep_of_identical_rows_starts_from_the_last_state(
+        classical_cfg, tmp_path, monkeypatch, traced_minimize):
+    # Five rows of one problem.  The solves leave their states ~1e-12 apart,
+    # and the differences of that noise grow with their order, so each start
+    # stays within the last step of Q_(k-1) instead of amplifying it.
+    inits = []
+    traced = cli.minimize
+
+    def recorded(prob, init=None, opts=None):
+        inits.append(init)
+        return traced(prob, init=init, opts=opts)
+
+    monkeypatch.setattr(cli, "minimize", recorded)
+    assert run("sweep", "--config", classical_cfg, "--param", "v", "--range", "0.3:0.3:5",
+               "--out", tmp_path / "sweep") == 0
+    q = [report.Q.spectrum for _, _, report in traced_minimize]
+    assert inits[0] is None and inits[1].spectrum is q[0]
+    for k in range(2, 5):
+        drift = np.linalg.norm(inits[k].spectrum - q[k - 1])
+        assert drift <= 2.0 * np.linalg.norm(q[k - 1] - q[k - 2]), k
+        assert drift <= 1e-10 * np.linalg.norm(q[k - 1]), k
 
 
 @pytest.mark.parametrize("spoil, reason", [
