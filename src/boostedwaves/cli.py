@@ -4,8 +4,8 @@ Configuration is plain ``key = value`` text with optional ``[section]``
 headers.  The table ``KEYS`` holds every key with its parser, its default (or
 ``REQUIRED``) and its validity check; an unknown, malformed or out-of-range
 value is refused with the number of the line it came from.  The flags
-``--out``, ``--tol`` and ``--jobs`` replace their config keys and go through
-the same parser and check.  The ``symbol`` value is
+``--out`` and ``--tol`` replace their config keys and go through the same
+parser and check.  The ``symbol`` value is
 ``<kind>; name = value; ...``.  This module names no kind: the kinds, their
 parameters and the parameters' defaults are read from the table
 ``symbols.KINDS``, which lists every kind the package has, and the kind's
@@ -24,15 +24,11 @@ p + 1 rows.  As in variable-order multistep codes (Shampine & Gordon,
 from the differences: ∇Q is always taken, and p grows while each difference
 is smaller in norm than the one before, up to ``PREDICTOR_ROWS`` (8) rows.
 A sweep keeps that newest row of the difference table, up to eight spectra
-(32 MiB at 64^3, where the three states of the fixed three-row extrapolant
-held 24 MiB).  Row 0, and a row after one that failed or did not converge,
-starts cold from the Gaussian of width ``init_width``
+(32 MiB at 64^3).  Row 0, and a row after one that failed or did not
+converge, starts cold from the Gaussian of width ``init_width``
 (:func:`solver.minimize`), and the table restarts with the next converged
 row; in a sweep that key sets only these cold starts.
-The ``jobs`` key and ``--jobs`` are still parsed and checked, but nothing
-reads them: rows of 1,024 points hold the GIL for most of each solve, and on
-a 2-core machine parallel chains with their cold heads measured no faster
-than one chain on any lattice of ``bench/workloads.py``.
+The ``jobs`` key is accepted and checked (>= 1), and nothing reads it.
 ``--param v`` sets the speed along the config's ``axis``, the
 symmetry axis of the row's defects, and the other components to 0.  A row's
 J and residual are the solve's own (see :func:`solver.minimize`), and its
@@ -66,7 +62,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DisconnectedSupportError, GnfFormatError, HypothesisViolatedError
+from .errors import ConfigError, GnfFormatError, HypothesisViolatedError
 from .fields import Field, Grid, energy_mass, flat_norm, read_gnf, write_gnf
 from .rearrange import REARRANGE_MODES, fourier_rearrange
 from .solver import Problem, SolveOptions, SolveReport, minimize
@@ -160,10 +156,12 @@ def _symbol(_, text: str, ndim: int) -> Symbol:
         raise ValueError(f"unknown symbol kind {name!r} (known: {known})")
     given: dict[str, str] = {}
     for piece in filter(None, pieces):
-        key, eq, value = piece.partition("=")
+        key, eq, value = (s.strip() for s in piece.partition("="))
         if not eq:
             raise ValueError(f"bad symbol parameter {piece!r}")
-        given[key.strip()] = value.strip()
+        if key in given:
+            raise ValueError(f"duplicate symbol parameter {key!r}")
+        given[key] = value
     unused = sorted(set(given) - set(kind.params))
     if unused:
         raise ValueError(f"unused symbol parameters {unused}")
@@ -454,8 +452,7 @@ def _predictor(grid: Grid, table: list[np.ndarray]) -> Field | None:
     the Lagrange extrapolant through the last p + 1 of them; p = 2 gives
     3 Q_(k-1) - 3 Q_(k-2) + Q_(k-3) up to rounding.  Where the differences
     grow, as across a coarse step, the order stays low.  The table holds up to
-    eight spectra: 32 MiB at 64^3, against 24 MiB for the values and spectra
-    of the three states a three-row extrapolant keeps.
+    eight spectra: 32 MiB at 64^3.
     """
     if len(table) < 2:
         return Field.from_spectrum(grid, table[0]) if table else None
@@ -512,12 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    flag_help = {
-        "out": "output directory",
-        "tol": "solver tolerance",
-        "jobs": "accepted and checked (>= 1) but unused: a sweep solves its rows "
-                "in order on one thread",
-    }
+    flag_help = {"out": "output directory", "tol": "solver tolerance"}
 
     def configured(name, flags, **kwargs):
         """A subcommand that reads --config; each of ``flags`` replaces that config key."""
@@ -549,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_rearrange)
 
     p = configured(
-        "sweep", ("out", "tol", "jobs"), help="parameter sweep writing sweep.csv",
+        "sweep", ("out", "tol"), help="parameter sweep writing sweep.csv",
         description="Solve one row per value of --range, in order. A row starts from "
                     "the Newton extrapolant Q + dQ + ... + d^p Q of the backward "
                     "differences of its last converged rows (Q_(k-1) alone after one): "
@@ -616,8 +608,14 @@ def _fix_heap_thresholds() -> None:
     a process that read a 256^2 ground state from its GNF1 file, the fastest
     of 20 reports took 4.3 to 6.4 ms under the defaults and 2.4 to 2.8 ms with
     these thresholds, and ``phase_affinity`` 2.6 to 2.9 ms against 1.5 to
-    1.9 ms (2-CPU machine, one BLAS thread).  After an in-process 256^2 solve
-    the defaults had already risen, and the two matched.
+    1.9 ms (2-CPU machine, one BLAS thread).  A solve of the 256^2 state in
+    the same process does not make up for the call: the benchmark's
+    verify-2d, which makes that solve during its set-up, took 5.46 to 5.99 ms
+    for its fastest op without the call and 3.41 to 3.52 ms with it (medians
+    5.71 and 3.47 ms, five alternating pairs of 12 s runs, 2-CPU machine),
+    and peaked at 59.7 MB resident against 60.6 to 60.7 MB.  sweep-1d, whose
+    arrays of 1,024 points stay below the 128 KiB default, read 15.6 to
+    15.8 ms with the call and 15.6 to 16.4 ms without (two pairs).
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -641,9 +639,6 @@ def main(argv=None) -> int:
     except GnfFormatError as exc:
         print(f"field file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DisconnectedSupportError as exc:
-        print(f"verify error: {exc}", file=sys.stderr)
-        return EXIT_DISCONNECTED
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -36,9 +36,9 @@ Without ``out=``, numpy allocates a new array per axis, which made a 256^2
 transform about twice as slow.
 
 Equal grids share one set of read-only tables (:func:`_grid_tables`): the
-modulation tables, the band-limited one, and the axes that
-:meth:`Grid.coords`, :meth:`Grid.freqs`, :meth:`Grid.coord_mesh` and
-:meth:`Grid.freq_mesh` return.  They are built
+modulation tables, the band-limited one, the Nyquist mask it is cut with, and
+the axes that :meth:`Grid.coords`, :meth:`Grid.freqs`, :meth:`Grid.coord_mesh`
+and :meth:`Grid.freq_mesh` return.  They are built
 once per distinct grid, not once per call: the rows of a sweep and a grid read
 again from a file reuse them.
 
@@ -153,7 +153,7 @@ class Grid:
 
         Cached per grid and read-only: index with it, do not write into it.
         """
-        return self._nyquist
+        return self._tables.nyquist
 
     # Per-grid tables, computed on first use.  Read-only because grids (and
     # with them these arrays) are shared with the worker thread of a symmetry
@@ -167,27 +167,8 @@ class Grid:
         )
 
     @cached_property
-    def _nyquist(self) -> np.ndarray:
-        mask = np.zeros(self.sizes, dtype=bool)
-        for axis, n in enumerate(self.sizes):
-            sl = [slice(None)] * self.ndim
-            sl[axis] = n // 2
-            mask[tuple(sl)] = True
-        return _read_only(mask)
-
-    @cached_property
     def _tables(self) -> "_GridTables":
         return _grid_tables(self)
-
-    @property
-    def _modulation(self) -> tuple[np.ndarray, np.ndarray]:
-        """(forward, inverse) tables (-1)**(k_1 + ... + k_n) * scale**(+-1)."""
-        return self._tables.forward, self._tables.inverse
-
-    @property
-    def _band_limited_forward(self) -> np.ndarray:
-        """The forward table with the Nyquist bins zeroed."""
-        return self._tables.band_limited_forward
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -199,6 +180,7 @@ class _GridTables(NamedTuple):
     forward: np.ndarray  # (-1)**(k_1 + ... + k_n) * scale
     inverse: np.ndarray  # (-1)**(k_1 + ... + k_n) / scale
     band_limited_forward: np.ndarray  # forward, 0 on the Nyquist bins
+    nyquist: np.ndarray  # boolean, True on the bins carrying a Nyquist index
     coords: tuple[np.ndarray, ...]  # per axis
     freqs: tuple[np.ndarray, ...]  # per axis, FFT order
     coord_mesh: tuple[np.ndarray, ...]  # the coords, shaped to broadcast
@@ -225,16 +207,18 @@ def _grid_tables(grid: Grid) -> _GridTables:
     sign = 1.0 - 2.0 * parity
     scale = math.prod(grid.spacing(i) / math.sqrt(TAU) for i in range(grid.ndim))
     forward = sign * scale
-    band = forward.copy()
+    nyquist = np.zeros(grid.sizes, dtype=bool)
     for axis, n in enumerate(grid.sizes):
-        band[(slice(None),) * axis + (n // 2,)] = 0.0
+        nyquist[(slice(None),) * axis + (n // 2,)] = True
+    band = np.where(nyquist, 0.0, forward)
     coords = [_read_only((np.arange(n) - n // 2) * grid.spacing(i))
               for i, n in enumerate(grid.sizes)]
     # fftfreq(N, d=dx) * 2*pi == pi*k/L in FFT storage order
     freqs = [_read_only(TAU * np.fft.fftfreq(n, d=grid.spacing(i)))
              for i, n in enumerate(grid.sizes)]
     return _GridTables(_read_only(forward), _read_only(sign / scale), _read_only(band),
-                       tuple(coords), tuple(freqs), _mesh(coords), _mesh(freqs),
+                       _read_only(nyquist), tuple(coords), tuple(freqs),
+                       _mesh(coords), _mesh(freqs),
                        tuple(([(axis,), (), (axis,)], 1.0 / grid.sizes[axis])
                              for axis in range(-1, -grid.ndim - 1, -1)))
 
@@ -247,7 +231,7 @@ def _phys_to_spec(grid: Grid, values: np.ndarray, band_limited: bool = False,
     spec = np.empty(grid.sizes, dtype=np.complex128) if out is None else out
     for axes, _ in tables.fft_steps:
         values = _pocketfft.fft(values, 1.0, axes=axes, out=spec)
-    spec *= grid._band_limited_forward if band_limited else tables.forward
+    spec *= tables.band_limited_forward if band_limited else tables.forward
     return spec
 
 

@@ -92,19 +92,24 @@ def sigma_star(order: float, ndim: int) -> float:
 
 @dataclass(frozen=True)
 class Problem:
-    """A validated boosted ground-state problem on a fixed grid."""
+    """A validated boosted ground-state problem on a fixed grid.
+
+    ``weight`` is the spectral diagonal p(xi) - v.xi + omega, strictly
+    positive.  It is built once per problem and read-only, so the residual
+    worker of a symmetry report reads it without allocating it.
+    """
 
     bsym: BoostedSymbol
     omega: float
     sigma: int
     grid: Grid
     floor: float
-    _weight: np.ndarray = field(init=False, repr=False, compare=False)
+    weight: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         weight = self.bsym.on_grid(self.grid) + self.omega
         weight.setflags(write=False)
-        object.__setattr__(self, "_weight", weight)
+        object.__setattr__(self, "weight", weight)
 
     @classmethod
     def make(cls, bsym: BoostedSymbol, omega: float, sigma: int, grid: Grid) -> "Problem":
@@ -133,14 +138,6 @@ class Problem:
                 f"requires omega > -Sigma_v; got omega = {omega:g}, Sigma_v = {floor:g}"
             )
         return cls(bsym, float(omega), sigma, grid, floor)
-
-    def weight(self) -> np.ndarray:
-        """Spectral diagonal p(xi) - v.xi + omega, strictly positive.
-
-        Built once per problem and read-only, so the residual worker of a
-        symmetry report reads it without allocating it.
-        """
-        return self._weight
 
 
 @dataclass(frozen=True)
@@ -191,7 +188,7 @@ def gaussian_init(grid: Grid, width: float = 1.0, phase=None) -> Field:
     return Field.from_values(grid, vals)
 
 
-def _state(prob: Problem, spec: np.ndarray, vals: np.ndarray, weight: np.ndarray):
+def _state(prob: Problem, spec: np.ndarray, vals: np.ndarray):
     """(J, quadratic form, |u|^(2 sigma), w u^) of the state with this spectrum and these values.
 
     One |u|^2 pass gives both the L^(2 sigma + 2) mass under J and the factor
@@ -204,16 +201,14 @@ def _state(prob: Problem, spec: np.ndarray, vals: np.ndarray, weight: np.ndarray
     denom = float(np.vdot(nl_mod, mod2)) * prob.grid.cell_volume()
     if denom == 0.0:
         raise ZeroFieldError("the quotient is undefined at the zero field")
-    wspec = weight * spec
+    wspec = prob.weight * spec
     quad = float(np.vdot(spec, wspec).real) * prob.grid.freq_cell_volume()
     return quad ** (prob.sigma + 1) / denom, quad, nl_mod, wspec
 
 
-def weinstein(prob: Problem, u: Field, weight: np.ndarray | None = None) -> float:
+def weinstein(prob: Problem, u: Field) -> float:
     """The minimized quotient; scale invariant and positive away from zero."""
-    if weight is None:
-        weight = prob.weight()
-    return _state(prob, u.spectrum, u.values, weight)[0]
+    return _state(prob, u.spectrum, u.values)[0]
 
 
 def _nonlinearity(grid: Grid, nl_mod: np.ndarray, vals: np.ndarray, work=None,
@@ -250,17 +245,16 @@ def _nonlinear_spectrum(prob: Problem, u: Field, scratch) -> np.ndarray:
     return _nonlinearity(prob.grid, nl_mod, vals, work, nl_spec)
 
 
-def _residual_parts(prob: Problem, u: Field, weight: np.ndarray, nl_spec: np.ndarray,
-                    scratch) -> float:
+def _residual_parts(prob: Problem, u: Field, nl_spec: np.ndarray, scratch) -> float:
     """The spectral half of a unit residual: ||w u^ - N^|| / ||w u^|| for the
-    weight w = P_v + omega (:meth:`Problem.weight`) and the nonlinearity's
+    weight w = P_v + omega (``Problem.weight``) and the nonlinearity's
     spectrum ``nl_spec`` (:func:`_nonlinear_spectrum`).
 
     w u^ goes to the first complex buffer of ``scratch`` and the difference to
     its third; ``nl_spec`` is only read.
     """
     _, lhs, _, miss = scratch
-    np.multiply(weight, u.spectrum, out=lhs)
+    np.multiply(prob.weight, u.spectrum, out=lhs)
     lhs_norm = flat_norm(lhs)
     if lhs_norm == 0.0:
         raise ZeroFieldError("residual of the zero field")
@@ -282,7 +276,7 @@ def unit_residual(prob: Problem, Q: Field, scratch=None, nl_spec=None) -> float:
         scratch = residual_scratch(prob.grid)
     if nl_spec is None:
         nl_spec = _nonlinear_spectrum(prob, Q, scratch)
-    return _residual_parts(prob, Q, prob.weight(), nl_spec, scratch)
+    return _residual_parts(prob, Q, nl_spec, scratch)
 
 
 def centroid(f: Field) -> np.ndarray:
@@ -363,8 +357,7 @@ def minimize(prob: Problem, init: Field | None = None,
         v = np.asarray(prob.bsym.velocity)
         init = gaussian_init(grid, opts.init_width, 0.5 * v if v.any() else None)
 
-    weight = prob.weight()
-    inv_weight = 1.0 / weight
+    inv_weight = 1.0 / prob.weight
     gamma = (2.0 * prob.sigma + 1.0) / (2.0 * prob.sigma)
     dxi = grid.freq_cell_volume()
 
@@ -374,7 +367,7 @@ def minimize(prob: Problem, init: Field | None = None,
     spec = init.spectrum * (1.0 / l2)
     vals = fields._spec_to_phys(grid, spec)
     del init  # from here on the state is carried as arrays
-    j_cur, quad, nl_mod, wspec = _state(prob, spec, vals, weight)
+    j_cur, quad, nl_mod, wspec = _state(prob, spec, vals)
 
     trace: list[TraceRow] = []
     converged = False
@@ -445,18 +438,18 @@ def minimize(prob: Problem, init: Field | None = None,
             mix[0, :m] = coef
             cand = g - (mix[:, :m] @ d_g[:m])[0].view(complex).reshape(grid.sizes)
             cand_vals = fields._spec_to_phys(grid, cand)
-            j_new, quad_new, nl_new, w_new = _state(prob, cand, cand_vals, weight)
+            j_new, quad_new, nl_new, w_new = _state(prob, cand, cand_vals)
             row.accelerated = j_new <= j_cur + slack
             if not row.accelerated:
                 count = 0
         if not row.accelerated:
             cand = g
             cand_vals = fields._spec_to_phys(grid, cand)
-            j_new, quad_new, nl_new, w_new = _state(prob, cand, cand_vals, weight)
+            j_new, quad_new, nl_new, w_new = _state(prob, cand, cand_vals)
             while j_new > j_cur + slack and row.halvings < DAMP_LIMIT:
                 cand = 0.5 * (cand + spec)
                 cand_vals = fields._spec_to_phys(grid, cand)
-                j_new, quad_new, nl_new, w_new = _state(prob, cand, cand_vals, weight)
+                j_new, quad_new, nl_new, w_new = _state(prob, cand, cand_vals)
                 row.halvings += 1
 
         spec, vals, nl_mod, quad, j_cur, wspec = cand, cand_vals, nl_new, quad_new, j_new, w_new
@@ -470,7 +463,7 @@ def minimize(prob: Problem, init: Field | None = None,
     else:
         # converged judges q, as canonicalize resamples an off-centre state
         res_final = unit_residual(prob, q)
-        j_final = weinstein(prob, q, weight)
+        j_final = weinstein(prob, q)
     return SolveReport(
         Q=q,
         J_value=j_final,

@@ -39,11 +39,7 @@ took 1.3 to 1.5 ms for the support cut, 2.0 to 2.1 ms for the phase fit and
 for the nonlinearity's spectrum, 0.53 to 0.61 ms for the spectral half of
 the residual and 0.88 to 0.92 ms for the rearrangement defect.  The two
 lanes ended 3.5 to 3.8 ms and 4.0 to 4.3 ms into the report, and the worker
-no longer waited at the handoff.  When the worker transformed the
-nonlinearity only after the handoff, and the phase fit read its slope guess
-from every neighbour pair of the lattice, the same reports took 4.3 to
-5.0 ms: 2.5 to 2.9 ms for the phase fit and 1.9 to 2.3 ms for the residual,
-which could start only once the support was cut.
+did not wait at the handoff.
 
 No call on either side of the overlap may hand a lattice-sized operand to
 BLAS (``np.vdot``, ``np.dot``, ``@``, ``np.linalg``): OpenBLAS threads such a
@@ -61,21 +57,18 @@ stages lives in the calling thread's four buffers, which are free once the
 residual has returned, and the problem's weight and the grid's tables are
 built before any report.  So the calling thread's heap takes the same
 layout in every report, and a repeated report maps no fresh pages
-(``cli._fix_heap_thresholds``), whichever axis it rearranges about.  When
-the worker allocated its own temporaries in the calling thread's heap (glibc
-capped at one arena), 13 of 60 repeated 256^2 reports (ten fresh processes,
-six each after a first one) mapped 130 to 1,030 fresh pages.  The worker's
-small temporaries go to its own glibc arena: after 300 256^2 ``verify``
-runs in one process it had grown to 144 KiB, against 148 KiB when the worker
-took only the residual (see :func:`_s1_defect` for the 256 KiB that a
-strided subtraction added).
+(``cli._fix_heap_thresholds``), whichever axis it rearranges about.  A
+worker that allocated its own temporaries in the calling thread's heap
+(glibc capped at one arena) made 13 of 60 repeated 256^2 reports (ten fresh
+processes, six each after a first one) map 130 to 1,030 fresh pages.  The
+worker's small temporaries go to its own glibc arena: after 300 256^2
+``verify`` runs in one process it had grown to 144 KiB (see
+:func:`_s1_defect` for the 256 KiB that a strided subtraction would add).
 
 Starting and joining a thread costs 40 to 70 us, and on small lattices the
 two threads cost more than their overlap saves: the fastest of 3,000 1D
 reports of 1,024 points took 0.17 to 0.18 ms with the stages run one after
-another and 0.32 to 0.44 ms on two threads (0.29 to 0.35 ms when the worker
-took only the residual, with no handoff; 0.30 to 0.40 ms both before and
-after the nonlinearity moved ahead of the handoff).  There is no switch by
+another and 0.32 to 0.44 ms on two threads.  There is no switch by
 size; the one code path serves every lattice, and no measured workload makes
 small reports.
 """
@@ -95,10 +88,13 @@ from .fields import TAU, Field, flat_norm, solve_small
 from .rearrange import rearrange_modulus
 from .solver import Problem, _nonlinear_spectrum, residual_scratch, unit_residual
 
+DEFECT_MAX = 1e-5  # gate of s1, s2 and the rearrangement defect in a verdict
+SUPPORT_TAU = 1e-8  # the support is where |Q_hat| exceeds this share of its maximum
+
 
 @dataclass
 class SupportSet:
-    """Thresholded spectral support: mask = { |Q_hat| > tau * max |Q_hat| }.
+    """Thresholded spectral support: mask = { |Q_hat| > SUPPORT_TAU * max |Q_hat| }.
 
     ``modulus`` is the |Q_hat| that :func:`support_set` cut the mask from, FFT
     order; the phase fit weighs by it.  None for a mask given directly.
@@ -139,12 +135,10 @@ def _centered(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def support_set(f: Field, tau: float = 1e-8) -> SupportSet:
-    """The bins where |f_hat| exceeds tau times its maximum; |f_hat|, taken
-    once, is kept as the ``modulus``.  A field with a NaN or infinite value
-    raises ``ValueError``, the zero field :class:`ZeroFieldError`."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie in (0, 1)")
+def support_set(f: Field) -> SupportSet:
+    """The bins where |f_hat| exceeds :data:`SUPPORT_TAU` times its maximum;
+    |f_hat|, taken once, is kept as the ``modulus``.  A field with a NaN or
+    infinite value raises ``ValueError``, the zero field :class:`ZeroFieldError`."""
     with np.errstate(invalid="ignore", over="ignore"):  # refused below
         mag = np.abs(f.spectrum)
     top = float(mag.max())  # NaN if any |f_hat| is NaN
@@ -152,7 +146,7 @@ def support_set(f: Field, tau: float = 1e-8) -> SupportSet:
         raise ValueError("support of a field with non-finite values")
     if top == 0.0:
         raise ZeroFieldError("support of the zero field is empty")
-    return SupportSet(mag > tau * top, mag)
+    return SupportSet(mag > SUPPORT_TAU * top, mag)
 
 
 def _line_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -315,7 +309,7 @@ def _gram_index(ndim: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ..
     return tuple(summed[..., j] for j in range(ndim)), tuple(powers.T)
 
 
-def phase_affinity(f: Field, s: SupportSet | None = None, tau: float = 1e-8) -> PhaseFit:
+def phase_affinity(f: Field, s: SupportSet | None = None) -> PhaseFit:
     """Fit arg Q_hat ~ alpha + beta . xi over the connected support.
 
     A slope guess beta0 is read from the neighbour increments on the n axis
@@ -335,13 +329,10 @@ def phase_affinity(f: Field, s: SupportSet | None = None, tau: float = 1e-8) -> 
     pairs of the peak's lines give the guess that all pairs would, up to
     rounding, and alpha, beta and the residual below change only by
     rounding; in one dimension the line is the lattice.  The lines cost n
-    products of one line each, where all pairs cost n lattice-sized ones: at
-    256^2 the fit took 1.31 to 1.37 ms against 1.92 to 1.96 ms (one BLAS
-    thread, heap thresholds fixed as the CLI fixes them, fastest of 15 x 100
-    calls, three processes each).  A phase that is not affine may give other
-    cuts, hence another fit, than a guess over every pair would; its
-    spectrum is far from real after either fit is removed, so its s2 defect,
-    and its verdict, stay "fail".
+    products of one line each, where all pairs would cost n lattice-sized
+    ones.  A phase that is not affine may give other cuts, hence another fit,
+    than a guess over every pair would; its spectrum is far from real after
+    either fit is removed, so its s2 defect, and its verdict, stay "fail".
 
     Finally y is fitted by weighted least squares with weights |Q_hat|^2 on
     the support and 0 off it.  The fit solves the (n+1) x (n+1) moment (Gram)
@@ -362,11 +353,11 @@ def phase_affinity(f: Field, s: SupportSet | None = None, tau: float = 1e-8) -> 
     (measured on single bins, lines and planes of up to 512 bins), under the
     cut of ``lstsq`` at (n+1) ulp.
 
-    Raises :class:`DisconnectedSupportError` when the mask has several
-    components.
+    ``s`` defaults to :func:`support_set` of ``f``.  Raises
+    :class:`DisconnectedSupportError` when the mask has several components.
     """
     if s is None:
-        s = support_set(f, tau)
+        s = support_set(f)
     if not is_connected(s):
         raise DisconnectedSupportError("phase unwrapping needs a connected support")
 
@@ -420,9 +411,6 @@ def phase_affinity(f: Field, s: SupportSet | None = None, tau: float = 1e-8) -> 
     return PhaseFit(math.remainder(alpha, TAU), tuple(float(b) for b in beta), residual)
 
 
-DEFECT_MAX = 1e-5  # gate of s1, s2 and the rearrangement defect in a verdict
-
-
 @dataclass
 class SymmetryReport:
     """Quantitative defects for the ground-state symmetry properties.
@@ -455,17 +443,17 @@ class SymmetryReport:
         )
 
 
-def _s1_defect(f: Field, axis: int, diff: np.ndarray | None = None) -> float:
+def _s1_defect(f: Field, axis: int, diff: np.ndarray) -> float:
     """Worst relative change of Q under a transverse reflection or axis swap.
 
     The periodic reflection about the centered origin along axis t maps index
     i to -i mod N: bin 0 stays and bins 1 .. N-1 reverse.  The reflection is
-    copied into ``diff``, a complex lattice-sized buffer (a new one when
-    None), by two slice assignments, and Q minus it is formed there by one
-    subtraction of whole arrays.  A subtraction over the row slices themselves
-    is strided, so numpy runs it through an iterator with two 128 KiB
-    buffers: on the 256^2 lattice it took 0.17 ms against 0.11 ms, and on
-    the report's worker thread its buffers grew that thread's heap by 256 KiB.
+    copied into ``diff``, a complex lattice-sized buffer, by two slice
+    assignments, and Q minus it is formed there by one subtraction of whole
+    arrays.  A subtraction over the row slices themselves is strided, so
+    numpy runs it through an iterator with two 128 KiB buffers: on the 256^2
+    lattice it took 0.17 ms against 0.11 ms, and on the report's worker
+    thread its buffers grew that thread's heap by 256 KiB.
     """
     grid = f.grid
     if grid.ndim == 1:
@@ -474,8 +462,6 @@ def _s1_defect(f: Field, axis: int, diff: np.ndarray | None = None) -> float:
     denom = flat_norm(vals)
     worst = 0.0
     transverse = [i for i in range(grid.ndim) if i != axis]
-    if diff is None:
-        diff = np.empty_like(vals)
     for t in transverse:
         lead = (slice(None),) * t
         diff[lead + (0,)] = vals[lead + (0,)]
@@ -570,7 +556,7 @@ def _worker_stages(out: list, prob: Problem, f: Field, axis: int, cut: list,
         out.append(exc)
 
 
-def symmetry_report(f: Field, prob: Problem, axis: int = 0, tau: float = 1e-8) -> SymmetryReport:
+def symmetry_report(f: Field, prob: Problem, axis: int = 0) -> SymmetryReport:
     """Populate all symmetry defects, and the unit residual of ``prob``, for a
     candidate ground state.
 
@@ -599,7 +585,7 @@ def symmetry_report(f: Field, prob: Problem, axis: int = 0, tau: float = 1e-8) -
     worker.start()
     try:
         try:
-            cut.append(support_set(f, tau))  # forms the spectrum
+            cut.append(support_set(f))  # forms the spectrum
         finally:
             handoff.set()
         s = cut[0]
@@ -620,12 +606,12 @@ def symmetry_report(f: Field, prob: Problem, axis: int = 0, tau: float = 1e-8) -
     )
 
 
-def sweep_defects(f: Field, axis: int = 0, tau: float = 1e-8) -> tuple[float, float]:
+def sweep_defects(f: Field, axis: int = 0) -> tuple[float, float]:
     """``(s2_defect, modulus_rearranged_defect)``, the defects a sweep row writes.
 
     The values and errors of :func:`symmetry_report`, from the same stages
     on one thread, without its s1 and residual.
     """
-    s = support_set(f, tau)
+    s = support_set(f)
     return (_s2_defect(f, _phase_fit(f, s), s.modulus),
             _modulus_rearranged_defect(f, axis, s.modulus))

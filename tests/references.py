@@ -18,7 +18,7 @@ def profile_residual(prob: bw.Problem, Q: bw.Field) -> float:
     relative to ||(P_v + omega) Q||."""
     vals = Q.values
     nl_spec = solver._nonlinearity(prob.grid, np.abs(vals) ** (2 * prob.sigma), vals)
-    lhs = prob.weight() * Q.spectrum
+    lhs = prob.weight * Q.spectrum
     lhs_norm = flat_norm(lhs)
     nl_norm2 = real_dot(nl_spec, nl_spec)
     if nl_norm2 == 0.0:

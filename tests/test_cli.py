@@ -109,6 +109,7 @@ def test_config_errors_carry_line_numbers(tmp_path, capsys):
     ("biharmonic; mu = inf", "symbol parameter 'mu' must be finite, got inf"),
     ("sqrt_klein_gordon; m = nan", "symbol parameter 'm' must be finite, got nan"),
     ("sqrt_klein_gordon; m = inf", "symbol parameter 'm' must be finite, got inf"),
+    ("fractional; s = 1; s = 0.75", "duplicate symbol parameter 's'"),
 ])
 def test_symbol_errors_carry_one_line_number(tmp_path, capsys, symbol, message):
     cfg = tmp_path / "symbol.cfg"
@@ -412,34 +413,29 @@ def test_sweep_range_negative_start_as_separate_word(classical_cfg, tmp_path):
     assert [float(line.split(",")[0]) for line in lines[1:]] == [-0.5, 0.0, 0.5, 1.0]
 
 
-def test_sweep_jobs_deterministic(classical_cfg, tmp_path):
-    # sweep.csv must not depend on --jobs, and a rerun must repeat the bytes
+def test_sweep_jobs_deterministic(tmp_path):
+    # sweep.csv must not depend on the jobs key, and a rerun must repeat the bytes
     rows = 15
     outs = [tmp_path / f"s{i}" for i in range(3)]
     for out, jobs in zip(outs, ("2", "1", "1")):
-        assert run("sweep", "--config", classical_cfg, "--param", "omega",
-                   "--range", f"0.8:1.2:{rows}", "--out", out, "--jobs", jobs) == 0
+        cfg = tmp_path / f"jobs{jobs}.cfg"
+        cfg.write_text(CLASSICAL + f"jobs = {jobs}\n")
+        assert run("sweep", "--config", cfg, "--param", "omega",
+                   "--range", f"0.8:1.2:{rows}", "--out", out) == 0
     first = (outs[0] / "sweep.csv").read_bytes()
     assert len(first.splitlines()) == rows + 1
     assert all((out / "sweep.csv").read_bytes() == first for out in outs[1:])
 
 
-@pytest.mark.parametrize("where, text", [("config", "jobs = 0"), ("flag", "--jobs -3")])
-def test_jobs_below_one_is_config_error(classical_cfg, tmp_path, capsys, where, text):
-    cfg, extra = classical_cfg, ()
-    if where == "config":
-        cfg = tmp_path / "jobs.cfg"
-        cfg.write_text(CLASSICAL + f"{text}\n")
-    else:
-        extra = tuple(text.split())
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_jobs_below_one_is_config_error(tmp_path, capsys, value):
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text(CLASSICAL + f"jobs = {value}\n")
     assert run("sweep", "--config", cfg, "--param", "v", "--range", "0:0.5:2",
-               "--out", tmp_path / "s", *extra) == 1
+               "--out", tmp_path / "s") == 1
+    lineno = len(cfg.read_text().splitlines())
     err = capsys.readouterr().err
-    if where == "config":
-        lineno = cfg.read_text().splitlines().index(text) + 1
-        assert f"config error: line {lineno}: jobs must be >= 1, got 0" in err
-    else:
-        assert err == "config error: jobs must be >= 1, got -3\n"
+    assert err == f"config error: line {lineno}: jobs must be >= 1, got {value}\n"
     assert not (tmp_path / "s" / "sweep.csv").exists()
 
 
@@ -500,7 +496,7 @@ def test_bad_value_is_one_line_numbered_config_error(tmp_path, capsys, key, valu
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("tol, message", [  # --jobs: test_jobs_below_one_is_config_error
+@pytest.mark.parametrize("tol, message", [
     ("-1", "tol must be positive and finite, got -1.0"),
     ("x", "bad number for 'tol': 'x'"),
 ])
@@ -512,7 +508,7 @@ def test_flag_value_gets_its_key_check(classical_cfg, tmp_path, capsys, tol, mes
 
 # keys the config does not take: verify gates s1, s2 and modrearr on the
 # constant verify.DEFECT_MAX and the residual on tol; the support threshold
-# and the cold start's phase are the library's defaults
+# is the constant verify.SUPPORT_TAU, and the cold start's phase the library's
 @pytest.mark.parametrize("key, value", [
     ("seed", "1"), ("minkowski_max", "0.05"), ("s1_max", "1e-5"), ("s2_max", "1e-5"),
     ("modrearr_max", "1e-5"), ("tau", "1e-8"), ("init_phase", "0"),
@@ -528,7 +524,7 @@ def test_removed_key_is_unknown(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("command, flag", [
     ("solve", "--seed"), ("verify", "--seed"), ("sweep", "--seed"),
-    ("solve", "--jobs"), ("verify", "--jobs"),
+    ("solve", "--jobs"), ("verify", "--jobs"), ("sweep", "--jobs"),
     ("verify", "--tol"),
 ])
 def test_removed_flags_are_rejected(classical_cfg, tmp_path, capsys, command, flag):
@@ -588,15 +584,18 @@ def test_cli_and_1d_runs_leave_scipy_unloaded(classical_cfg, tmp_path):
 
 def test_sweep_leaves_the_thread_pool_unloaded(classical_cfg, tmp_path):
     # concurrent.futures, and logging with it, cost ~4 ms of every start-up;
-    # a sweep solves its rows on one thread, whatever --jobs says
+    # a sweep solves its rows on one thread, whatever the jobs key says
     code = (
         "import sys\n"
+        "from pathlib import Path\n"
         "from boostedwaves import cli\n"
-        "cfg, out = sys.argv[1:]\n"
+        "base, out = sys.argv[1:]\n"
         "pool = ('concurrent.futures', 'logging')\n"
         "for jobs in ('1', '2'):\n"
-        "    assert cli.main(['sweep', '--config', cfg, '--out', out, '--param', 'v',\n"
-        "                     '--range', '0:0.4:7', '--jobs', jobs]) == 0\n"
+        "    cfg = Path(out + f'-jobs{jobs}.cfg')\n"
+        "    cfg.write_text(Path(base).read_text() + f'jobs = {jobs}\\n')\n"
+        "    assert cli.main(['sweep', '--config', str(cfg), '--out', out, '--param', 'v',\n"
+        "                     '--range', '0:0.4:7']) == 0\n"
         "    print([m for m in pool if m in sys.modules])\n"
     )
     proc = _run_python(code, classical_cfg, tmp_path / "run")

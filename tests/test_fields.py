@@ -66,7 +66,7 @@ def test_transform_pair_matches_shifted_reference(sizes, half_lengths):
     assert np.array_equal(x, x_before)  # neither direction writes its input
 
     # per-axis transforms in fftn's order: bit-equal to fftn / ifftn and the table
-    forward, inverse = g._modulation
+    forward, inverse = g._tables.forward, g._tables.inverse
     assert np.array_equal(spec, np.fft.fftn(x) * forward)
     assert np.array_equal(phys, np.fft.ifftn(x * inverse))
     assert np.array_equal(fields._phys_to_spec(g, x.real), np.fft.fftn(x.real) * forward)
@@ -74,12 +74,17 @@ def test_transform_pair_matches_shifted_reference(sizes, half_lengths):
     # the band-limited forward transform is the spectrum with the Nyquist bins zeroed
     band = fields._phys_to_spec(g, x, band_limited=True)
     nyquist = g.nyquist_mask()
+    assert np.array_equal(nyquist, np.logical_or.reduce(
+        [k == n // 2 for k, n in zip(np.indices(g.sizes), g.sizes)]))
     assert np.all(band[nyquist] == 0)
     assert np.array_equal(band[~nyquist], spec[~nyquist])
 
     # the per-grid tables are computed once and shared read-only
-    cached = (*g._modulation, g._band_limited_forward, g.nyquist_mask())
-    again = (*g._modulation, g._band_limited_forward, g.nyquist_mask())
+    def tables(grid):
+        return (grid._tables.forward, grid._tables.inverse,
+                grid._tables.band_limited_forward, grid.nyquist_mask())
+
+    cached, again = tables(g), tables(g)
     assert all(a is b for a, b in zip(cached, again))
     for table in cached:
         assert table.shape == g.sizes and not table.flags.writeable
@@ -90,7 +95,7 @@ def test_transform_pair_matches_shifted_reference(sizes, half_lengths):
     # with the values the axes had when they were built on every call
     def shared(grid):
         axes = range(grid.ndim)
-        return (*grid._modulation, *(grid.coords(i) for i in axes),
+        return (grid._tables.forward, grid._tables.inverse, *(grid.coords(i) for i in axes),
                 *(grid.freqs(i) for i in axes), *grid.coord_mesh(), *grid.freq_mesh())
 
     twin = bw.Grid.make(sizes, half_lengths)

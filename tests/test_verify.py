@@ -21,11 +21,22 @@ def test_support_set_gaussian_radius():
     g = bw.Grid.make(512, 20.0)
     xi = g.freqs(0)
     f = bw.Field.from_spectrum(g, np.exp(-(xi**2) / 2).astype(complex))
-    s = bw.support_set(f, tau=1e-8)
+    s = bw.support_set(f)
     # |Q_hat| > tau  <=>  |xi| < sqrt(-2 ln tau)
-    radius = np.sqrt(-2.0 * np.log(1e-8))
+    radius = np.sqrt(-2.0 * np.log(verify.SUPPORT_TAU))
     expected = np.abs(xi) < radius
     assert np.array_equal(s.mask, expected)
+
+
+def test_support_threshold_is_the_verify_constant():
+    # a bin just above SUPPORT_TAU * max |Q_hat| is in the mask, one just below is out
+    g = bw.Grid.make(64, 5.0)
+    spec = np.zeros(64, dtype=complex)
+    spec[0] = 2.0
+    cut = verify.SUPPORT_TAU * 2.0
+    spec[[1, 2]] = [(1 + 1e-6) * cut, -1j * (1 - 1e-6) * cut]
+    mask = bw.support_set(bw.Field.from_spectrum(g, spec)).mask
+    assert np.array_equal(np.flatnonzero(mask), [0, 1])
 
 
 def test_support_set_rejects_zero_field():
@@ -56,7 +67,7 @@ def test_support_of_sech_state_is_one_interval(classical_report):
     # thresholded mask must be a single centered interval
     val, _ = quad(lambda x: np.cos(2.0 * x) / np.cosh(x), -40.0, 40.0)
     assert val > 0  # spectrum positive at xi = 2
-    s = bw.support_set(classical_report.Q, tau=1e-8)
+    s = bw.support_set(classical_report.Q)
     idx = np.sort(np.where(np.fft.fftshift(s.mask))[0])
     assert np.all(np.diff(idx) == 1)
     assert bw.is_connected(s)
@@ -313,14 +324,14 @@ def test_minkowski_fold_is_the_support_of_the_nonlinearity(sigma):
     u = bw.Field.from_spectrum(g, spec.astype(complex))
     vals = u.values
     nonlinear = bw.Field.from_values(g, np.abs(vals) ** (2 * sigma) * vals)
-    out = bw.support_set(nonlinear, tau=1e-9)
+    out = bw.support_set(nonlinear)
     lo, hi = xi[out.mask].min(), xi[out.mask].max()
     assert abs(lo - ((sigma + 1) * a - sigma * b)) <= step
     assert abs(hi - ((sigma + 1) * b - sigma * a)) <= step
     assert np.all(out.mask[(xi >= lo) & (xi <= hi)])  # one interval
     # read through its sum: S lies in the fold, and the fold fits in the box,
     # so |fold| = |S| (1 + defect) is the number of bins of the nonlinearity
-    s = bw.support_set(u, tau=1e-9)
+    s = bw.support_set(u)
     assert np.array_equal(s.mask, on)
     fold = s.mask.sum() * (1.0 + _suite_defect(s, sigma))
     assert fold == pytest.approx(out.mask.sum(), abs=1e-9)
@@ -360,7 +371,7 @@ def test_phase_affinity_requires_connected_support():
     spec = np.where((np.abs(xi) > 2.0) & (np.abs(xi) < 4.0), 1.0, 0.0)
     f = bw.Field.from_spectrum(g, spec.astype(complex))
     with pytest.raises(bw.DisconnectedSupportError):
-        bw.phase_affinity(f, tau=1e-3)
+        bw.phase_affinity(f)
 
 
 def _reference_phase_fit(f, s):
@@ -532,7 +543,7 @@ def test_symmetry_report_disconnected_is_flagged_not_raised():
     xi = g.freqs(0)
     spec = np.where((np.abs(xi) > 2.0) & (np.abs(xi) < 4.0), 1.0, 0.0)
     f = bw.Field.from_spectrum(g, spec.astype(complex))
-    rep = bw.symmetry_report(f, _problem(g), axis=0, tau=1e-3)
+    rep = bw.symmetry_report(f, _problem(g), axis=0)
     assert not rep.connected
     assert rep.phase is None
 
@@ -574,12 +585,12 @@ def test_sweep_defects_are_the_reports(classical_report, halfwave_report, frac2d
     spec = np.zeros(64, dtype=complex)
     spec[[3, 4, 20, 21]] = [1.0, 0.5j, 0.7, 0.2]
     gapped = bw.Field.from_spectrum(g, spec)
-    for f, axis, tau in ((classical_report.Q, 0, 1e-8), (halfwave_report.Q, 0, 1e-8),
-                         (frac2d_report.Q, 1, 1e-8), (gapped, 0, 1e-3)):
-        rep = bw.symmetry_report(f, _problem(f.grid), axis=axis, tau=tau)
-        got = verify.sweep_defects(f, axis=axis, tau=tau)
+    for f, axis in ((classical_report.Q, 0), (halfwave_report.Q, 0), (frac2d_report.Q, 1),
+                    (gapped, 0)):
+        rep = bw.symmetry_report(f, _problem(f.grid), axis=axis)
+        got = verify.sweep_defects(f, axis=axis)
         assert got == (rep.s2_defect, rep.modulus_rearranged_defect)
-    assert not bw.symmetry_report(gapped, _problem(g), tau=1e-3).connected
+    assert not bw.symmetry_report(gapped, _problem(g)).connected
     zero = bw.Field.from_values(g, np.zeros(64, dtype=complex))
     with pytest.raises(bw.ZeroFieldError, match="zero field"):
         verify.sweep_defects(zero)
@@ -603,11 +614,11 @@ def test_symmetry_report_goes_through_module_stages(frac2d_problem, frac2d_repor
     assert calls == dict.fromkeys(names, 1)
 
 
-def _serial_report(f, prob, axis, tau):
+def _serial_report(f, prob, axis):
     """The report's stages one after another, in the order of the single-thread
     report: support, phase fit, s2, rearrangement, s1 (reflections by
     ``np.roll(np.flip(..))``), then the unit residual."""
-    s = verify.support_set(f, tau)
+    s = verify.support_set(f)
     mag = s.modulus
     try:
         fit = verify.phase_affinity(f, s)
@@ -647,12 +658,12 @@ def _swap_broken_3d_field():
 @pytest.mark.parametrize("case", ["ground_2d", "gapped", "swap_3d"])
 def test_symmetry_report_is_its_serial_stages(case, frac2d_problem, frac2d_report):
     # the two-thread report equals its stages run one after another, bit for bit
-    f, axis, tau = {"ground_2d": (frac2d_report.Q, 0, 1e-8),
-                    "gapped": (_gapped_field(), 0, 1e-3),
-                    "swap_3d": (_swap_broken_3d_field(), 0, 1e-8)}[case]
+    f, axis = {"ground_2d": (frac2d_report.Q, 0),
+               "gapped": (_gapped_field(), 0),
+               "swap_3d": (_swap_broken_3d_field(), 0)}[case]
     prob = frac2d_problem if case == "ground_2d" else _problem(f.grid)
-    rep = bw.symmetry_report(f, prob, axis=axis, tau=tau)
-    assert rep == _serial_report(f, prob, axis, tau)
+    rep = bw.symmetry_report(f, prob, axis=axis)
+    assert rep == _serial_report(f, prob, axis)
     if case == "gapped":
         assert rep.phase is None
     if case == "swap_3d":
@@ -704,7 +715,7 @@ def test_symmetry_report_transforms_the_nonlinearity_during_the_support_cut(
     # cut, made to wait for that transform on another thread, is released by
     # it, and the report still equals its serial stages.
     f, prob = frac2d_report.Q, frac2d_problem
-    expected = _serial_report(f, prob, 0, 1e-8)
+    expected = _serial_report(f, prob, 0)
     caller = threading.current_thread()
     transformed = threading.Event()
     waited = []
@@ -783,7 +794,7 @@ def test_concurrent_reports_under_fast_switching():
     # so a worker reads s1's values and the support only once they are formed.
     f = _swap_broken_3d_field()
     prob = _problem(f.grid)
-    expected = _serial_report(f, prob, 0, 1e-8)
+    expected = _serial_report(f, prob, 0)
     reports = []
 
     def caller():
