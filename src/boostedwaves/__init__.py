@@ -24,21 +24,16 @@ from .errors import (
 from .fields import (
     Field,
     Grid,
-    NegativeWeightWarning,
     energy_mass,
-    norm_l2,
-    norm_lp,
-    quad_form,
     read_gnf,
     write_gnf,
 )
-from .rearrange import fourier_rearrange, steiner_array
+from .rearrange import fourier_rearrange
 from .solver import (
     Problem,
     SolveOptions,
     SolveReport,
     canonicalize,
-    centroid,
     gaussian_init,
     minimize,
     sigma_star,

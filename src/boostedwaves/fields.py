@@ -1,4 +1,4 @@
-"""Periodic grids, spectral fields, norms, quadratic forms, and GNF1 field files.
+"""Periodic grids, spectral fields, one-thread inner products, and GNF1 field files.
 
 Physical arrays are stored in centered order (index ``N//2`` is ``x = 0``,
 coordinates run from ``-L`` to ``L - dx``).  Spectra are stored in FFT order
@@ -36,11 +36,11 @@ Without ``out=``, numpy allocates a new array per axis, which made a 256^2
 transform about twice as slow.
 
 Equal grids share one set of read-only tables (:func:`_grid_tables`): the
-modulation tables, the band-limited one, the Nyquist mask it is cut with, and
-the axes that :meth:`Grid.coords`, :meth:`Grid.freqs`, :meth:`Grid.coord_mesh`
-and :meth:`Grid.freq_mesh` return.  They are built
-once per distinct grid, not once per call: the rows of a sweep and a grid read
-again from a file reuse them.
+modulation tables, the band-limited one, and the axes that
+:meth:`Grid.coords`, :meth:`Grid.freqs`, :meth:`Grid.coord_mesh` and
+:meth:`Grid.freq_mesh` return.  They are built once per distinct grid, not
+once per call: the rows of a sweep and a grid read again from a file reuse
+them.
 
 A :class:`Field` adopts the complex128 array it is given instead of copying
 it, and lazily computed representations are shared the same way.  A caller
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -66,10 +65,6 @@ from .errors import GnfFormatError
 TAU = 2.0 * np.pi
 
 GNF_LAYOUT = "interleaved-complex-f64-le"
-
-
-class NegativeWeightWarning(UserWarning):
-    """The quadratic-form weight p_v(xi) + omega is negative somewhere."""
 
 
 def _is_power_of_two(k: int) -> bool:
@@ -148,13 +143,6 @@ class Grid:
     def freq_cell_volume(self) -> float:
         return self._volumes[1]
 
-    def nyquist_mask(self) -> np.ndarray:
-        """Boolean FFT-order array, True on bins carrying a Nyquist index.
-
-        Cached per grid and read-only: index with it, do not write into it.
-        """
-        return self._tables.nyquist
-
     # Per-grid tables, computed on first use.  Read-only because grids (and
     # with them these arrays) are shared with the worker thread of a symmetry
     # report (verify.symmetry_report).
@@ -180,7 +168,6 @@ class _GridTables(NamedTuple):
     forward: np.ndarray  # (-1)**(k_1 + ... + k_n) * scale
     inverse: np.ndarray  # (-1)**(k_1 + ... + k_n) / scale
     band_limited_forward: np.ndarray  # forward, 0 on the Nyquist bins
-    nyquist: np.ndarray  # boolean, True on the bins carrying a Nyquist index
     coords: tuple[np.ndarray, ...]  # per axis
     freqs: tuple[np.ndarray, ...]  # per axis, FFT order
     coord_mesh: tuple[np.ndarray, ...]  # the coords, shaped to broadcast
@@ -217,8 +204,7 @@ def _grid_tables(grid: Grid) -> _GridTables:
     freqs = [_read_only(TAU * np.fft.fftfreq(n, d=grid.spacing(i)))
              for i, n in enumerate(grid.sizes)]
     return _GridTables(_read_only(forward), _read_only(sign / scale), _read_only(band),
-                       _read_only(nyquist), tuple(coords), tuple(freqs),
-                       _mesh(coords), _mesh(freqs),
+                       tuple(coords), tuple(freqs), _mesh(coords), _mesh(freqs),
                        tuple(([(axis,), (), (axis,)], 1.0 / grid.sizes[axis])
                              for axis in range(-1, -grid.ndim - 1, -1)))
 
@@ -355,42 +341,6 @@ def _abs_squared(a: np.ndarray) -> np.ndarray:
     return np.square(out, out=out)
 
 
-def norm_l2(f: Field) -> float:
-    """Quadrature L2 norm, from whichever representation is current."""
-    if f.has_values():
-        return float(np.sqrt(_abs_squared(f.values).sum() * f.grid.cell_volume()))
-    return float(np.sqrt(_abs_squared(f.spectrum).sum() * f.grid.freq_cell_volume()))
-
-
-def norm_lp(f: Field, p) -> float:
-    """L^p quadrature norm for even integer p, or the max norm for p = inf."""
-    if p == np.inf or p == "inf":
-        return float(np.max(np.abs(f.values)))
-    p = int(p)
-    if p < 2 or p % 2 != 0:
-        raise ValueError("p must be an even integer >= 2 or inf")
-    val = (np.abs(f.values) ** p).sum() * f.grid.cell_volume()
-    return float(val ** (1.0 / p))
-
-
-def quad_form(f: Field, bsym, omega: float, warn: bool = True) -> float:
-    """Boosted quadratic form sum (p(xi) - v.xi + omega) |u_hat|^2 dxi^n.
-
-    ``bsym`` is any object with an ``evaluate(xi_components)`` method returning
-    the boosted symbol on the frequency mesh.  A :class:`NegativeWeightWarning`
-    is emitted when the weight dips below zero (omega <= -Sigma_v territory).
-    """
-    weight = np.broadcast_to(bsym.evaluate(f.grid.freq_mesh()), f.grid.sizes) + omega
-    if warn and np.any(weight < 0):
-        warnings.warn(
-            "quadratic-form weight is negative somewhere; omega > -Sigma_v fails",
-            NegativeWeightWarning,
-            stacklevel=2,
-        )
-    val = np.sum(weight * np.abs(f.spectrum) ** 2) * f.grid.freq_cell_volume()
-    return float(val)
-
-
 def energy_mass(f: Field, sym, sigma: int) -> tuple[float, float]:
     """Conserved energy and L2 mass for nonlinearity power sigma.
 
@@ -475,7 +425,10 @@ def _gnf_grid(header: bytes) -> Grid:
         if "=" not in line:
             raise GnfFormatError(f"malformed header line {line!r}", offset=offset)
         key, _, value = line.partition("=")
-        fields[key.strip()] = (value.strip(), offset)
+        key = key.strip()
+        if key in fields:
+            raise GnfFormatError(f"duplicate header field {key!r}", offset=offset)
+        fields[key] = (value.strip(), offset)
         offset += len(line) + 1
 
     def take(key):

@@ -60,20 +60,6 @@ def _sort_assign(values: np.ndarray, order: np.ndarray, axis: int | None,
     return np.moveaxis(out, 0, axis)
 
 
-def steiner_array(values, coord_axes, axis: int = 0) -> np.ndarray:
-    """Per-slice transverse rearrangement of a nonnegative array."""
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("rearrangement input must be finite")
-    if np.any(values < 0):
-        raise ValueError("rearrangement input must be nonnegative")
-    if len(coord_axes) < 2:
-        raise ValueError("transverse rearrangement needs dimension >= 2")
-    if values.shape != tuple(len(c) for c in coord_axes):
-        raise ValueError("array shape does not match the coordinates")
-    return _sort_assign(values, _distance_order(coord_axes, axis), axis)
-
-
 @lru_cache(maxsize=64)
 def _plan(grid: Grid, axis: int | None) -> np.ndarray:
     """The read-only distance order of ``grid``'s frequency lattice

@@ -279,11 +279,6 @@ def unit_residual(prob: Problem, Q: Field, scratch=None, nl_spec=None) -> float:
     return _residual_parts(prob, Q, nl_spec, scratch)
 
 
-def centroid(f: Field) -> np.ndarray:
-    """First moment of |f|^2 in centered coordinates."""
-    return _centroid(f.grid, fields._abs_squared(f.values))
-
-
 def _centroid(grid: Grid, mod2: np.ndarray) -> np.ndarray:
     """First moment of ``mod2``, a field's |f|^2, in centered coordinates."""
     total = float(mod2.sum())

@@ -205,18 +205,13 @@ class BoostedSymbol:
             velocity = (float(velocity),) + (0.0,) * (base.ndim - 1)
         return cls(base, tuple(float(v) for v in velocity))
 
-    def evaluate(self, xi_components):
-        return self._boost(self.base.evaluate(xi_components), xi_components)
-
     def on_grid(self, grid) -> np.ndarray:
-        """p_v on the frequency mesh of ``grid``, from the base symbol's cached table."""
-        return self._boost(self.base.on_grid(grid), grid.freq_mesh())
-
-    def _boost(self, out, xi_components):
-        """``out`` - v.xi; ``out`` itself when v = 0."""
-        for v, xi in zip(self.velocity, xi_components):
+        """p_v on the frequency mesh of ``grid``, from the base symbol's cached
+        table; that table itself when v = 0."""
+        out = self.base.on_grid(grid)
+        for v, xi in zip(self.velocity, grid.freq_mesh()):
             if v != 0.0:
-                out = out - v * np.asarray(xi, dtype=float)
+                out = out - v * xi
         return out
 
 

@@ -46,11 +46,11 @@ BLAS (``np.vdot``, ``np.dot``, ``@``, ``np.linalg``): OpenBLAS threads such a
 call over every core, and the two threads then compete for them.  With the
 phase-fit residual taken by ``np.vdot``, the fastest of 300 reports on the
 256^2 ground state took 6.6 to 7.0 ms, against 4.0 to 4.7 ms with one BLAS
-thread; norms go through :func:`fields.flat_norm`, and the unit residual's
-inner products through :func:`fields.real_dot`.  The moment contractions of
-the phase fit (:func:`_moments`) are such products, of the lattice with a
-three-column basis: at 512^2 the fastest of 100 reports took 16.9 to 17.1 ms
-with OpenBLAS's default threads and 16.6 to 17.7 ms with one.
+thread; norms, the unit residual's among them, go through
+:func:`fields.flat_norm`.  The moment contractions of the phase fit
+(:func:`_moments`) are such products, of the lattice with a three-column
+basis: at 512^2 the fastest of 100 reports took 16.9 to 17.1 ms with
+OpenBLAS's default threads and 16.6 to 17.7 ms with one.
 
 The worker allocates no lattice-sized array: every temporary of its four
 stages lives in the calling thread's four buffers, which are free once the

@@ -12,7 +12,8 @@ import pytest
 from scipy.signal import fftconvolve
 
 import boostedwaves as bw
-from references import random_field
+from boostedwaves.rearrange import _distance_order, _sort_assign
+from references import norm_l2, norm_lp, quad_form, random_field
 
 
 @pytest.mark.parametrize("seed, trials", [(11, 30), (2, 25)])
@@ -29,13 +30,13 @@ def test_rearrange_suite_small(seed, trials):
         g = bw.fourier_rearrange(f, "axial", axis=0)
         trial = f"seed {seed} trial {t}"
 
-        n_f, n_g = bw.norm_l2(f), bw.norm_l2(g)
+        n_f, n_g = norm_l2(f), norm_l2(g)
         assert abs(n_f - n_g) <= 1e-12 * n_f, f"{trial}: L2 norm not preserved ({n_f!r} vs {n_g!r})"
 
         for bsym in boosted:
             kind = bsym.base.kind
-            qf = bw.quad_form(f, bsym, omega, warn=False)
-            qg = bw.quad_form(g, bsym, omega, warn=False)
+            qf = quad_form(f, bsym, omega)
+            qg = quad_form(g, bsym, omega)
             scale = abs(qf) + 1e-30
             assert qg <= qf + 1e-10 * scale, (
                 f"{trial}: quadratic form increased under rearrangement for {kind} "
@@ -51,7 +52,7 @@ def test_rearrange_suite_small(seed, trials):
         assert np.array_equal(gg.spectrum, g.spectrum), f"{trial}: rearrangement is not idempotent"
 
         for p in (4, 6, np.inf):
-            lp_f, lp_g = bw.norm_lp(f, p), bw.norm_lp(g, p)
+            lp_f, lp_g = norm_lp(f, p), norm_lp(g, p)
             assert lp_f <= lp_g * (1.0 + 1e-10), (
                 f"{trial}: L^{p} monotonicity failed ({lp_f!r} > {lp_g!r})")
 
@@ -81,14 +82,16 @@ def _linear_conv_at_zero(factors) -> float:
 def test_convolution_suite_small(seed, trials, mask_trials):
     shape = (32, 32)
     rng = np.random.default_rng(seed)
-    coords = [np.arange(n) - n // 2 for n in shape]
+    # transverse Steiner rearrangement about axis 0: the sort-and-assign of
+    # rearrange_modulus, on the centered lattice of the factors
+    order = _distance_order([np.arange(n) - n // 2 for n in shape], 0)
 
     for t in range(trials):
         for m in (3, 5):
             radius = max(1, min(n // (2 * m) - 1 for n in shape))
             factors = [_compact_nonneg(rng, shape, radius) for _ in range(m)]
             plain = _linear_conv_at_zero(factors)
-            better = _linear_conv_at_zero([bw.steiner_array(u, coords, axis=0) for u in factors])
+            better = _linear_conv_at_zero([_sort_assign(u, order, 0) for u in factors])
             assert plain <= better + 1e-10 * (abs(better) + 1e-30), (
                 f"seed {seed} trial {t}: m={m} convolution at zero decreased under "
                 f"rearrangement ({plain!r} > {better!r})")
