@@ -33,12 +33,10 @@ from .solver import (
     Problem,
     SolveOptions,
     SolveReport,
-    canonicalize,
     gaussian_init,
     minimize,
     sigma_star,
     unit_residual,
-    weinstein,
 )
 from .symbols import (
     BoostedSymbol,

@@ -274,19 +274,6 @@ class Field:
             self._spectrum = _phys_to_spec(self.grid, self._values)
         return self._spectrum
 
-    def has_values(self) -> bool:
-        return self._values is not None
-
-    def shifted(self, offsets) -> "Field":
-        """Exact spectral translation: returns x -> u(x + a)."""
-        offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-        if offsets.shape != (self.grid.ndim,):
-            raise ValueError("offset dimension mismatch")
-        phase = np.zeros(self.grid.sizes)
-        for axis, mesh in enumerate(self.grid.freq_mesh()):
-            phase = phase + mesh * offsets[axis]
-        return Field.from_spectrum(self.grid, self.spectrum * np.exp(1j * phase))
-
 
 def _as_floats(a: np.ndarray) -> np.ndarray:
     """A complex array as its (re, im) float pairs, in C order; others as they are."""

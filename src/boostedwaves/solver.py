@@ -53,18 +53,6 @@ product over the history gives the new Gram entries with the right side, and
 one more the mix dG c.  An accepted step therefore makes 2 transforms: the
 nonlinearity forward (its Nyquist bins zeroed by the same table multiply) and
 the candidate back; a rejected one adds one per plain step or halving.
-
-Converged states are canonicalized: the modulus centroid is moved to the
-origin (integer roll plus exact fractional spectral shifts) and the global
-phase is rotated so the DC spectral coefficient is real and nonnegative.
-Minimizers are unique only up to these transformations.  The report judges
-the returned state, at the cost of one pass over what the loop already holds.
-When the loop stopped on a state it measured and canonicalize only rolled it
-and turned its phase, the returned values are the loop's values moved exactly,
-and the report keeps the loop's J and unit residual: no inverse transform and
-no nonlinearity transform.  Only a fractional shift, which resamples the
-state, or a last candidate the loop never measured (``max_iter`` reached)
-makes it recompute both on the returned state.
 """
 
 from __future__ import annotations
@@ -206,11 +194,6 @@ def _state(prob: Problem, spec: np.ndarray, vals: np.ndarray):
     return quad ** (prob.sigma + 1) / denom, quad, nl_mod, wspec
 
 
-def weinstein(prob: Problem, u: Field) -> float:
-    """The minimized quotient; scale invariant and positive away from zero."""
-    return _state(prob, u.spectrum, u.values)[0]
-
-
 def _nonlinearity(grid: Grid, nl_mod: np.ndarray, vals: np.ndarray, work=None,
                   out=None) -> np.ndarray:
     """Spectrum of |u|^(2 sigma) u, given |u|^(2 sigma) in ``nl_mod`` and u in
@@ -279,56 +262,6 @@ def unit_residual(prob: Problem, Q: Field, scratch=None, nl_spec=None) -> float:
     return _residual_parts(prob, Q, nl_spec, scratch)
 
 
-def _centroid(grid: Grid, mod2: np.ndarray) -> np.ndarray:
-    """First moment of ``mod2``, a field's |f|^2, in centered coordinates."""
-    total = float(mod2.sum())
-    if total == 0.0:
-        raise ZeroFieldError("centroid of the zero field")
-    out = np.empty(grid.ndim)
-    moment = np.empty_like(mod2)
-    for axis, mesh in enumerate(grid.coord_mesh()):
-        out[axis] = float(np.multiply(mod2, mesh, out=moment).sum()) / total
-    return out
-
-
-def canonicalize(f: Field) -> Field:
-    """Center the modulus centroid at the origin and make the DC bin >= 0.
-
-    Lattice rolls and the global phase are exact (they leave profile-equation
-    residuals untouched); the fractional spectral shift is applied only when
-    the residual sub-cell offset is material, since it re-samples the
-    nonlinearity and can surface aliasing noise on marginally resolved grids.
-    Without that shift the result carries its values as well as its spectrum:
-    the input's values, rolled and multiplied by the same phase, with no
-    inverse transform.  After it only the spectrum is set, so
-    ``has_values()`` on the result tells whether the state was resampled.
-    """
-    grid = f.grid
-    vals = f.values
-    mod2 = fields._abs_squared(vals)  # for the peak and the centroid
-    peak = np.unravel_index(int(np.argmax(mod2)), vals.shape)
-    shift = [n // 2 - p for n, p in zip(grid.sizes, peak)]
-    if any(shift):
-        f = Field.from_values(grid, np.roll(vals, shift, axis=tuple(range(grid.ndim))))
-        mod2 = fields._abs_squared(f.values)
-    spacing = [grid.spacing(i) for i in range(grid.ndim)]
-    resampled = False
-    for _ in range(3):
-        if resampled:
-            mod2 = fields._abs_squared(f.values)
-        c = _centroid(grid, mod2)
-        if all(abs(float(ci) / dx) < 0.25 for ci, dx in zip(c, spacing)):
-            break
-        f = f.shifted(c)
-        resampled = True
-    spec = f.spectrum
-    dc = spec[(0,) * grid.ndim]
-    turn = np.exp(-1j * np.arctan2(dc.imag, dc.real)) if dc != 0 else 1.0  # the angle of dc
-    if resampled:
-        return Field.from_spectrum(grid, spec * turn)
-    return Field(grid, values=f.values * turn, spectrum=spec * turn)
-
-
 def minimize(prob: Problem, init: Field | None = None,
              opts: SolveOptions | None = None) -> SolveReport:
     """Run the Anderson-accelerated fixed-point iteration to a boosted ground state.
@@ -340,11 +273,18 @@ def minimize(prob: Problem, init: Field | None = None,
     candidate was accepted and how many halvings the fallback needed.
 
     ``init`` defaults to a Gaussian of width ``opts.init_width`` carrying the
-    phase exp(i v.x / 2), which keeps the iteration off the real-spectrum
-    subspace when the minimizer has nontrivial phase.  Returns a report
-    whether or not the iteration converged; non-convergence is flagged, not
-    raised.  The report counts as converged only when the returned,
-    canonicalized state also has its residual within ``tol``.
+    phase exp(i v.x / 2), which centres its spectrum at v / 2.  That start has
+    u(-x) = conj(u(x)), a real spectrum, and the real Anderson mixing keeps
+    the spectrum real (see the module docstring), so |u| stays even about the
+    centre bin, where its peak sits.  The state is therefore returned as the
+    loop holds it, with no centring and no turn of its phase: minimizers are
+    unique only up to translation and a global phase, and the symmetry report
+    fits both away (:func:`verify.phase_affinity`).
+
+    Returns a report whether or not the iteration converged; non-convergence
+    is flagged, not raised.  J and the unit residual are the loop's own, of
+    the returned state.  Only when ``max_iter`` runs out is the residual
+    computed here, as the loop never measured its last candidate.
     """
     opts = opts or SolveOptions()
     grid = prob.grid
@@ -451,19 +391,8 @@ def minimize(prob: Problem, init: Field | None = None,
     else:
         res_unit = None  # out of iterations: the last candidate was never measured
 
-    q = canonicalize(Field(grid, values=vals, spectrum=spec))
-    if res_unit is not None and q.has_values():
-        # a lattice roll and a global phase: J and the residual are the loop's
-        j_final, res_final = j_cur, res_unit
-    else:
-        # converged judges q, as canonicalize resamples an off-centre state
-        res_final = unit_residual(prob, q)
-        j_final = weinstein(prob, q)
-    return SolveReport(
-        Q=q,
-        J_value=j_final,
-        residual=res_final,
-        iterations=iterations,
-        trace=trace,
-        converged=converged and res_final <= opts.tol,
-    )
+    q = Field(grid, values=vals, spectrum=spec)
+    if res_unit is None:
+        res_unit = unit_residual(prob, q)
+    return SolveReport(Q=q, J_value=j_cur, residual=res_unit, iterations=iterations,
+                       trace=trace, converged=converged)

@@ -3,8 +3,10 @@ fields of the seeded suites.
 
 The package computes none of these on a run: ``verify`` gates on the unit
 residual (:func:`boostedwaves.unit_residual`), not on the fitted one below,
-and the quadratic form below weighs |u_hat|^2 by the same table the solver
-weighs its spectra with (:meth:`boostedwaves.BoostedSymbol.on_grid`).
+the quadratic form below weighs |u_hat|^2 by the same table the solver
+weighs its spectra with (:meth:`boostedwaves.BoostedSymbol.on_grid`), and a
+solve reports the J its loop took for the returned state, which
+:func:`weinstein` below evaluates afresh.
 """
 
 import numpy as np
@@ -12,6 +14,11 @@ import numpy as np
 import boostedwaves as bw
 from boostedwaves import solver
 from boostedwaves.fields import flat_norm, real_dot
+
+
+def weinstein(prob: bw.Problem, u: bw.Field) -> float:
+    """The quotient J(u) the solver minimizes, as its loop evaluates it."""
+    return solver._state(prob, u.spectrum, u.values)[0]
 
 
 def profile_residual(prob: bw.Problem, Q: bw.Field) -> float:
@@ -30,10 +37,8 @@ def profile_residual(prob: bw.Problem, Q: bw.Field) -> float:
 
 
 def norm_l2(f: bw.Field) -> float:
-    """Quadrature L2 norm, from whichever representation is current."""
-    if f.has_values():
-        return float(np.sqrt(np.sum(np.abs(f.values) ** 2) * f.grid.cell_volume()))
-    return float(np.sqrt(np.sum(np.abs(f.spectrum) ** 2) * f.grid.freq_cell_volume()))
+    """Quadrature L2 norm of the values."""
+    return float(np.sqrt(np.sum(np.abs(f.values) ** 2) * f.grid.cell_volume()))
 
 
 def norm_lp(f: bw.Field, p) -> float:

@@ -11,11 +11,14 @@ the sweep-1d workload's config and bounds its iteration count, which does not
 depend on the machine's speed, so a lost warm start fails a test instead of
 showing only as a slower op.
 
-``verify.minkowski_defect`` is gone with the Minkowski set fold, and
+``solver.weinstein`` is gone since a solve reports the J its loop took,
+``solver.canonicalize`` since it returns the loop's state as it is,
+``verify.minkowski_defect`` with the Minkowski set fold, and
 ``verify.fourier_rearrange`` since a report sorts the support's modulus
-through ``verify.rearrange_modulus``; the benchmark still hooks both.  Its
-own change re-points them (to ``verify.unit_residual`` and
-``verify.rearrange_modulus``), and this test then expects no absent target.
+through ``verify.rearrange_modulus``; the benchmark still hooks all four.
+Its own change retires the two solver spans and re-points the verify hooks
+(to ``verify.unit_residual`` and ``verify.rearrange_modulus``), and this
+test then expects no absent target.
 """
 
 import importlib
@@ -28,7 +31,8 @@ import pytest
 from boostedwaves import cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-GONE = (("verify", "minkowski_defect"), ("verify", "fourier_rearrange"))  # hooked, in HOOKS order
+GONE = (("solver", "weinstein"), ("solver", "canonicalize"),  # hooked, in HOOKS order
+        ("verify", "minkowski_defect"), ("verify", "fourier_rearrange"))
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from boostedwaves import cli, verify
 from boostedwaves.cli import load_config, main
 from boostedwaves.errors import ZeroFieldError
 from boostedwaves.symbols import KINDS
-from references import norm_l2
+from references import norm_l2, weinstein
 
 CLASSICAL = """
 # classical 1D cubic NLS at rest; spectral box sized so the support
@@ -588,8 +588,8 @@ def test_cli_and_1d_runs_leave_scipy_unloaded(classical_cfg, tmp_path):
 # symmetry report's worker too, and prints what the package defines and
 # exports that no run called: the exported functions, then the methods of the
 # exported classes.  The four configs cover the four symbol kinds; "kg" stops
-# at max_iter, so the solver takes its final quotient (weinstein), and the
-# last two runs refuse a config and a field.
+# at max_iter, so the solver computes the residual of its last candidate
+# (unit_residual), and the last two runs refuse a config and a field.
 _REACH = r"""
 import inspect, json, sys, threading
 from pathlib import Path
@@ -650,11 +650,8 @@ print(json.dumps(sorted(n for n, f in functions.items() if f.__code__ not in cal
 print(json.dumps(sorted(n for n, f in methods.items() if f.__code__ not in called)))
 """
 
-# Methods of exported classes that only the tests call.  Field.shifted is
-# canonicalize's sub-cell shift, taken only when a state's modulus centroid
-# sits a quarter cell or more off the lattice once its peak is rolled to the
-# centre; none of the Gaussian-start solves here ends so.
-_TEST_ONLY_METHODS = ["BoostedSymbol.make", "Field.shifted", "Grid.coords", "Grid.make"]
+# Methods of exported classes that only the tests call.
+_TEST_ONLY_METHODS = ["BoostedSymbol.make", "Grid.coords", "Grid.make"]
 
 
 def test_cli_runs_call_every_exported_function(tmp_path):
@@ -832,15 +829,15 @@ def _thin_field(shape, index):
 
 
 @pytest.mark.parametrize("case", [
-    "solved-1d", "solved-2d-axis1", "start-rolled", "start-resampled", "thin-bin", "thin-line",
+    "solved-1d", "solved-2d-axis1", "start-off-centre", "max-iter", "thin-bin", "thin-line",
 ])
 def test_row_report_matches_its_definitions(tmp_path, monkeypatch, case):
     # A sweep row keeps the solve's J and residual and takes its defects, E and
     # M in one pass over the returned state; each must equal its definition
-    # evaluated afresh on that state.  The random starts end off centre: one
-    # state is only rolled back (the loop's J and residual are kept), the other
-    # (sigma = 2) also shifted by a fraction of a cell, which raises its
-    # residual from below tol to about 2e-7 (both are recomputed).
+    # evaluated afresh on that state.  The random start ends off centre, where
+    # it is returned as the loop holds it.  At max_iter = 3 the row fails, and
+    # its residual is the one the solver computes afresh, as the loop never
+    # measured its last candidate.
     from test_solver import _random_start
 
     if case.startswith("thin"):  # one bin thick: the phase fit is minimum-norm
@@ -858,11 +855,12 @@ def test_row_report_matches_its_definitions(tmp_path, monkeypatch, case):
                                            axis=1), 0.4, None
         elif case == "solved-1d":
             cfg, value, init = _row_config(tmp_path, "half_wave", "1024", 20 * np.pi), 0.5, None
+        elif case == "max-iter":
+            cfg = _row_config(tmp_path, "fractional; s = 1", "1024", 20 * np.pi)
+            cfg.max_iter, value, init = 3, 0.3, None
         else:
-            rolled = case == "start-rolled"
-            cfg = _row_config(tmp_path, "fractional; s = 1", "1024", 20 * np.pi,
-                              sigma=1 if rolled else 2)
-            value, init = 0.0, _random_start(cfg.grid, 1 if rolled else 2)
+            cfg = _row_config(tmp_path, "fractional; s = 1", "1024", 20 * np.pi)
+            value, init = 0.0, _random_start(cfg.grid, 1)
         reports = []  # the row's solve, also when it did not converge
         solve = cli.minimize
 
@@ -873,13 +871,13 @@ def test_row_report_matches_its_definitions(tmp_path, monkeypatch, case):
         monkeypatch.setattr(cli, "minimize", recorded)
         row, _ = cli._sweep_value(cfg, "v", value, init)
         q = reports[0].Q
-        assert (row.failure is None) == (case != "start-resampled")
+        assert (row.failure is None) == (case != "max-iter")
         speed = tuple(value if i == cfg.axis else 0.0 for i in range(cfg.grid.ndim))
         prob = bw.Problem.make(bw.BoostedSymbol.make(cfg.symbol, speed), cfg.omega, cfg.sigma,
                                cfg.grid)
         rep = bw.symmetry_report(q, prob, axis=cfg.axis)
         got = row.cells[1:]
-        want = ((bw.weinstein(prob, q), bw.unit_residual(prob, q), rep.s2_defect,
+        want = ((weinstein(prob, q), bw.unit_residual(prob, q), rep.s2_defect,
                  rep.modulus_rearranged_defect) + _energy_mass_reference(q, cfg.symbol, cfg.sigma))
     assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
 
@@ -887,11 +885,11 @@ def test_row_report_matches_its_definitions(tmp_path, monkeypatch, case):
 # The benchmark's sweep-1d op: iterations and transforms per row.  A row of k
 # iterations makes 2k transforms (one to start, two per step, one for the last
 # nonlinearity); the cold row 0 adds one for a rejected Anderson candidate and
-# one for the spectrum of its rolled final state.  The report keeps the loop's
-# J and residual, so it no longer transforms the state back nor its
-# nonlinearity again.  Row k starts from the Newton extrapolant of up to eight
-# converged rows, of the order their differences allow: 166 iterations,
-# against 194 from the three-row extrapolant.
+# one for the spectrum of its Gaussian start, which is given by its values.
+# The report keeps the loop's J and residual, so it transforms neither the
+# state back nor its nonlinearity again.  Row k starts from the Newton
+# extrapolant of up to eight converged rows, of the order their differences
+# allow: 166 iterations, against 194 from the three-row extrapolant.
 SWEEP_1D_ITERATIONS = (18, 13, 12, 11, 10, 10, 9, 9, 8, 8, 8, 8, 8, 8, 9, 9, 8)
 SWEEP_1D_TRANSFORMS = (38, 26, 24, 22, 20, 20, 18, 18, 16, 16, 16, 16, 16, 16, 18, 18, 16)
 

@@ -156,13 +156,9 @@ def test_adopted_read_only_arrays_survive_every_operation(
     assert np.array_equal(rep.Q.values, classical_report.Q.values)
 
     q = frozen_field(classical_report.Q)
-    moved = frozen_field(q.shifted([7 * grid.spacing(0)]))
-    back = bw.canonicalize(moved)
-    assert np.max(np.abs(back.values - q.values)) < 1e-12 * np.max(np.abs(q.values))
     q2d = frozen_field(frac2d_report.Q)
     for f, prob, axis in ((q, classical_problem, 0), (q2d, frac2d_problem, 1)):
         assert bw.symmetry_report(f, prob, axis=axis).s2_defect < 1e-10
-        assert np.allclose(norm_l2(f.shifted([0.5] * f.grid.ndim)), norm_l2(f))
         rearranged = bw.fourier_rearrange(f, "modulus")
         assert np.array_equal(rearranged.spectrum, np.abs(f.spectrum))
 
@@ -172,7 +168,7 @@ def test_adopted_read_only_arrays_survive_every_operation(
     read = bw.read_gnf(path)
     assert not read.values.flags.writeable and read.values.flags.aligned
     assert np.array_equal(read.values, q2d.values)
-    assert bw.symmetry_report(bw.canonicalize(read), frac2d_problem, axis=1).s2_defect < 1e-10
+    assert bw.symmetry_report(read, frac2d_problem, axis=1).s2_defect < 1e-10
 
 
 def test_plancherel_random_fields():

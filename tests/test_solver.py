@@ -3,8 +3,8 @@ import pytest
 from scipy.integrate import quad
 
 import boostedwaves as bw
-from boostedwaves import fields, solver
-from references import galilean_gauge, norm_l2, profile_residual
+from boostedwaves import fields
+from references import galilean_gauge, norm_l2, profile_residual, weinstein
 
 
 def test_sigma_star_threshold():
@@ -46,10 +46,10 @@ def test_integral_float_sigma_is_an_int(grid_1d):
 
 
 def test_weinstein_scaling_invariance(classical_problem, gauss_field):
-    base = bw.weinstein(classical_problem, gauss_field)
+    base = weinstein(classical_problem, gauss_field)
     for alpha in (2.0, -3.0, 1j):
         scaled = bw.Field.from_values(gauss_field.grid, alpha * gauss_field.values)
-        assert bw.weinstein(classical_problem, scaled) == pytest.approx(base, rel=1e-10)
+        assert weinstein(classical_problem, scaled) == pytest.approx(base, rel=1e-10)
 
 
 def test_weinstein_gaussian_oracle(classical_problem, gauss_field):
@@ -58,17 +58,17 @@ def test_weinstein_gaussian_oracle(classical_problem, gauss_field):
     den, _ = quad(lambda x: np.exp(-2.0 * x**2), -np.inf, np.inf)
     oracle = num**2 / den
     assert oracle == pytest.approx(2.25 * np.sqrt(2 * np.pi), abs=1e-10)
-    assert bw.weinstein(classical_problem, gauss_field) == pytest.approx(oracle, rel=1e-10)
+    assert weinstein(classical_problem, gauss_field) == pytest.approx(oracle, rel=1e-10)
 
 
 def test_weinstein_sech_value(classical_problem, sech_field):
-    assert bw.weinstein(classical_problem, sech_field) == pytest.approx(16.0 / 3.0, rel=1e-10)
+    assert weinstein(classical_problem, sech_field) == pytest.approx(16.0 / 3.0, rel=1e-10)
 
 
 def test_weinstein_rejects_zero(classical_problem, grid_1d):
     zero = bw.Field.from_values(grid_1d, np.zeros(grid_1d.sizes[0], dtype=complex))
     with pytest.raises(bw.ZeroFieldError):
-        bw.weinstein(classical_problem, zero)
+        weinstein(classical_problem, zero)
 
 
 def test_minimize_classical_soliton(classical_problem, classical_report, grid_1d):
@@ -80,7 +80,7 @@ def test_minimize_classical_soliton(classical_problem, classical_report, grid_1d
     target = np.sqrt(2.0) / np.cosh(x)
     err = np.sqrt(np.sum((np.abs(rep.Q.values) - target) ** 2) * grid_1d.cell_volume())
     assert err / norm_l2(rep.Q) <= 1e-6
-    assert rep.J_value == pytest.approx(bw.weinstein(classical_problem, rep.Q), abs=1e-10)
+    assert rep.J_value == pytest.approx(weinstein(classical_problem, rep.Q), abs=1e-10)
 
 
 def test_minimize_zero_init_rejected(classical_problem, grid_1d):
@@ -141,7 +141,7 @@ def test_quotient_translation_invariance(classical_problem, classical_report):
     shifted = bw.Field.from_values(
         classical_problem.grid, np.roll(classical_report.Q.values, 37)
     )
-    assert bw.weinstein(classical_problem, shifted) == pytest.approx(
+    assert weinstein(classical_problem, shifted) == pytest.approx(
         classical_report.J_value, rel=1e-12
     )
 
@@ -150,7 +150,7 @@ def test_rearranged_minimizer_does_not_increase_quotient(frac2d_problem, frac2d_
     q = frac2d_report.Q
     j0 = frac2d_report.J_value
     rearranged = bw.fourier_rearrange(q, "axial", axis=0)
-    j1 = bw.weinstein(frac2d_problem, rearranged)
+    j1 = weinstein(frac2d_problem, rearranged)
     assert j1 <= j0 * (1 + 1e-9)
     rerun = bw.minimize(frac2d_problem, init=rearranged)
     assert rerun.converged
@@ -160,15 +160,6 @@ def test_rearranged_minimizer_does_not_increase_quotient(frac2d_problem, frac2d_
 def test_quotient_positive_on_solves(classical_report, halfwave_report, frac2d_report):
     for rep in (classical_report, halfwave_report, frac2d_report):
         assert rep.J_value > 0
-
-
-def test_canonicalized_output_centered_dc_positive(classical_report):
-    q = classical_report.Q
-    c = solver._centroid(q.grid, np.abs(q.values) ** 2)
-    assert np.max(np.abs(c)) < q.grid.spacing(0) / 2
-    dc = q.spectrum[0]
-    assert abs(dc.imag) <= 1e-12 * abs(dc)
-    assert dc.real >= 0
 
 
 def test_halfwave_solve(halfwave_problem, halfwave_report):
@@ -209,6 +200,17 @@ def test_cold_solve_steps_and_quotient_are_pinned(case, grid_1d):
     taken = "".join("A" if row.accelerated else str(row.halvings) for row in rep.trace[:-1])
     assert taken == steps
     assert rep.J_value == pytest.approx(j_value, rel=1e-13)
+    # The report is the loop's last row, of the state the loop holds.
+    assert rep.J_value == rep.trace[-1].quotient
+    assert rep.residual == rep.trace[-1].residual
+    # The start's real spectrum stays real, so the state needs no centring
+    # and no turn of its phase: the |Q| peak sits on the centre bin and the
+    # DC bin is real and positive.
+    mod = np.abs(rep.Q.values)
+    assert np.unravel_index(np.argmax(mod), grid.sizes) == tuple(n // 2 for n in grid.sizes)
+    spec = rep.Q.spectrum
+    assert np.max(np.abs(spec.imag)) <= 1e-14 * np.max(np.abs(spec))
+    assert spec[(0,) * grid.ndim].real > 0
 
 
 def _random_start(grid, seed):
@@ -223,14 +225,17 @@ def _random_start(grid, seed):
 
 
 def test_converged_is_judged_on_the_returned_state(grid_1d):
-    # From three off-centre, tilted Gaussians the loop reaches tol, but the
-    # fractional shift of canonicalize resamples the off-centre state, and the
-    # returned state's residual is about 2e-7: not converged.
+    # From three off-centre, tilted Gaussians the state ends off centre.  It is
+    # returned as the loop holds it, so the report is the loop's last row, and
+    # J and the residual evaluated afresh on the returned state agree with it.
     prob = bw.Problem.make(bw.BoostedSymbol.make(bw.fractional(1.0, 1), 0.0), 1.0, 2, grid_1d)
     rep = bw.minimize(prob, _random_start(grid_1d, 2))
-    assert rep.trace[-1].residual <= 1e-10
-    assert rep.residual > 1e-8
-    assert not rep.converged
+    assert np.argmax(np.abs(rep.Q.values)) != grid_1d.sizes[0] // 2
+    last = rep.trace[-1]
+    assert rep.converged and rep.residual <= 1e-10
+    assert (rep.J_value, rep.residual) == (last.quotient, last.residual)
+    assert weinstein(prob, rep.Q) == pytest.approx(rep.J_value, rel=1e-13)
+    assert bw.unit_residual(prob, rep.Q) == pytest.approx(rep.residual, abs=1e-14)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
