@@ -4,15 +4,15 @@ a stabilized fixed-point solver, and symmetry verification, including the
 residual of the profile equation.
 
 Only the command-line entry :func:`boostedwaves.cli.main` fixes glibc's heap
-thresholds.  Called in-process outside it, :func:`minimize`,
-:func:`symmetry_report` and :func:`phase_affinity` run under glibc's
-default thresholds, which map temporaries above 128 KiB afresh and fault
-their pages in.  A 256^2 symmetry report then runs at half to two thirds of
-the CLI's speed, whether its field was read from a file or solved in the same
-process (see ``cli._fix_heap_thresholds``).  A script that calls them
-repeatedly gets the CLI's speed by calling
-``boostedwaves.cli._fix_heap_thresholds()`` once first (on glibc; elsewhere
-it does nothing)."""
+thresholds and caps OpenBLAS at one thread.  Called in-process outside it,
+:func:`minimize`, :func:`symmetry_report` and :func:`phase_affinity` run
+under glibc's default thresholds, which map temporaries above 128 KiB afresh
+and fault their pages in, and under OpenBLAS's default threads.  A 256^2
+symmetry report then runs at half to two thirds of the CLI's speed, whether
+its field was read from a file or solved in the same process (see
+``cli._fix_process_settings``).  A script that calls them repeatedly gets the
+CLI's speed by calling ``boostedwaves.cli._fix_process_settings()`` once
+first (each setting is made where the C library and the BLAS have it)."""
 
 from .errors import (
     ConfigError,

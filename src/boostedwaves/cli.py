@@ -43,9 +43,9 @@ rearrangement defect are within ``verify.DEFECT_MAX`` (1e-5), and the unit
 residual of the profile equation is within ``tol``
 (:meth:`verify.SymmetryReport.passes`).
 
-``main`` fixes two glibc heap thresholds once per process (see
-:func:`_fix_heap_thresholds`), so that repeated in-process calls reuse the
-pages of their large temporaries instead of mapping fresh ones.
+``main`` fixes two glibc heap thresholds and caps OpenBLAS at one thread, once
+per process (:func:`_fix_process_settings`), so that repeated in-process calls
+reuse the pages of their temporaries and no BLAS call competes for the cores.
 """
 
 from __future__ import annotations
@@ -572,11 +572,23 @@ def _glue_range(argv: list[str]) -> list[str]:
 
 _M_TRIM_THRESHOLD = -1  # mallopt parameters, from glibc's malloc.h
 _M_MMAP_THRESHOLD = -3
+_OPENBLAS_SET_THREADS = "scipy_openblas_set_num_threads64_"  # in numpy's wheels
+
+
+def _c_function(library: str | None, name: str, argtypes: tuple, restype):
+    """C function ``name`` of the library ``library`` (None: this process), typed, or None."""
+    try:
+        function = getattr(ctypes.CDLL(library), name)
+    except (AttributeError, OSError, TypeError):
+        return None
+    function.argtypes, function.restype = argtypes, restype
+    return function
 
 
 @functools.cache
-def _fix_heap_thresholds() -> None:
-    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 256 MiB.
+def _fix_process_settings() -> None:
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 256 MiB,
+    and cap OpenBLAS at one thread.
 
     glibc serves a block above the mmap threshold (128 KiB at start) with its
     own mapping, whose pages fault in afresh on first touch and go back to the
@@ -602,33 +614,41 @@ def _fix_heap_thresholds() -> None:
     to 60.7 MB uncapped (seven 8 s runs each).  Where the C library has no
     ``mallopt`` (not glibc), nothing is set.
 
+    OpenBLAS runs a product on up to one thread per CPU, while the solver's
+    inner products and the two lanes of a symmetry report keep the cores busy
+    already.  The fastest of 40 reports on a 512^2 Gaussian took 8.9 to
+    19.4 ms (median 12.1 ms, CPU 15 to 21 ms) with the cap and 13.4 to
+    19.2 ms (median 17.3 ms, CPU 25 to 39 ms) with two BLAS threads, nine
+    processes each (2-CPU machine).  The setter is the one of the BLAS that
+    numpy's extension module links; where it has none, nothing is set.
+
     Only :func:`main` calls this.  A Python caller of :func:`solver.minimize`,
     :func:`verify.symmetry_report` or :func:`verify.phase_affinity` outside
-    ``main`` runs under glibc's defaults unless it calls this once itself.  In
-    a process that read a 256^2 ground state from its GNF1 file, the fastest
-    of 20 reports took 4.3 to 6.4 ms under the defaults and 2.4 to 2.8 ms with
-    these thresholds, and ``phase_affinity`` 2.6 to 2.9 ms against 1.5 to
-    1.9 ms (2-CPU machine, one BLAS thread).  A solve of the 256^2 state in
-    the same process does not make up for the call: the benchmark's
-    verify-2d, which makes that solve during its set-up, took 5.46 to 5.99 ms
-    for its fastest op without the call and 3.41 to 3.52 ms with it (medians
-    5.71 and 3.47 ms, five alternating pairs of 12 s runs, 2-CPU machine),
-    and peaked at 59.7 MB resident against 60.6 to 60.7 MB.  sweep-1d, whose
-    arrays of 1,024 points stay below the 128 KiB default, read 15.6 to
-    15.8 ms with the call and 15.6 to 16.4 ms without (two pairs).
+    ``main`` runs under glibc's defaults and OpenBLAS's threads unless it
+    calls this once itself.  In a process that read a 256^2 ground state from
+    its GNF1 file, the fastest of 20 reports took 4.3 to 6.4 ms under the
+    defaults and 2.4 to 2.8 ms with these thresholds, and ``phase_affinity``
+    2.6 to 2.9 ms against 1.5 to 1.9 ms (2-CPU machine, one BLAS thread).  A
+    solve of the 256^2 state in the same process does not make up for the
+    thresholds: the benchmark's verify-2d, which makes that solve during its
+    set-up, took 5.46 to 5.99 ms for its fastest op without them and 3.41 to
+    3.52 ms with them (medians 5.71 and 3.47 ms, five alternating pairs of
+    12 s runs, 2-CPU machine), and peaked at 59.7 MB resident against 60.6 to
+    60.7 MB.  sweep-1d, whose arrays of 1,024 points stay below the 128 KiB
+    default, read 15.6 to 15.8 ms with them and 15.6 to 16.4 ms without.
     """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    mallopt = _c_function(None, "mallopt", (ctypes.c_int, ctypes.c_int), ctypes.c_int)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    set_threads = _c_function(np._core._multiarray_umath.__file__, _OPENBLAS_SET_THREADS,
+                              (ctypes.c_int,), None)
+    if set_threads is not None:
+        set_threads(1)
 
 
 def main(argv=None) -> int:
-    _fix_heap_thresholds()
+    _fix_process_settings()
     parser = build_parser()
     args = parser.parse_args(_glue_range(list(sys.argv[1:] if argv is None else argv)))
     try:

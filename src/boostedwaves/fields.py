@@ -1,4 +1,4 @@
-"""Periodic grids, spectral fields, one-thread inner products, and GNF1 field files.
+"""Periodic grids, spectral fields, inner products, and GNF1 field files.
 
 Physical arrays are stored in centered order (index ``N//2`` is ``x = 0``,
 coordinates run from ``-L`` to ``L - dx``).  Spectra are stored in FFT order
@@ -275,33 +275,18 @@ class Field:
         return self._spectrum
 
 
-def _as_floats(a: np.ndarray) -> np.ndarray:
-    """A complex array as its (re, im) float pairs, in C order; others as they are."""
-    if a.dtype.kind != "c":
-        return a
-    if not a.flags.c_contiguous:
-        a = np.ascontiguousarray(a)
-    return a.view(np.float64)
-
-
 def real_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Re <a, b> of two equal-shape arrays, summed by ``einsum`` on one thread.
+    """Re <a, b> of two equal-shape real or complex arrays, read in C order.
 
-    A complex array is read as its (re, im) float pairs, so this is the inner
-    product of R^(2N); a real array is summed as it is laid out, strided or
-    not.  ``np.linalg.norm`` and ``np.vdot`` hand large arrays to BLAS, which
-    OpenBLAS threads: on 2 CPUs single 256^2 norm calls took up to 36 ms and
-    left a worker spinning.  ``einsum`` sums with numpy's own loops.  The
-    subscripts are given as text, which ``einsum`` parses faster than the
-    equivalent index lists.
+    A complex array counts as its (re, im) float pairs, so this is the inner
+    product of R^(2N).  ``np.vdot`` goes to BLAS, which runs on one thread
+    under :func:`cli.main` (``cli._fix_process_settings``).
     """
-    a = _as_floats(a)
-    axes = "abcdefghijklmnopqrstuvwxyz"[:a.ndim]
-    return float(np.einsum(f"{axes},{axes}", a, _as_floats(b)))
+    return float(np.vdot(a, b).real)
 
 
 def flat_norm(a: np.ndarray) -> float:
-    """2-norm of a real or complex array, on one thread (see :func:`real_dot`)."""
+    """2-norm of a real or complex array (see :func:`real_dot`)."""
     return math.sqrt(real_dot(a, a))
 
 

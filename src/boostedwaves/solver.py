@@ -48,11 +48,12 @@ iteration, which forms |u|^{2 sigma} u, transforms it and computes only the
 unit residual, subtracting the nonlinearity from w u^ in place; w u^ is
 dropped there, before the next candidate is formed, so no buffer beyond the
 state and its temporaries is alive when memory peaks.  The differences dF and
-dG live in two fixed depth-by-2N float buffers used as rings; one real matrix
-product over the history gives the new Gram entries with the right side, and
-one more the mix dG c.  An accepted step therefore makes 2 transforms: the
-nonlinearity forward (its Nyquist bins zeroed by the same table multiply) and
-the candidate back; a rejected one adds one per plain step or halving.
+dG live in two fixed depth-by-2N float buffers used as rings; two real
+matrix-vector products over the history give the new Gram entries and the
+right side, and one more the mix dG c.  An accepted step therefore makes 2
+transforms: the nonlinearity forward (its Nyquist bins zeroed by the same
+table multiply) and the candidate back; a rejected one adds one per plain
+step or halving.
 """
 
 from __future__ import annotations
@@ -307,18 +308,12 @@ def minimize(prob: Problem, init: Field | None = None,
     trace: list[TraceRow] = []
     converged = False
     f_prev = g_prev = None
-    # Ring buffers of the last ANDERSON_DEPTH differences, one per slot, each
-    # held as its 2N floats, so x @ d_f.T gives the real inner products
-    # Re <df_i, x>.  Both products over the history take two rows at once:
-    # BLAS runs such a matrix-matrix product on one thread for a small grid,
-    # but threads a matrix-vector product over a 5 x 1024 history, which
-    # doubled the CPU time of a 1D solve for no gain in wall time (OpenBLAS,
-    # 2 CPUs).  mix holds c in its first row and zeros in its second.
-    d_f = np.empty((ANDERSON_DEPTH, 2 * spec.size))
-    d_g = np.empty((ANDERSON_DEPTH, 2 * spec.size))
-    d_g_fields = d_g.view(complex).reshape((ANDERSON_DEPTH,) + grid.sizes)  # its rows as spectra
+    # Ring buffers of the last ANDERSON_DEPTH differences of f and of g, one per
+    # slot, each held as its 2N floats, so d_f @ x gives the real inner products
+    # Re <df_i, x> for x read as its floats; the *_fields views are the rows as spectra.
+    d_f, d_g = rings = np.empty((2, ANDERSON_DEPTH, 2 * spec.size))
+    d_f_fields, d_g_fields = rings.view(complex).reshape((2, ANDERSON_DEPTH) + grid.sizes)
     gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))  # Re <df_i, df_j>
-    mix = np.zeros((2, ANDERSON_DEPTH))
     count = 0  # differences recorded since the history was last cleared
     iterations = 0
 
@@ -350,19 +345,15 @@ def minimize(prob: Problem, init: Field | None = None,
         f = g - spec
         m = 0  # differences mixed into this step
         if f_prev is not None:
-            # Write the new differences over the oldest slot; one product
-            # gives the Gram border <df_i, df_new> and the right side <df_i, f>.
+            # Write the new differences over the oldest slot; two products
+            # give the Gram border <df_i, df_new> and the right side <df_i, f>.
             slot = count % ANDERSON_DEPTH
             count += 1
             m = min(count, ANDERSON_DEPTH)
-            pair = np.empty((2, 2 * spec.size))  # rows: df_new, f
-            pair_fields = pair.view(complex).reshape((2,) + grid.sizes)
-            np.subtract(f, f_prev, out=pair_fields[0])
-            pair_fields[1] = f
-            d_f[slot] = pair[0]
+            np.subtract(f, f_prev, out=d_f_fields[slot])
             np.subtract(g, g_prev, out=d_g_fields[slot])
-            col, rhs = pair @ d_f[:m].T
-            del pair, pair_fields  # freed before the candidate is formed, where memory peaks
+            col = d_f[:m] @ d_f[slot]
+            rhs = d_f[:m] @ f.view(np.float64).reshape(-1)
             gram[:m, slot] = col
             gram[slot, :m] = col
         f_prev, g_prev = f, g
@@ -370,8 +361,7 @@ def minimize(prob: Problem, init: Field | None = None,
         if m:
             # lstsq only where a repeated difference makes gram exactly singular
             coef = solve_small(gram[:m, :m], rhs, rcond=1e-14)
-            mix[0, :m] = coef
-            cand = g - (mix[:, :m] @ d_g[:m])[0].view(complex).reshape(grid.sizes)
+            cand = g - (coef @ d_g[:m]).view(complex).reshape(grid.sizes)
             cand_vals = fields._spec_to_phys(grid, cand)
             j_new, quad_new, nl_new, w_new = _state(prob, cand, cand_vals)
             row.accelerated = j_new <= j_cur + slack

@@ -34,30 +34,23 @@ numpy's pocketfft transforms, sorts and ufunc loops, which release the GIL on
 lattice-sized arrays, so on two cores they overlap.  On the 256^2 ground
 state (2-core machine, one BLAS thread, each stage timed inside the report,
 mean of the fastest 10 % of 400 reports, three processes) the calling thread
-took 1.3 to 1.5 ms for the support cut, 2.0 to 2.1 ms for the phase fit and
-0.47 to 0.50 ms for s2; the worker took 0.41 to 0.44 ms for s1, 1.5 to 1.6 ms
-for the nonlinearity's spectrum, 0.53 to 0.61 ms for the spectral half of
-the residual and 0.88 to 0.92 ms for the rearrangement defect.  The two
-lanes ended 3.5 to 3.8 ms and 4.0 to 4.3 ms into the report, and the worker
+took 0.82 to 0.84 ms for the support cut, 1.41 to 1.46 ms for the phase fit
+and 0.32 to 0.34 ms for s2; the worker took 0.18 to 0.19 ms for s1, 0.99 to
+1.00 ms for the nonlinearity's spectrum, 0.29 ms for the spectral half of the
+residual and 0.58 to 0.61 ms for the rearrangement defect.  The two lanes
+ended 2.18 to 2.23 ms and 2.70 to 2.78 ms into the report, and the worker
 did not wait at the handoff.
 
-No call on either side of the overlap may hand a lattice-sized operand to
-BLAS (``np.vdot``, ``np.dot``, ``@``, ``np.linalg``): OpenBLAS threads such a
-call over every core, and the two threads then compete for them.  With the
-phase-fit residual taken by ``np.vdot``, the fastest of 300 reports on the
-256^2 ground state took 6.6 to 7.0 ms, against 4.0 to 4.7 ms with one BLAS
-thread; norms, the unit residual's among them, go through
-:func:`fields.flat_norm`.  The moment contractions of the phase fit
-(:func:`_moments`) are such products, of the lattice with a three-column
-basis: at 512^2 the fastest of 100 reports took 16.9 to 17.1 ms with
-OpenBLAS's default threads and 16.6 to 17.7 ms with one.
+BLAS runs on one thread under :func:`cli.main`, so the norms
+(:func:`fields.flat_norm`) and the moment contractions of the phase fit
+(:func:`_moments`) do not compete with the other lane for the cores.
 
 The worker allocates no lattice-sized array: every temporary of its four
 stages lives in the calling thread's four buffers, which are free once the
 residual has returned, and the problem's weight and the grid's tables are
 built before any report.  So the calling thread's heap takes the same
 layout in every report, and a repeated report maps no fresh pages
-(``cli._fix_heap_thresholds``), whichever axis it rearranges about.  A
+(``cli._fix_process_settings``), whichever axis it rearranges about.  A
 worker that allocated its own temporaries in the calling thread's heap
 (glibc capped at one arena) made 13 of 60 repeated 256^2 reports (ten fresh
 processes, six each after a first one) map 130 to 1,030 fresh pages.  The
@@ -75,6 +68,7 @@ small reports.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import threading
@@ -480,16 +474,27 @@ def _s1_defect(f: Field, axis: int, diff: np.ndarray) -> float:
     return worst
 
 
+def _axis_turn(b: float, xi: np.ndarray) -> np.ndarray:
+    """e^{-i b xi} on one axis' frequencies ``xi`` (FFT order, shaped to broadcast),
+    exponentiated on the first N/2 + 1 bins; bin N - k, at -xi_k, is the conjugate of bin k."""
+    turn = np.empty(xi.shape, complex)
+    flat, half = turn.reshape(-1), xi.size // 2
+    np.exp(-1j * (b * xi.reshape(-1)[:half + 1]), out=flat[:half + 1])
+    np.conjugate(flat[half - 1:0:-1], out=flat[half + 1:])
+    return turn
+
+
 def _s2_defect(f: Field, fit: PhaseFit | None, mag: np.ndarray) -> float:
     spec = f.spectrum
     if fit is not None:
-        # e^{-i(alpha + beta . xi)} = prod_j e^{-i (beta_j xi_j + [j = 0] alpha)}:
-        # n one-dimensional exponentials, broadcast onto the spectrum
-        turns = [b * xi for b, xi in zip(fit.beta, f.grid.freq_mesh())]
-        turns[0] = turns[0] + fit.alpha
-        spec = spec * np.exp(-1j * turns[0])
+        # e^{-i(alpha + beta . xi)} = e^{-i alpha} prod_j e^{-i beta_j xi_j}:
+        # n one-dimensional factors, the scalar folded into the first,
+        # broadcast onto the spectrum
+        turns = [_axis_turn(b, xi) for b, xi in zip(fit.beta, f.grid.freq_mesh())]
+        turns[0] *= cmath.exp(-1j * fit.alpha)
+        spec = spec * turns[0]
         for turn in turns[1:]:
-            spec *= np.exp(-1j * turn)
+            spec *= turn
     # conjugation symmetry Q(x) = conj(Q(-x)) is exactly realness of Q_hat
     return 2.0 * flat_norm(spec.imag) / flat_norm(mag)
 

@@ -4,6 +4,15 @@ import numpy as np
 import pytest
 
 import boostedwaves as bw
+from boostedwaves import cli
+
+
+@pytest.fixture(scope="session", autouse=True)
+def process_settings():
+    # The settings cli.main makes once per process, made before any test: with
+    # BLAS threaded until a test calls main, the last bits of a 2D norm would
+    # depend on the order in which the tests run.
+    cli._fix_process_settings()
 
 
 @pytest.fixture(autouse=True)

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import platform
@@ -7,6 +8,7 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -711,6 +713,51 @@ def test_repeated_verify_maps_no_fresh_pages(tmp_path):
         axis_cfg.write_text(text + f"axis = {axis}\n")
         proc = _run_python(code, axis_cfg, out)
         assert int(proc.stdout.splitlines()[-1]) <= 50, axis
+
+
+def _openblas(name):
+    """The function ``name`` of the OpenBLAS numpy links, or None where it has none."""
+    try:
+        return getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), name)
+    except (AttributeError, OSError):
+        return None
+
+
+GET_THREADS = _openblas("scipy_openblas_get_num_threads64_")
+SET_THREADS = _openblas(cli._OPENBLAS_SET_THREADS)
+
+
+@pytest.fixture()
+def two_blas_threads():
+    """OpenBLAS at two threads and main's settings not yet made; after the
+    test, one thread again, as the session runs."""
+    if GET_THREADS is None or SET_THREADS is None:
+        pytest.skip("numpy's BLAS is not the OpenBLAS its wheels bundle")
+    SET_THREADS(2)
+    cli._fix_process_settings.cache_clear()
+    yield
+    SET_THREADS(1)
+    cli._fix_process_settings.cache_clear()
+
+
+def test_main_caps_blas_at_one_thread(classical_cfg, tmp_path, two_blas_threads):
+    assert GET_THREADS() == 2
+    assert run("solve", "--config", classical_cfg, "--out", tmp_path / "run") == 0
+    assert GET_THREADS() == 1
+
+
+@pytest.mark.parametrize("library", ["unloadable", "without the symbols"])
+def test_main_sets_nothing_where_the_setters_are_missing(
+    classical_cfg, tmp_path, monkeypatch, two_blas_threads, library
+):
+    def cdll(name):
+        if library == "unloadable":
+            raise OSError(f"{name}: cannot open shared object file")
+        return SimpleNamespace()
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert run("solve", "--config", classical_cfg, "--out", tmp_path / "run") == 0
+    assert GET_THREADS() == 2
 
 
 def _half_wave_cfg(tmp_path, size):
